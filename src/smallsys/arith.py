@@ -13,7 +13,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactfield import KElem, TowerContext, as_tower_coords, is_square_in_k
+from .exactfield import KElem, TowerContext, as_tower_coords
 from .lorentz import Isometry, QuadForm
 from .polyalg import QuadAlgNum, is_algebraic_integer, minpoly_over_Q
 
@@ -209,7 +209,7 @@ def non_qa_certificate(a, subgroup_field: FieldDescriptor,
     if a <= 0:
         failures.append(f"a = {a} is not positive")
     else:
-        square, _ = is_square_in_k(KElem(a))
+        square, _ = KElem(a).is_square()
         if square:
             failures.append(f"a = {a} is a square in k")
     return NonQAReport(passed=not failures, a=a,

@@ -29,7 +29,7 @@ from .combin import (
     select_inequivalent,
 )
 from .congr import ZsqrtIdeal, in_principal_congruence, is_integral_matrix
-from .exactfield import KElem, SQRT2, is_square_in_k, parse_kelem
+from .exactfield import KElem, SQRT2, parse_kelem
 from .hypgeom import GeodesicHyperplane, dist_hyperplanes, systole_witness
 from .lorentz import (
     QuadForm,
@@ -47,7 +47,6 @@ from .lorentz import (
 from .polyalg import (
     QuadAlgNum,
     epsilon_gap,
-    is_algebraic_integer,
     mahler_measure,
     min_mahler_above_one,
     minpoly_over_Q,
@@ -120,7 +119,7 @@ def _parse_rational(text: str) -> Fraction:
 def _admissible_a(a: Fraction):
     if a <= 0:
         raise InputError(f"a = {a} must be positive")
-    square, root = is_square_in_k(KElem(a))
+    square, root = KElem(a).is_square()
     if square:
         raise InputError(f"a = {a} is a square in k (root {root})")
 
@@ -188,10 +187,10 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
 
     mp1 = minpoly_over_Q(lam1)
     cert.add("lambda1_integral", "lambda1 is an algebraic integer",
-             is_algebraic_integer(lam1), exact={"minpoly_lambda1": mp1.to_text()})
+             mp1.is_integral(), exact={"minpoly_lambda1": mp1.to_text()})
     mp2 = minpoly_over_Q(lam2)
     cert.add("lambda2_nonintegral", "lambda2 is not an algebraic integer",
-             not is_algebraic_integer(lam2), exact={"minpoly_lambda2": mp2.to_text()})
+             not mp2.is_integral(), exact={"minpoly_lambda2": mp2.to_text()})
     prod_poly, prod_iv = product(lam1, lam2, precision)
     dens = {c.denominator for c in prod_poly.coeffs}
     cert.add("product_nonintegral",
@@ -350,7 +349,7 @@ def cmd_minpoly(trace_text: str, norm_text: str, precision: int) -> Certificate:
              "x^2 - trace x + norm",
              mp.is_monic(),
              exact={"minpoly": mp.to_text(),
-                    "algebraic_integer": is_algebraic_integer(lam)},
+                    "algebraic_integer": mp.is_integral()},
              numeric={"value": lam.numeric(precision)})
     return cert
 

@@ -64,10 +64,6 @@ class ZsqrtIdeal:
         return f"ZsqrtIdeal({self.generator.to_text()})"
 
 
-def divides(ideal: ZsqrtIdeal, x) -> bool:
-    return ideal.divides(x)
-
-
 def is_integral_matrix(m: Isometry) -> bool:
     """All entries in Z[sqrt 2]; entries outside k are rejected."""
     entries = [_as_kelem(e) for row in m.entries for e in row]

@@ -382,10 +382,16 @@ class KElem:
         return (self - o).sign() <= 0
 
     def __gt__(self, other):
-        return self._lift(other) < self
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return (self - o).sign() > 0
 
     def __ge__(self, other):
-        return self._lift(other) <= self
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return (self - o).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -469,26 +475,6 @@ K_ONE = KElem(1)
 K_ZERO = KElem(0)
 
 
-def galois_conjugate(x: KElem) -> KElem:
-    return KElem._lift(x).conjugate()
-
-
-def norm_k(x) -> Fraction:
-    return KElem._lift(x).norm()
-
-
-def is_square_in_k(x):
-    return KElem._lift(x).is_square()
-
-
-def sign_k(x) -> int:
-    return KElem._lift(x).sign()
-
-
-def height(x) -> int:
-    return KElem._lift(x).height()
-
-
 _TERM_RE = re.compile(r"^(?P<coef>[+-]?\d+(?:/\d+)?)(?:\*(?P<rad>rt2|rtA))?$|^(?P<sign>[+-]?)(?P<bare>rt2|rtA)$")
 
 
@@ -531,7 +517,8 @@ class TowerContext:
     """A fixed quadratic extension k(sqrt d), d in k positive and non-square.
 
     Elements from different contexts must not be mixed; arithmetic checks
-    this and raises ContextMismatchError.  The standard instantiation is
+    this and raises ContextMismatchError, while equality across contexts is
+    simply False.  The standard instantiation is
     ``TowerContext.from_rational(a)`` for the field k(sqrt a) with a a
     positive rational that is not a square in k.
     """
@@ -665,6 +652,8 @@ class TowerElem:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, TowerElem) and other.ctx != self.ctx:
+            return False
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented

@@ -2,9 +2,12 @@
 quadratic over k = Q(sqrt 2), algebraic-integer tests, Mahler measure, and
 bounded enumeration of monic integer polynomials.
 
-Degrees stay small throughout (eliminants never exceed 16), so factor
-selection works by clustering high-precision roots and reconstructing
-integer factors from subset products, each verified by exact division.
+Minimal polynomials are exact: every number involved lies in a tower over
+k, its characteristic polynomial over Q is the k/Q norm of its
+characteristic polynomial over k, and that is a power of the minimal
+polynomial (Cohen, A Course in Computational Algebraic Number Theory,
+4.3), so the minimal polynomial is its squarefree part.  Root finding
+serves the Mahler measure only.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .exactfield import KElem, RealInterval
+from .exactfield import K_ONE, KElem, RealInterval
 
 GAP_TOL = 1e-8          # measures below 1 + GAP_TOL are cross-checked exactly
 _NEAR_ONE = 1.01        # numeric measure below this triggers the exact test
@@ -24,7 +27,7 @@ _BOUNDARY = 2e-3        # relative slack of the double-precision prefilter
 
 
 class PrecisionError(ArithmeticError):
-    """Raised when escalating precision failed to separate root clusters."""
+    """Raised when escalating precision failed to certify a Mahler measure."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +55,6 @@ class QPoly:
     @classmethod
     def zero(cls):
         return cls([0])
-
-    @classmethod
-    def one(cls):
-        return cls([1])
-
-    @classmethod
-    def x_monomial(cls, coeff, power):
-        return cls([0] * power + [coeff])
 
     def is_zero(self) -> bool:
         return self.coeffs == (Fraction(0),)
@@ -131,9 +126,6 @@ class QPoly:
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def divides(self, other: "QPoly") -> bool:
-        return (other % self).is_zero()
 
     def monic(self) -> "QPoly":
         if self.is_zero():
@@ -387,23 +379,6 @@ class QuadAlgNum:
                 f"branch={'+' if self.branch > 0 else '-'})")
 
 
-def _vanishes_at(lam: QuadAlgNum, m: QPoly) -> bool:
-    """Exact test m(lam) == 0 by reduction mod the defining quadratic over k."""
-    t, n = lam.trace, lam.norm
-    p, q = KElem(0), KElem(0)           # remainder p + q*x
-    for c in reversed(m.coeffs):
-        p, q = -q * n + KElem(c), p + q * t
-    if not q:
-        return not p
-    rho = -p / q
-    if rho * rho - t * rho + n:
-        return False
-    d = lam.disc()
-    if not d:
-        return True
-    return (2 * rho - t).sign() == lam.branch
-
-
 def _cluster_roots(zcoeffs, precision):
     """Roots of an integer polynomial (highest-first input to mpmath), or
     None when the iteration failed to converge at this precision."""
@@ -432,195 +407,65 @@ def _poly_gcd(p: QPoly, q: QPoly) -> QPoly:
     return a.monic() if not a.is_zero() else a
 
 
-def _minimal_factor(eliminant: QPoly, refine, exact_check=None,
-                    start_prec: int = 96, max_rounds: int = 5) -> QPoly:
-    """Smallest-degree monic rational factor of ``eliminant`` vanishing at the
-    number enclosed by ``refine(prec)``.
-
-    Candidates come from subset products of clustered roots (conjugate pairs
-    kept together); every candidate is verified by exact division, and by
-    ``exact_check`` when the caller can decide vanishing exactly.
-    """
-    sf = _squarefree_part(eliminant)
-    _, P = sf.content_primitive()
-    prec = start_prec
-    for _ in range(max_rounds):
-        roots, err = _cluster_roots(P.coeffs, prec)
-        if roots is None:
-            prec *= 2
-            continue
-        pad = 4 * err + 2.0 ** (-prec // 2)
-        target = refine(prec)
-        t_lo, t_hi = float(target.lo) - pad, float(target.hi) + pad
-        hits = [i for i, r in enumerate(roots)
-                if t_lo <= float(r.real) <= t_hi and abs(float(r.imag)) <= pad]
-        if len(hits) == 1:
-            cand = _reconstruct(P, roots, hits[0], pad, prec, exact_check)
-            if cand is not None:
-                return cand
-        prec *= 2
-    raise PrecisionError("could not isolate a unique minimal factor")
+def _norm_to_Q(coeffs) -> QPoly:
+    """N_{k/Q} of a polynomial with coefficients in k (constant first):
+    writing it as A + sqrt(2) B with A, B over Q, the norm is A^2 - 2 B^2."""
+    A = QPoly([c.a for c in coeffs])
+    B = QPoly([c.b for c in coeffs])
+    return A * A - 2 * (B * B)
 
 
-def _reconstruct(P: ZPoly, roots, hit, pad, prec, exact_check):
-    # group complex-conjugate pairs so candidate products have real coefficients
-    used = [False] * len(roots)
-    groups = []
-    for i, r in enumerate(roots):
-        if used[i]:
-            continue
-        if abs(float(r.imag)) <= pad:
-            groups.append((i,))
-            used[i] = True
-        else:
-            best, bd = None, None
-            for j in range(i + 1, len(roots)):
-                if used[j]:
-                    continue
-                d = abs(roots[j] - mpmath.conj(r))
-                if bd is None or d < bd:
-                    best, bd = j, d
-            if best is None:
-                return None
-            groups.append((i, best))
-            used[i] = used[best] = True
-    target_group = next(g for g in groups if hit in g)
-    others = [g for g in groups if g is not target_group]
-    combos = []
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            idx = list(target_group) + [i for g in combo for i in g]
-            combos.append(sorted(idx))
-    combos.sort(key=lambda idx: (len(idx), idx))
-    lc = abs(P.lc())
-    tol = Fraction(max(pad, 2.0 ** (-prec // 2)))
-    for idx in combos:
-        if len(idx) == P.degree():
-            cand = P.to_qpoly().monic()
-            if exact_check is None or exact_check(cand):
-                return cand
-            continue
-        # monic rational factors have denominators dividing lc(P); recover
-        # each coefficient by continued-fraction reconstruction and let the
-        # exact division check reject impostors
-        recovered = []
-        ok = True
-        with mpmath.workprec(prec):
-            prod = [mpmath.mpc(1)]
-            for i in idx:
-                prod = _mul_linear(prod, roots[i])
-            scale = 1 + max(float(abs(c)) for c in prod)
-            for c in prod[:-1]:
-                if abs(float(c.imag)) > tol * scale:
-                    ok = False
-                    break
-                num, den = mpmath.libmp.to_rational(mpmath.mpf(c.real)._mpf_)
-                exact_real = Fraction(int(num), int(den))
-                rec = exact_real.limit_denominator(lc)
-                if abs(rec - exact_real) > tol * scale:
-                    ok = False
-                    break
-                recovered.append(rec)
-        if not ok:
-            continue
-        cand = QPoly(recovered + [Fraction(1)])
-        if not cand.divides(P.to_qpoly()):
-            continue
-        if exact_check is None or exact_check(cand):
-            return cand
-    return None
-
-
-def _mul_linear(coeffs, root):
-    """Multiply a complex coefficient list (constant-first) by (x - root)."""
-    out = [mpmath.mpc(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] -= c * root
-        out[i + 1] += c
-    return out
+def _k_value(lam: QuadAlgNum):
+    """lam as an element of k when its discriminant is a square in k, else None."""
+    square, root = lam.disc().is_square()
+    return (lam.trace + lam.branch * root) / 2 if square else None
 
 
 def minpoly_over_Q(lam: QuadAlgNum) -> QPoly:
     """Monic minimal polynomial of lam over Q.
 
-    sqrt(2) is eliminated through res_y(x^2 - t(y) x + n(y), y^2 - 2),
-    which for A + y*B collapses to A^2 - 2 B^2; the minimal factor is then
-    selected among subset products and certified by exact reduction mod the
-    defining quadratic.
+    When lam lies in k the answer is read off directly.  Otherwise
+    x^2 - t x + n is the characteristic polynomial of lam over k, so its
+    k/Q norm A^2 - 2 B^2 is the characteristic polynomial over Q: a power of
+    the minimal polynomial, which is therefore its squarefree part.
     """
-    t, n = lam.trace, lam.norm
-    A = QPoly([n.a, -t.a, 1])
-    B = QPoly([n.b, -t.b])
-    eliminant = A * A - 2 * (B * B)
-    return _minimal_factor(eliminant, lam.numeric,
-                           exact_check=lambda m: _vanishes_at(lam, m))
-
-
-def _det_poly_matrix(M):
-    """Fraction-free Bareiss determinant of a matrix of QPoly entries."""
-    n = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = QPoly.one()
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not M[i][k].is_zero():
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return QPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                quo, rem = divmod(num, prev)
-                if not rem.is_zero():
-                    raise ArithmeticError("Bareiss exact division failed")
-                M[i][j] = quo
-            M[i][k] = QPoly.zero()
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
-def _sylvester_det(A, B):
-    """Resultant in z of sum A[j] z^j and sum B[j] z^j with QPoly coefficients."""
-    m = len(A) - 1
-    n = len(B) - 1
-    size = m + n
-    rows = []
-    arow = list(reversed(A))
-    brow = list(reversed(B))
-    for i in range(n):
-        rows.append([QPoly.zero()] * i + arow + [QPoly.zero()] * (n - 1 - i))
-    for j in range(m):
-        rows.append([QPoly.zero()] * j + brow + [QPoly.zero()] * (m - 1 - j))
-    assert all(len(r) == size for r in rows)
-    return _det_poly_matrix(rows)
+    r = _k_value(lam)
+    if r is not None:
+        return QPoly([-r.a, 1]) if not r.b else QPoly([r.norm(), -2 * r.a, 1])
+    return _squarefree_part(_norm_to_Q([lam.norm, -lam.trace, K_ONE]))
 
 
 def product(lam: QuadAlgNum, mu: QuadAlgNum, precision: int = 64):
-    """A monic rational polynomial vanishing at lam*mu (the minimal one),
-    together with an isolating interval for the product."""
-    p = minpoly_over_Q(lam)
-    q = minpoly_over_Q(mu)
-    if p == QPoly([0, 1]) or q == QPoly([0, 1]):
+    """The monic minimal polynomial over Q of lam*mu, together with an
+    isolating interval for the product.
+
+    A factor in k rescales the other one.  When disc(lam) * disc(mu) is a
+    square in k, mu is an affine image of lam over k and lam*mu is again
+    quadratic over k.  Otherwise k(lam, mu) has degree 4 over k, and the
+    quartic over k whose roots are the four products lam_i * mu_j is the
+    characteristic polynomial of lam*mu there; its k/Q norm is a power of
+    the minimal polynomial.
+    """
+    r, s = _k_value(lam), _k_value(mu)
+    if r == 0 or s == 0:
         return QPoly([0, 1]), RealInterval.exact(0, precision)
-    dp = p.degree()
-    # z^dp * p(x/z) as a polynomial in z: coefficient of z^j is p[dp-j] x^(dp-j)
-    A = [QPoly.x_monomial(p.coeffs[dp - j], dp - j) for j in range(dp + 1)]
-    B = [QPoly([c]) for c in q.coeffs]
-    eliminant = _sylvester_det(A, B)
-
-    def refine(prec):
-        return lam.numeric(prec) * mu.numeric(prec)
-
-    try:
-        factor = _minimal_factor(eliminant, refine)
-    except PrecisionError:
-        raise
-    return factor, refine(precision)
+    iv = lam.numeric(precision) * mu.numeric(precision)
+    if r is not None:
+        return minpoly_over_Q(mu.affine(r, 0)), iv
+    if s is not None:
+        return minpoly_over_Q(lam.affine(s, 0)), iv
+    t1, n1, t2, n2 = lam.trace, lam.norm, mu.trace, mu.norm
+    d1 = lam.disc()
+    square, root = (d1 * mu.disc()).is_square()
+    if square:
+        # sqrt(disc mu) = c sqrt(disc lam) with c = root / d1 > 0, so mu = a lam + b
+        # with a = +-c and b = (t2 - a t1) / 2; lam^2 = t1 lam - n1 then gives
+        # lam*mu = (a t1 + b) lam - a n1
+        a = lam.branch * mu.branch * root / d1
+        return minpoly_over_Q(lam.affine((a * t1 + t2) / 2, -a * n1)), iv
+    quartic = [n1 * n1 * n2 * n2, -t1 * t2 * n1 * n2,
+               n2 * (t1 * t1 - 2 * n1) + n1 * t2 * t2, -t1 * t2, K_ONE]
+    return _squarefree_part(_norm_to_Q(quartic)), iv
 
 
 def is_algebraic_integer(obj) -> bool:

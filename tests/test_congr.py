@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from smallsys.congr import ZsqrtIdeal, divides, in_principal_congruence, is_integral_matrix
+from smallsys.congr import ZsqrtIdeal, in_principal_congruence, is_integral_matrix
 from smallsys.exactfield import KElem, SQRT2
 from smallsys.lorentz import Isometry, QuadForm, block_g1, block_g2
 
@@ -18,17 +18,17 @@ SEVEN = ZsqrtIdeal(KElem(7))
 
 class TestDivides:
     def test_rt2_divides(self):
-        assert divides(RT2, KElem(2, 2))
+        assert RT2.divides(KElem(2, 2))
 
     def test_rt2_does_not_divide_odd_part(self):
-        assert not divides(RT2, KElem(3, 2))
+        assert not RT2.divides(KElem(3, 2))
 
     def test_rational_seven(self):
-        assert divides(SEVEN, KElem(7, 14))
+        assert SEVEN.divides(KElem(7, 14))
 
     def test_non_integral_rejected(self):
         with pytest.raises(ValueError):
-            divides(RT2, KElem(Fraction(1, 2)))
+            RT2.divides(KElem(Fraction(1, 2)))
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):
@@ -48,9 +48,9 @@ class TestDivides:
             x = pi * mult2
             if not pi:
                 continue
-            assert divides(ZsqrtIdeal(rho), pi)
-            assert divides(ZsqrtIdeal(pi), x)
-            assert divides(ZsqrtIdeal(rho), x)
+            assert ZsqrtIdeal(rho).divides(pi)
+            assert ZsqrtIdeal(pi).divides(x)
+            assert ZsqrtIdeal(rho).divides(x)
 
     def test_parse_level_syntax(self):
         assert ZsqrtIdeal.parse("0+1*rt2") == RT2

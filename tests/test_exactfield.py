@@ -11,13 +11,8 @@ from smallsys.exactfield import (
     RealInterval,
     TowerContext,
     embed,
-    galois_conjugate,
-    height,
-    is_square_in_k,
-    norm_k,
     parse_kelem,
     parse_tower,
-    sign_k,
     sqrt2_interval,
 )
 
@@ -59,66 +54,66 @@ class TestKElemArithmetic:
 
 class TestGaloisAndNorm:
     def test_conjugate_examples(self):
-        assert galois_conjugate(KElem(3, 2)) == KElem(3, -2)
-        assert galois_conjugate(KElem(5)) == KElem(5)
+        assert KElem(3, 2).conjugate() == KElem(3, -2)
+        assert KElem(5).conjugate() == KElem(5)
 
     def test_involution_and_homomorphism(self):
         rng = random.Random(7)
         for _ in range(200):
             x, y = rand_kelem(rng), rand_kelem(rng)
-            assert galois_conjugate(galois_conjugate(x)) == x
-            assert galois_conjugate(x * y) == galois_conjugate(x) * galois_conjugate(y)
-            assert galois_conjugate(x + y) == galois_conjugate(x) + galois_conjugate(y)
+            assert x.conjugate().conjugate() == x
+            assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+            assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
     def test_norm_examples(self):
-        assert norm_k(KElem(3, 2)) == 1
-        assert norm_k(SQRT2) == -2
-        assert norm_k(KElem(17)) == 289
+        assert KElem(3, 2).norm() == 1
+        assert SQRT2.norm() == -2
+        assert KElem(17).norm() == 289
 
     def test_norm_multiplicative(self):
         rng = random.Random(3)
         for _ in range(1000):
             x, y = rand_kelem(rng), rand_kelem(rng)
-            assert norm_k(x * y) == norm_k(x) * norm_k(y)
+            assert (x * y).norm() == x.norm() * y.norm()
 
 
 class TestIsSquare:
     def test_two(self):
-        ok, root = is_square_in_k(KElem(2))
+        ok, root = KElem(2).is_square()
         assert ok and root == SQRT2
 
     def test_unit(self):
-        ok, root = is_square_in_k(KElem(3, 2))
+        ok, root = KElem(3, 2).is_square()
         assert ok and root == KElem(1, 1)
 
     def test_seventeen_not_square(self):
         # both p^2 candidates (17 +- 17)/2 = {17, 0} fail to be rational squares
-        ok, root = is_square_in_k(KElem(17))
+        ok, root = KElem(17).is_square()
         assert not ok and root is None
 
     def test_three_not_square(self):
         # certifies a = 3 admissible as a tower parameter
-        ok, _ = is_square_in_k(KElem(3))
+        ok, _ = KElem(3).is_square()
         assert not ok
 
     def test_squares_roundtrip(self):
         rng = random.Random(5)
         for _ in range(1000):
             x = rand_kelem(rng, bound=12)
-            ok, root = is_square_in_k(x * x)
+            ok, root = (x * x).is_square()
             assert ok
             assert root == x or root == -x
 
     def test_negative(self):
-        ok, _ = is_square_in_k(KElem(-3, -2))
+        ok, _ = KElem(-3, -2).is_square()
         assert not ok
 
 
 class TestSign:
     def test_examples(self):
-        assert sign_k(KElem(3, -2)) == 1
-        assert sign_k(KElem(2, -2)) == -1
-        assert sign_k(KElem(0)) == 0
+        assert KElem(3, -2).sign() == 1
+        assert KElem(2, -2).sign() == -1
+        assert KElem(0).sign() == 0
 
     def test_agrees_with_embedding(self):
         rng = random.Random(13)
@@ -127,12 +122,21 @@ class TestSign:
             iv = x.embed(128)
             s = iv.sign()
             if s is not None:
-                assert sign_k(x) == s
+                assert x.sign() == s
 
     def test_ordering(self):
         assert KElem(1, 1) > KElem(2)        # 1+sqrt2 = 2.414... > 2
         assert KElem(0, 5) < KElem(8)        # 5 sqrt2 = 7.07 < 8
         assert abs(KElem(2, -2)) == KElem(-2, 2)
+
+    def test_foreign_type_comparisons_raise_type_error(self):
+        for other in (1.5, "x", None):
+            for compare in (lambda a, b: a < b, lambda a, b: a <= b,
+                            lambda a, b: a > b, lambda a, b: a >= b):
+                with pytest.raises(TypeError):
+                    compare(KElem(1), other)
+                with pytest.raises(TypeError):
+                    compare(other, KElem(1))
 
 
 class TestEmbedAndHeight:
@@ -163,9 +167,9 @@ class TestEmbedAndHeight:
         assert w128 < w64
 
     def test_height(self):
-        assert height(KElem(3, 2)) == 3
-        assert height(KElem(Fraction(1, 7), Fraction(6, 7))) == 7
-        assert height(KElem(0)) == 0
+        assert KElem(3, 2).height() == 3
+        assert KElem(Fraction(1, 7), Fraction(6, 7)).height() == 7
+        assert KElem(0).height() == 0
 
 
 class TestRealInterval:
@@ -220,6 +224,15 @@ class TestTower:
         c17 = TowerContext.from_rational(17)
         with pytest.raises(ContextMismatchError):
             c3.sqrt_gen() + c17.sqrt_gen()
+
+    def test_equality_across_contexts_is_false(self):
+        c3 = TowerContext.from_rational(3)
+        c5 = TowerContext.from_rational(5)
+        assert c3.sqrt_gen() != c5.sqrt_gen()
+        assert not (c3.from_k(1) == c5.from_k(1))
+        assert len({c3.sqrt_gen(), c5.sqrt_gen(), c3.sqrt_gen()}) == 2
+        with pytest.raises(ContextMismatchError):
+            c3.sqrt_gen() * c5.sqrt_gen()
 
     def test_field_axioms(self):
         ctx = TowerContext.from_rational(3)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from smallsys.exactfield import KElem
+from smallsys.exactfield import SQRT2, KElem
 from smallsys.polyalg import (
     GAP_TOL,
     QPoly,
@@ -61,6 +61,20 @@ def sylvester_det(p: QPoly, q: QPoly) -> Fraction:
                 for j in range(k, size):
                     mat[i][j] -= f * mat[k][j]
     return det
+
+
+def sympy_value(sympy, lam: QuadAlgNum):
+    """lam as an exact sympy radical expression."""
+    r2 = sympy.sqrt(2)
+    tv = sympy.Rational(lam.trace.a) + sympy.Rational(lam.trace.b) * r2
+    nv = sympy.Rational(lam.norm.a) + sympy.Rational(lam.norm.b) * r2
+    return (tv + lam.branch * sympy.sqrt(tv ** 2 - 4 * nv)) / 2
+
+
+def sympy_minpoly(sympy, val) -> QPoly:
+    """Independent oracle: sympy's monic minimal polynomial of val over Q."""
+    expected = sympy.minimal_polynomial(val, sympy.symbols("x"), polys=True).monic()
+    return QPoly([Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())])
 
 
 def rand_qpoly(rng, max_deg=5, bound=6):
@@ -125,23 +139,23 @@ class TestMinpoly:
 
     def test_matches_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
-        x = sympy.symbols("x")
         rng = random.Random(47)
+        cases = []
         for _ in range(25):
             t = KElem(Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6)))
             n = KElem(Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6)))
             if (t * t - 4 * n).sign() < 0:
                 continue
             branch = rng.choice([1, -1])
-            lam = QuadAlgNum(t, n, branch)
-            r2 = sympy.sqrt(2)
-            tv = sympy.Rational(t.a) + sympy.Rational(t.b) * r2
-            nv = sympy.Rational(n.a) + sympy.Rational(n.b) * r2
-            val = (tv + branch * sympy.sqrt(tv ** 2 - 4 * nv)) / 2
-            expected = sympy.minimal_polynomial(val, x, polys=True).monic()
-            got = minpoly_over_Q(lam)
-            assert [sympy.Rational(c) for c in got.coeffs] == list(
-                reversed(expected.all_coeffs()))
+            cases.append(QuadAlgNum(t, n, branch))
+        # discriminants that are nonzero squares in k put lam in k
+        for _ in range(10):
+            s = KElem(rng.randint(0, 6), rng.randint(-4, 4)) or SQRT2
+            t = KElem(rng.randint(-6, 6), rng.randint(-6, 6))
+            cases.extend(QuadAlgNum(t, (t * t - s * s) / 4, branch)
+                         for branch in (1, -1))
+        for lam in cases:
+            assert minpoly_over_Q(lam) == sympy_minpoly(sympy, sympy_value(sympy, lam))
 
     def test_degenerate_kelem_degree_at_most_two(self):
         rng = random.Random(53)
@@ -200,6 +214,20 @@ class TestProduct:
                            Fraction(-120, 7), Fraction(8796, 49),
                            Fraction(-456, 7), 1])
         assert float(iv) == pytest.approx(62.265071972306455, abs=1e-6)
+
+    def test_matches_sympy_oracle_on_each_branch(self):
+        sympy = pytest.importorskip("sympy")
+        for branch in (1, -1):
+            lam = QuadAlgNum(KElem(1, 1), KElem(-1), branch)   # disc 7 + 2 sqrt2
+            cases = [(lam, QuadAlgNum(KElem(4), KElem(2), branch), 4),   # 2 +- sqrt2
+                     (lam.affine(KElem(-1, 2), KElem(3, -1)), lam, 4),
+                     (lam, LAM1, 8)]
+            for x, y, degree in cases:
+                m, iv = product(x, y)
+                val = sympy_value(sympy, x) * sympy_value(sympy, y)
+                assert m.degree() == degree
+                assert m == sympy_minpoly(sympy, val)
+                assert iv.lo <= Fraction(str(sympy.N(val, 30))) <= iv.hi
 
     def test_interval_subset_of_input_products(self):
         rng = random.Random(59)

@@ -2,15 +2,17 @@
 emitting a human-readable table and a machine-readable JSON certificate.
 
 Exit codes: 0 when the certificate verdict is PASS, 1 on FAIL, 2 on input
-errors.  Certificates are reproducible byte for byte: exact values are
-serialized in the canonical field-element text forms and numeric values are
-printed at fixed precision from interval midpoints.
+errors, 3 on internal failures such as a precision ceiling.  Certificates
+are reproducible byte for byte: exact values are serialized in the canonical
+field-element text forms and numeric values are printed at fixed precision
+from interval midpoints.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,7 +49,6 @@ from .lorentz import (
 from .polyalg import (
     QuadAlgNum,
     epsilon_gap,
-    mahler_measure,
     min_mahler_above_one,
     minpoly_over_Q,
     product,
@@ -236,7 +237,13 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
     return cert
 
 
-def cmd_search(c: KElem, eps: float, height_bound: int, precision: int) -> Certificate:
+def cmd_search(c_text: str, eps: float, height_bound: int, precision: int) -> Certificate:
+    try:
+        c = parse_kelem(c_text)
+    except ValueError as exc:
+        raise InputError(f"not an element of k: {c_text!r}") from exc
+    if c.sign() <= 0:
+        raise InputError(f"c = {c.to_text()} must be positive")
     if eps <= 0:
         raise InputError("epsilon must be positive")
     cert = Certificate("search", {"c": c.to_text(), "epsilon": eps,
@@ -257,7 +264,7 @@ def cmd_search(c: KElem, eps: float, height_bound: int, precision: int) -> Certi
     cert.add("small_element",
              f"the block at t = {g.parameter().to_text()} has translation "
              f"length below {eps}",
-             float(ell) < eps,
+             ell.hi < Fraction(eps),
              exact={"t": g.parameter().to_text(), "alpha": g.alpha.to_text()},
              numeric={"lambda": lam.numeric(precision), "length": ell})
     return cert
@@ -268,13 +275,12 @@ def cmd_mahler(D: int) -> Certificate:
         raise InputError("degree bound D must be at least 1")
     cert = Certificate("mahler", {"D": D})
     value, wit = min_mahler_above_one(D)
-    recheck = mahler_measure(wit, 1e-10)
     cert.add("minimum_above_one",
              f"the smallest Mahler measure above 1 at degree <= {D} "
              f"is attained by {wit.to_text()}",
-             abs(recheck - value) < 1e-8 and value > 1,
+             value > 1,
              exact={"witness": wit.to_text()},
-             numeric={"measure": value, "systole_gap": epsilon_gap(D)})
+             numeric={"measure": value, "systole_gap": math.log(value)})
     return cert
 
 
@@ -423,7 +429,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             cert = cmd_verify(_parse_rational(args.a), args.n, args.precision)
         elif args.command == "search":
-            cert = cmd_search(parse_kelem(args.c), args.epsilon,
+            cert = cmd_search(args.c, args.epsilon,
                               args.height_bound, args.precision)
         elif args.command == "mahler":
             cert = cmd_mahler(args.D)
@@ -440,9 +446,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if not args.quiet:
         print(cert.render())
     if args.json:

@@ -475,7 +475,7 @@ K_ONE = KElem(1)
 K_ZERO = KElem(0)
 
 
-_TERM_RE = re.compile(r"^(?P<coef>[+-]?\d+(?:/\d+)?)(?:\*(?P<rad>rt2|rtA))?$|^(?P<sign>[+-]?)(?P<bare>rt2|rtA)$")
+_TERM_RE = re.compile(r"^(?P<coef>[+-]?\d+(?:/\d*[1-9]\d*)?)(?:\*(?P<rad>rt2|rtA))?$|^(?P<sign>[+-]?)(?P<bare>rt2|rtA)$")
 
 
 def _parse_terms(text: str):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactfield import KElem, RealInterval, SQRT2, TowerElem
-from .polyalg import QuadAlgNum
+from .polyalg import PrecisionError, QuadAlgNum
 
 
 class WrongBranchError(ValueError):
@@ -377,7 +377,8 @@ def _k_parameters(height_bound: int):
 def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement:
     """First block with 0 < translation length < eps_target, scanning integer
     parameters t = 1, 2, ... (length is strictly decreasing in t on the valid
-    branch), then non-integer k-parameters in height order."""
+    branch), then non-integer k-parameters in height order.  A length still
+    undecided against eps_target at 4096 bits raises PrecisionError."""
     if eps_target <= 0:
         raise ValueError("eps_target must be positive")
     c = KElem._lift(c)
@@ -391,11 +392,10 @@ def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement
         except (WrongBranchError, DegenerateParameterError):
             return None
         prec = 64
-        while prec <= 4096:
-            verdict = _length_below(g, eps, prec)
-            if verdict is not None:
-                break
+        while (verdict := _length_below(g, eps, prec)) is None:
             prec *= 2
+            if prec > 4096:
+                raise PrecisionError(f"length at t = {t.to_text()} undecided at 4096 bits")
         if verdict:
             return g
         if best is None or (g.alpha - best.alpha).sign() < 0:

@@ -6,8 +6,10 @@ Minimal polynomials are exact: every number involved lies in a tower over
 k, its characteristic polynomial over Q is the k/Q norm of its
 characteristic polynomial over k, and that is a power of the minimal
 polynomial (Cohen, A Course in Computational Algebraic Number Theory,
-4.3), so the minimal polynomial is its squarefree part.  Root finding
-serves the Mahler measure only.
+4.3), so the minimal polynomial is its squarefree part.  The Mahler
+enumeration decides its box on integers (Kronecker test, then Graeffe and
+Landau bounds against the exact cap); certified root finding serves the
+measures themselves and the few polynomials those bounds leave undecided.
 """
 
 from __future__ import annotations
@@ -17,17 +19,15 @@ import math
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .exactfield import K_ONE, KElem, RealInterval
 
 GAP_TOL = 1e-8          # measures below 1 + GAP_TOL are cross-checked exactly
-_NEAR_ONE = 1.01        # numeric measure below this triggers the exact test
-_BOUNDARY = 2e-3        # relative slack of the double-precision prefilter
+GRAEFFE_STEPS = 6       # iterates tried before the certified measure decides
 
 
 class PrecisionError(ArithmeticError):
-    """Raised when escalating precision failed to certify a Mahler measure."""
+    """Raised when escalating precision failed to decide a certified value."""
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +209,6 @@ class ZPoly:
                 out[i + j] += c * d
         return ZPoly(out)
 
-    def compose_neg(self) -> "ZPoly":
-        return ZPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
     def shift_out_zero_roots(self):
         """Drop x^v factors; returns (v, reduced poly)."""
         v = 0
@@ -220,12 +217,6 @@ class ZPoly:
             coeffs.pop(0)
             v += 1
         return v, ZPoly(coeffs)
-
-    def evaluate(self, x):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
 
     def to_qpoly(self) -> QPoly:
         return QPoly(self.coeffs)
@@ -483,6 +474,18 @@ def is_algebraic_integer(obj) -> bool:
 # Mahler measure
 # ---------------------------------------------------------------------------
 
+def _graeffe(c):
+    """Coefficients (constant first) of the monic polynomial whose roots are
+    the squares of the roots of the monic one with coefficients c."""
+    d = len(c) - 1
+    neg = [-v if i % 2 else v for i, v in enumerate(c)]          # c(-x)
+    prod = [0] * (2 * d + 1)                                     # c(x) c(-x)
+    for i, a in enumerate(c):
+        for j, b in enumerate(neg):
+            prod[i + j] += a * b
+    return tuple(-v for v in prod[::2]) if d % 2 else tuple(prod[::2])
+
+
 def is_measure_one(p: ZPoly) -> bool:
     """Exact Kronecker test: a monic integer polynomial has Mahler measure 1
     iff its Graeffe iterates stay within the binomial coefficient bounds and
@@ -490,34 +493,18 @@ def is_measure_one(p: ZPoly) -> bool:
     if not p.is_monic():
         raise ValueError("measure-one test expects a monic polynomial")
     _, q = p.shift_out_zero_roots()
-    d = q.degree()
+    d, coeffs = q.degree(), q.coeffs
     if d == 0:
         return True
     bounds = [math.comb(d, j) for j in range(d + 1)]
     seen = set()
     while True:
-        if any(abs(c) > b for c, b in zip(q.coeffs, bounds)):
+        if any(abs(c) > b for c, b in zip(coeffs, bounds)):
             return False
-        if q.coeffs in seen:
+        if coeffs in seen:
             return True
-        seen.add(q.coeffs)
-        s = q * q.compose_neg()
-        sign = -1 if d % 2 else 1
-        q = ZPoly([sign * s.coeffs[2 * jj] for jj in range(d + 1)])
-
-
-def _measure_double(coeffs) -> float:
-    arr = np.array(coeffs[::-1], dtype=float)
-    nz = np.nonzero(arr)[0]
-    arr = arr[nz[0]:]                      # strip zero roots
-    if len(arr) <= 1:
-        return abs(float(arr[0])) if len(arr) else 0.0
-    m = abs(float(arr[0]))
-    for r in np.roots(arr):
-        a = abs(r)
-        if a > 1.0:
-            m *= float(a)
-    return m
+        seen.add(coeffs)
+        coeffs = _graeffe(coeffs)
 
 
 def _monic_measure_certified(f: QPoly, rel_tol: float):
@@ -533,7 +520,6 @@ def _monic_measure_certified(f: QPoly, rel_tol: float):
         lo2, hi2 = _monic_measure_certified(g.monic(), rel_tol / 2)
         return lo1 * lo2, hi1 * hi2
     _, P = f.content_primitive()
-    deg = P.degree()
     prec = 64
     while prec <= 4096:
         roots, err = _cluster_roots(P.coeffs, prec)
@@ -560,8 +546,8 @@ def mahler_measure(p: ZPoly, tol: float) -> float:
     if q.degree() == 0:
         return float(abs(q.coeffs[0]))
     monic = q.to_qpoly().monic()
-    # relative tolerance: measure of the monic part is at least 1
-    rel = tol / (2 * scale * max(1.0, _measure_double(list(q.coeffs))))
+    # relative tolerance sized from Landau's bound M(q) <= ||q||_2
+    rel = tol / (2 * scale * math.hypot(*q.coeffs))
     lo, hi = _monic_measure_certified(monic, max(rel, 1e-17))
     return scale * (lo + hi) / 2
 
@@ -572,45 +558,52 @@ def _mirror(p: ZPoly) -> ZPoly:
     return ZPoly([c if (d - i) % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
 
 
+def _graeffe_verdict(p: ZPoly, powers) -> bool | None:
+    """Whether M(p) <= mu for monic p, or None when the first GRAEFFE_STEPS
+    iterates p_k leave it open; ``powers`` holds mu^(2^k) as (numerator,
+    denominator).  max_j |c_j(p_k)| / binom(d, j) <= M(p)^(2^k) <= ||p_k||_2,
+    the second by Landau's inequality."""
+    _, q = p.shift_out_zero_roots()
+    d, coeffs = q.degree(), q.coeffs
+    binoms = [math.comb(d, j) for j in range(d + 1)]
+    for num, den in powers:
+        if any(abs(c) * den > b * num for c, b in zip(coeffs, binoms)):
+            return False
+        if sum(c * c for c in coeffs) * den * den <= num * num:
+            return True
+        coeffs = _graeffe(coeffs)
+    return None
+
+
 def enumerate_bounded(D: int, mu: float, tol: float = 1e-9):
     """All monic integer polynomials of degree 1..D with Mahler measure
     <= mu, possibly including a guard band of measures in (mu, mu + tol].
 
-    Coefficient boxes come from |a_{d-i}| <= binom(d, i) * mu; a fast
-    double-precision measure filters far from the boundary, and boundary or
-    near-1 cases are decided by certified (or exact Kronecker) computation.
-    Double-precision readings of repeated roots can drift upward by far more
-    than the slack once the degree exceeds 4, so high-degree polynomials in
-    the inflated band go through the certified path as well.
+    Coefficient boxes come from |a_{d-i}| <= binom(d, i) * mu.  Each box
+    polynomial is decided on integers: measure one by the Kronecker test,
+    otherwise by comparing Graeffe coefficient bounds and Landau's bound
+    against the exact rational mu.  Only polynomials whose measure lies too
+    close to mu for GRAEFFE_STEPS iterates go to the certified measure.
     """
     if D < 1:
         raise ValueError("D must be at least 1")
     if mu < 1:
         raise ValueError("mu must be at least 1")
+    m = Fraction(mu)
+    powers = [(m.numerator ** (1 << k), m.denominator ** (1 << k))
+              for k in range(GRAEFFE_STEPS + 1)]
     out = set()
-    slack = _BOUNDARY * (1 + mu)
-    coarse = 0.5 * (1 + mu)
     for d in range(1, D + 1):
         ranges = []
         for j in range(d):
             bound = math.floor(math.comb(d, d - j) * mu + 1e-12)
             ranges.append(range(-bound, bound + 1))
         for tail in itertools.product(*ranges):
-            coeffs = list(tail) + [1]
-            m = _measure_double(coeffs)
-            if m > mu + coarse:
-                continue
-            if m > mu + slack and d <= 4:
-                continue
-            if m <= mu - slack:
-                out.add(ZPoly(coeffs))
-                continue
-            poly = ZPoly(coeffs)
-            if m < _NEAR_ONE and is_measure_one(poly):
-                out.add(poly)
-                continue
-            mc = mahler_measure(poly, tol / 4)
-            if mc <= mu + tol:
+            poly = ZPoly(list(tail) + [1])
+            verdict = is_measure_one(poly) or _graeffe_verdict(poly, powers)
+            if verdict is None:
+                verdict = mahler_measure(poly, tol / 4) <= mu + tol
+            if verdict:
                 out.add(poly)
     out |= {_mirror(p) for p in out}
     return sorted(out)
@@ -625,8 +618,7 @@ def min_mahler_above_one(D: int):
     for cap in (1.4, 1.7, 2.0001):
         measured = []
         for poly in enumerate_bounded(D, cap):
-            m = _measure_double(list(poly.coeffs))
-            if m < _NEAR_ONE and is_measure_one(poly):
+            if is_measure_one(poly):
                 continue
             mc = mahler_measure(poly, 1e-10)
             if mc > 1 + GAP_TOL:

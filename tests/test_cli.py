@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from smallsys import cli
 from smallsys.cli import main
 from smallsys.lorentz import block_g1, block_g2, serialize_isometry
+from smallsys.polyalg import PrecisionError
 
 
 def run(argv, capsys):
@@ -68,6 +73,12 @@ class TestSearch:
         code, _, err = run(["search", "--epsilon", "-1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("c", ["x", "1/0", "0", "-1", "1-rt2"])
+    def test_bad_coefficient_is_input_error(self, capsys, c):
+        code, _, err = run(["search", "--c", c, "--epsilon", "0.25"], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestMahler:
     def test_degree_four(self, capsys, tmp_path):
@@ -82,6 +93,25 @@ class TestMahler:
     def test_bad_degree(self, capsys):
         code, _, _ = run(["mahler", "--D", "0"], capsys)
         assert code == 2
+
+
+class TestInternalFailure:
+    def test_precision_error_exits_3(self, capsys, monkeypatch):
+        def undecided(D):
+            raise PrecisionError("Mahler measure did not converge")
+        monkeypatch.setattr(cli, "min_mahler_above_one", undecided)
+        code, out, err = run(["mahler", "--D", "2"], capsys)
+        assert code == 3
+        assert err == "internal error: PrecisionError: Mahler measure did not converge\n"
+        assert out == ""
+
+    def test_import_leaves_numpy_unloaded(self):
+        code = "import sys, smallsys.cli; print('numpy' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "False"
 
 
 class TestBracelets:

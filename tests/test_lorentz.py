@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from smallsys import lorentz
 from smallsys.exactfield import KElem, SQRT2, TowerContext
 from smallsys.lorentz import (
     ABlockElement,
@@ -26,6 +27,7 @@ from smallsys.lorentz import (
     similarity_discriminant_obstruction,
     translation_length,
 )
+from smallsys.polyalg import PrecisionError
 
 # the two displayed 3x3 matrices of the worked instance (entries in Z[rt2]
 # for the first, denominators 7 for the second)
@@ -207,6 +209,12 @@ class TestFindSmallElement:
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
             find_small_element(KElem(1), 0.0, 10)
+
+    def test_undecided_length_raises(self, monkeypatch):
+        # an undecided comparison at the precision ceiling is not "not below"
+        monkeypatch.setattr(lorentz, "_length_below", lambda g, eps, prec: None)
+        with pytest.raises(PrecisionError):
+            find_small_element(KElem(1), 0.25, 10)
 
 
 class TestSimilarityObstruction:

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from smallsys.exactfield import SQRT2, KElem
@@ -316,6 +318,33 @@ class TestEnumeration:
             mirror = ZPoly([c if (p.degree() - i) % 2 == 0 else -c
                             for i, c in enumerate(p.coeffs)])
             assert mirror in set(enumerate_bounded(3, 1.4))
+
+    def test_matches_root_finding_oracle(self):
+        # independent oracle: sympy's squarefree factorization, then mpmath
+        # roots of each factor at 256 bits (repeated roots do not converge)
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+
+        def measure(coeffs):
+            _, factors = sympy.sqf_list(sympy.Poly(coeffs[::-1], x))
+            m = mpmath.mpf(1)
+            with mpmath.workprec(256):
+                for f, mult in factors:
+                    roots = mpmath.polyroots([int(c) for c in f.all_coeffs()],
+                                             maxsteps=200, extraprec=256)
+                    m *= mpmath.fprod(max(1, abs(r)) for r in roots) ** mult
+            return m
+
+        for mu in (1.4, 1.7):
+            box = [list(tail) + [1] for d in range(1, 4) for tail in itertools.product(
+                *(range(-b, b + 1) for b in
+                  (math.floor(math.comb(d, d - j) * mu + 1e-12) for j in range(d))))]
+            expected = {ZPoly(c) for c in box if measure(c) <= mu}
+            assert set(enumerate_bounded(3, mu)) == expected
+            assert ZPoly([1, -2, 1]) in expected and ZPoly([1, 3, 3, 1]) in expected
+            got = set(enumerate_bounded(4, mu))
+            for c in ([1, 0, 2, 0, 1], [1, -4, 6, -4, 1], [-1, -1, 0, 0, 1]):
+                assert (ZPoly(c) in got) == (measure(c) <= mu)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

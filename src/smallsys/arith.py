@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactfield import KElem, TowerContext, as_tower_coords
-from .lorentz import Isometry, QuadForm
+from .lorentz import Isometry, QuadForm, sum_prod
 from .polyalg import QuadAlgNum, is_algebraic_integer, minpoly_over_Q
 
 DENSITY_CAVEAT = ("Zariski density of the word samples is asserted, "
@@ -23,9 +23,11 @@ DENSITY_CAVEAT = ("Zariski density of the word samples is asserted, "
 
 def adjoint_trace(m: Isometry):
     """((tr M)^2 - tr M^2) / 2, exact; equals the trace of M acting on the
-    second exterior power."""
+    second exterior power.  tr M^2 = sum_ij M_ij M_ji is read off the
+    entries, so no product matrix is formed."""
     t = m.trace()
-    t2 = (m * m).trace()
+    t2 = sum_prod([x for row in m.entries for x in row],
+                  [x for col in zip(*m.entries) for x in col])
     return (t * t - t2) / 2
 
 
@@ -76,7 +78,8 @@ def tower_value_as_quadratic(x) -> QuadAlgNum:
 
 class GroupSample:
     """Finitely many verified isometries of one form, sampled over reduced
-    words up to a fixed length."""
+    words up to a fixed length.  `walk` evaluates each word as its parent
+    word times one letter, so every sampled element costs one product."""
 
     __slots__ = ("generators", "word_length")
 
@@ -98,38 +101,23 @@ class GroupSample:
     def __setattr__(self, *_):
         raise AttributeError("GroupSample is immutable")
 
-    @property
-    def form(self) -> QuadForm:
-        return self.generators[0].form
-
-    def words(self):
-        """Reduced words as tuples of nonzero signed generator indices,
-        by length then lexicographically; the empty word is skipped."""
+    def walk(self):
+        """(word, isometry) per nonempty reduced word (a tuple of signed
+        generator indices), by length then letters a, A, b, B, ...."""
         letters = []
-        for i in range(1, len(self.generators) + 1):
-            letters.extend((i, -i))
-        frontier = [()]
+        for i, g in enumerate(self.generators, 1):
+            letters.extend(((i, g), (-i, g.inverse())))
+        frontier = [((), None)]
         for _ in range(self.word_length):
             nxt = []
-            for w in frontier:
-                for ltr in letters:
+            for w, m in frontier:
+                for ltr, g in letters:
                     if w and w[-1] == -ltr:
                         continue
-                    nw = w + (ltr,)
-                    nxt.append(nw)
-                    yield nw
+                    step = (w + (ltr,), g if m is None else m * g)
+                    nxt.append(step)
+                    yield step
             frontier = nxt
-
-    def evaluate(self, word) -> Isometry:
-        out = None
-        for ltr in word:
-            g = self.generators[abs(ltr) - 1]
-            if ltr < 0:
-                g = g.inverse()
-            out = g if out is None else out * g
-        if out is None:
-            return Isometry.identity(self.form)
-        return out
 
 
 def word_to_text(word) -> str:
@@ -153,8 +141,8 @@ class FieldDescriptor:
 def trace_field_sample(sample: GroupSample) -> FieldDescriptor:
     k_witness = None
     tower_witness = None
-    for word in sample.words():
-        tr = adjoint_trace(sample.evaluate(word))
+    for word, m in sample.walk():
+        tr = adjoint_trace(m)
         u, v = as_tower_coords(tr)
         if v and tower_witness is None:
             tower_witness = (word_to_text(word), tr)
@@ -174,8 +162,8 @@ def integrality_scan(sample: GroupSample):
     """All sampled words whose adjoint trace is not an algebraic integer,
     as (word_text, trace, monic minimal polynomial) triples."""
     out = []
-    for word in sample.words():
-        tr = adjoint_trace(sample.evaluate(word))
+    for word, m in sample.walk():
+        tr = adjoint_trace(m)
         mp = minpoly_over_Q(tower_value_as_quadratic(tr))
         if not mp.is_integral():
             out.append((word_to_text(word), tr, mp))

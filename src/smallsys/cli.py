@@ -39,8 +39,6 @@ from .lorentz import (
     block_g1,
     block_g2,
     find_small_element,
-    in_O_prime,
-    is_isometry,
     leading_eigenvalue,
     param_block,
     parse_isometry,
@@ -147,12 +145,12 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
             t += 1
         g2 = param_block(KElem(a), KElem(t), n)
 
-    m1, m2 = g1.to_entries(), g2.to_entries()
+    iso1, iso2 = g1.to_isometry(f1), g2.to_isometry(f2)
     cert.add("g1_isometry", "g1 preserves diag(1, ..., 1, -rt2) exactly",
-             is_isometry(m1, f1) and in_O_prime(m1, f1),
+             iso1.sheet_preserving,
              exact={"alpha": g1.alpha.to_text(), "gamma": g1.gamma.to_text()})
     cert.add("g2_isometry", "g2 preserves diag(a, 1, ..., 1, -rt2) exactly",
-             is_isometry(m2, f2) and in_O_prime(m2, f2),
+             iso2.sheet_preserving,
              exact={"alpha": g2.alpha.to_text(), "gamma": g2.gamma.to_text()})
     cert.add("parameter_roundtrip",
              "gamma/(alpha - 1) recovers the conic parameter of both blocks",
@@ -173,8 +171,8 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
 
     h1 = GeodesicHyperplane.coordinate(f1)
     h2 = GeodesicHyperplane.coordinate(f2)
-    rel1 = dist_hyperplanes(h1, h1.image(g1.to_isometry(f1)), precision)
-    rel2 = dist_hyperplanes(h2, h2.image(g2.to_isometry(f2)), precision)
+    rel1 = dist_hyperplanes(h1, h1.image(iso1), precision)
+    rel2 = dist_hyperplanes(h2, h2.image(iso2), precision)
     cert.add("hyperplane_distances",
              "{x1=0} and its block image are disjoint at distance arccosh(alpha)",
              rel1.kind == "disjoint" and rel1.cosh_sq == g1.alpha * g1.alpha
@@ -203,10 +201,9 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
              "the product minimal polynomial carries a denominator divisible by 7",
              any(d % 7 == 0 for d in dens), skip=not is_standard)
 
-    iso1 = g1.to_isometry(f1)
-    conj2 = conjugate_between_forms(g2.to_isometry(f2), a)
+    ambient = GroupSample([iso1, conjugate_between_forms(iso2, a)], 2)
     sub_fd = trace_field_sample(GroupSample([iso1], 3))
-    amb_fd = trace_field_sample(GroupSample([iso1, conj2], 2))
+    amb_fd = trace_field_sample(ambient)
     sub_wit = sub_fd.witnesses[0] if sub_fd.witnesses else ("", "")
     cert.add("subgroup_trace_field", "the one-generator sample has trace field k",
              sub_fd.level == "k",
@@ -222,7 +219,7 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
              "trace field k inside trace field K rules out quasi-arithmeticity",
              report.passed, exact={"failures": "; ".join(report.failures) or "none"})
 
-    scan = integrality_scan(GroupSample([iso1, conj2], 2))
+    scan = integrality_scan(ambient)
     cert.add("nonintegral_trace_sample",
              "the mixed sample exhibits nonintegral adjoint traces",
              bool(scan), exact={"count": len(scan)})
@@ -244,8 +241,10 @@ def cmd_search(c_text: str, eps: float, height_bound: int, precision: int) -> Ce
         raise InputError(f"not an element of k: {c_text!r}") from exc
     if c.sign() <= 0:
         raise InputError(f"c = {c.to_text()} must be positive")
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError("epsilon must be positive and finite")
+    if height_bound < 1:
+        raise InputError("height bound must be at least 1")
     cert = Certificate("search", {"c": c.to_text(), "epsilon": eps,
                                   "height_bound": height_bound,
                                   "precision": precision})
@@ -367,12 +366,13 @@ def cmd_budget(m: int, D: int) -> Certificate:
         raise InputError("D must be at least 1")
     cert = Certificate("budget", {"m": m, "D": D})
     gap = epsilon_gap(D)
-    eps = epsilon_budget(m, gap)
+    # decided on min(1/m, gap): 2^(-m) underflows to 0.0 for m > 1074
+    bound = min(1.0 / m, gap)
     cert.add("epsilon_budget",
              f"2^(-{m}) * min(1/{m}, systole gap at degree {D})",
-             eps > 0,
-             numeric={"systole_gap": gap, "epsilon": eps,
-                      "glued_length_bound": 2 ** m * eps / 2})
+             bound > 0,
+             numeric={"systole_gap": gap, "epsilon": epsilon_budget(m, gap),
+                      "glued_length_bound": bound / 2})
     return cert
 
 

@@ -162,14 +162,16 @@ def is_isometry(entries, form: QuadForm) -> bool:
 
 
 def in_O_prime(entries, form: QuadForm) -> bool:
-    """True iff the isometry preserves the upper hyperboloid sheet."""
-    if not is_isometry(entries, form):
-        raise ValueError("matrix is not an isometry of the given form")
-    return _sign_of(entries[form.n][form.n]) == 1
+    """True iff the isometry preserves the upper hyperboloid sheet; a
+    non-isometry raises ValueError."""
+    return Isometry(entries, form).sheet_preserving
 
 
 class Isometry:
-    """A verified form-preserving matrix; construction checks M^T F M = F."""
+    """A form-preserving matrix.  Construction from entries checks
+    M^T F M = F exactly; products and inverses are closed under the group
+    law, (AB)^T F (AB) = B^T (A^T F A) B = F and (F^{-1} M^T F) M = I, so
+    they are built without checking again."""
 
     __slots__ = ("entries", "form", "sheet_preserving")
 
@@ -177,6 +179,16 @@ class Isometry:
         entries = tuple(tuple(row) for row in entries)
         if not is_isometry(entries, form):
             raise ValueError("matrix does not preserve the form")
+        self._fill(entries, form)
+
+    @classmethod
+    def _closed(cls, entries, form: QuadForm) -> "Isometry":
+        """An isometry derived from verified ones by the group law."""
+        out = object.__new__(cls)
+        out._fill(entries, form)
+        return out
+
+    def _fill(self, entries, form):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "sheet_preserving",
@@ -187,12 +199,12 @@ class Isometry:
 
     @classmethod
     def identity(cls, form: QuadForm) -> "Isometry":
-        return cls(mat_identity(form.n + 1), form)
+        return cls._closed(mat_identity(form.n + 1), form)
 
     def __mul__(self, other: "Isometry") -> "Isometry":
         if self.form != other.form:
             raise ValueError("isometries of different forms")
-        return Isometry(mat_mul(self.entries, other.entries), self.form)
+        return Isometry._closed(mat_mul(self.entries, other.entries), self.form)
 
     def inverse(self) -> "Isometry":
         """F^{-1} M^T F, exact; diagonal F makes this entrywise."""
@@ -200,7 +212,7 @@ class Isometry:
         diag = self.form.diagonal()
         inv = tuple(tuple(self.entries[j][i] * diag[j] / diag[i]
                           for j in range(size)) for i in range(size))
-        return Isometry(inv, self.form)
+        return Isometry._closed(inv, self.form)
 
     def trace(self):
         return sum_prod([1] * (self.form.n + 1),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,10 +19,20 @@ from smallsys.arith import (
     word_to_text,
 )
 from smallsys.exactfield import KElem, as_tower_coords
-from smallsys.lorentz import Isometry, QuadForm, block_g1, block_g2, param_block
+from smallsys.lorentz import Isometry, QuadForm, block_g1, block_g2, mat_mul, param_block
 from smallsys.polyalg import QuadAlgNum, is_algebraic_integer
 
 F1 = QuadForm.standard(1, 2)
+FLIP = Isometry((
+    (KElem(-1), KElem(0), KElem(0)),
+    (KElem(0), KElem(1), KElem(0)),
+    (KElem(0), KElem(0), KElem(1)),
+), F1)
+SWAP = Isometry((
+    (KElem(0), KElem(1), KElem(0)),
+    (KElem(1), KElem(0), KElem(0)),
+    (KElem(0), KElem(0), KElem(1)),
+), F1)
 
 
 def g1_iso(n=2):
@@ -46,27 +57,56 @@ class TestAdjointTrace:
             t = KElem(rng.randint(2, 15), rng.randint(0, 5))
             g = param_block(c, t, rng.randint(2, 4)).to_isometry()
             assert adjoint_trace(g) == exterior_square_trace(g)
+        # dense conjugates and tower matrices, alone and multiplied
+        for _ in range(40):
+            t = KElem(rng.randint(2, 12), rng.randint(0, 4))
+            h = rng.choice([FLIP, SWAP, FLIP * SWAP])
+            dense = h * param_block(KElem(1), t, 2).to_isometry() * h.inverse()
+            tower = conjugate_between_forms(param_block(KElem(3), t, 2).to_isometry(), 3)
+            for m in (dense, tower, tower * dense, dense * tower.inverse()):
+                assert adjoint_trace(m) == exterior_square_trace(m)
+        for n in (3, 4):
+            m = conjugate_between_forms(param_block(KElem(3), KElem(2, 1), n).to_isometry(), 3)
+            assert adjoint_trace(m) == exterior_square_trace(m)
 
     def test_conjugation_invariance(self):
         rng = random.Random(109)
-        flip = Isometry((
-            (KElem(-1), KElem(0), KElem(0)),
-            (KElem(0), KElem(1), KElem(0)),
-            (KElem(0), KElem(0), KElem(1)),
-        ), F1)
-        swap = Isometry((
-            (KElem(0), KElem(1), KElem(0)),
-            (KElem(1), KElem(0), KElem(0)),
-            (KElem(0), KElem(0), KElem(1)),
-        ), F1)
         for _ in range(500):
             t = KElem(rng.randint(2, 12), rng.randint(0, 4))
             g = param_block(KElem(1), t, 2).to_isometry()
-            h = rng.choice([flip, swap, flip * swap,
+            h = rng.choice([FLIP, SWAP, FLIP * SWAP,
                             param_block(KElem(1), KElem(rng.randint(1, 6)), 2
                                         ).to_isometry()])
             conj = h * g * h.inverse()
             assert adjoint_trace(conj) == adjoint_trace(g)
+
+
+class TestWalk:
+    @staticmethod
+    def dense_inverse(m):
+        # F^{-1} M^T F, written out for a diagonal form
+        diag = m.form.diagonal()
+        size = len(diag)
+        return tuple(tuple(m.entries[j][i] * diag[j] / diag[i] for j in range(size))
+                     for i in range(size))
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    @pytest.mark.parametrize("gens", [[g1_iso()], [g1_iso(), g2_conj()]],
+                             ids=["one", "two"])
+    def test_matches_independent_enumeration(self, gens, length):
+        letters = [ltr for i in range(1, len(gens) + 1) for ltr in (i, -i)]
+        expected = [w for size in range(1, length + 1)
+                    for w in itertools.product(letters, repeat=size)
+                    if all(x != -y for x, y in zip(w, w[1:]))]
+        walked = list(GroupSample(gens, length).walk())
+        assert [w for w, _ in walked] == expected
+        for w, m in walked:
+            mats = [gens[ltr - 1].entries if ltr > 0
+                    else self.dense_inverse(gens[-ltr - 1]) for ltr in w]
+            dense = mats[0]
+            for nxt in mats[1:]:
+                dense = mat_mul(dense, nxt)
+            assert m.entries == dense
 
 
 class TestConjugateBetweenForms:

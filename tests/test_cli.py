@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from smallsys import cli
+from smallsys import cli, lorentz
 from smallsys.cli import main
 from smallsys.lorentz import block_g1, block_g2, serialize_isometry
 from smallsys.polyalg import PrecisionError
@@ -46,6 +46,20 @@ class TestVerify:
         assert code == 0
         assert "SKIP" in out          # the denominator-7 check is instance-specific
 
+    def test_each_matrix_checked_once(self, capsys, monkeypatch):
+        # the entry checks are g1, g2 and the tower conjugate; products and
+        # inverses in the word samples are not checked again
+        calls = {"is_isometry": 0, "mat_mul": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(lorentz, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(lorentz, name, counted)
+        code, _, _ = run(["--quiet", "verify", "--n", "3"], capsys)
+        assert code == 0
+        assert calls["is_isometry"] == 3
+        assert calls["mat_mul"] <= 18
+
     def test_reproducible_json(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         run(["--quiet", "--json", str(p1), "verify"], capsys)
@@ -69,9 +83,17 @@ class TestSearch:
         assert code == 1
         assert "FAIL" in out
 
-    def test_bad_epsilon(self, capsys):
-        code, _, err = run(["search", "--epsilon", "-1"], capsys)
+    @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+    def test_bad_epsilon(self, capsys, eps):
+        code, _, err = run(["search", "--epsilon", eps], capsys)
         assert code == 2
+        assert err.startswith("error: ")
+
+    def test_bad_height_bound(self, capsys):
+        code, _, err = run(["search", "--epsilon", "0.25", "--height-bound", "0"],
+                           capsys)
+        assert code == 2
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("c", ["x", "1/0", "0", "-1", "1-rt2"])
     def test_bad_coefficient_is_input_error(self, capsys, c):
@@ -183,3 +205,11 @@ class TestMinpolyAndBudget:
         vals = data["checks"][0]["numeric_values"]
         assert vals["epsilon"].startswith("0.03514994")
         assert vals["systole_gap"].startswith("0.28119957")
+
+    def test_budget_large_m(self, capsys, tmp_path):
+        path = tmp_path / "bud.json"
+        code, _, _ = run(["--quiet", "--json", str(path), "budget",
+                          "--m", "1100", "--D", "1"], capsys)
+        assert code == 0
+        vals = json.loads(path.read_text())["checks"][0]["numeric_values"]
+        assert vals["glued_length_bound"] == f"{1 / 2200:.12f}"

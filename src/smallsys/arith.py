@@ -17,10 +17,6 @@ from .exactfield import KElem, TowerContext, as_tower_coords
 from .lorentz import Isometry, QuadForm, sum_prod
 from .polyalg import QuadAlgNum, is_algebraic_integer, minpoly_over_Q
 
-DENSITY_CAVEAT = ("Zariski density of the word samples is asserted, "
-                  "not verified.")
-
-
 def adjoint_trace(m: Isometry):
     """((tr M)^2 - tr M^2) / 2, exact; equals the trace of M acting on the
     second exterior power.  tr M^2 = sum_ij M_ij M_ji is read off the
@@ -173,21 +169,15 @@ def integrality_scan(sample: GroupSample):
 @dataclass(frozen=True)
 class NonQAReport:
     passed: bool
-    a: Fraction
-    subgroup_level: str
-    ambient_level: str
     failures: tuple = ()
-    notes: tuple = (DENSITY_CAVEAT,)
-
-    def verdict(self) -> str:
-        return "PASS" if self.passed else "FAIL"
 
 
 def non_qa_certificate(a, subgroup_field: FieldDescriptor,
                        ambient_field: FieldDescriptor) -> NonQAReport:
     """PASS exactly when the subgroup sample has trace field k, the ambient
     sample has trace field K, and a is a positive non-square in k; each
-    broken link is named otherwise."""
+    broken link is named otherwise.  The samples are assumed Zariski dense
+    in their groups; that is asserted, not verified."""
     a = Fraction(a)
     failures = []
     if subgroup_field.level != "k":
@@ -200,34 +190,7 @@ def non_qa_certificate(a, subgroup_field: FieldDescriptor,
         square, _ = KElem(a).is_square()
         if square:
             failures.append(f"a = {a} is a square in k")
-    return NonQAReport(passed=not failures, a=a,
-                       subgroup_level=subgroup_field.level,
-                       ambient_level=ambient_field.level,
-                       failures=tuple(failures))
-
-
-def certificate_json(report: NonQAReport, subgroup_field: FieldDescriptor,
-                     ambient_field: FieldDescriptor, scan=()) -> dict:
-    """Machine-readable certificate: instance parameters, field levels,
-    witness words, exact traces, minimal-polynomial coefficient lists, and
-    the verdict."""
-
-    def witness_entries(fd):
-        return [{"word": w, "trace": str(t)} for w, t in fd.witnesses]
-
-    return {
-        "instance": {"a": str(report.a)},
-        "field_levels": {"subgroup": subgroup_field.level,
-                         "ambient": ambient_field.level},
-        "witnesses": {"subgroup": witness_entries(subgroup_field),
-                      "ambient": witness_entries(ambient_field)},
-        "nonintegral_traces": [
-            {"word": w, "trace": str(t),
-             "minpoly": [str(c) for c in mp.coeffs]}
-            for w, t, mp in scan],
-        "notes": list(report.notes),
-        "verdict": report.verdict(),
-    }
+    return NonQAReport(passed=not failures, failures=tuple(failures))
 
 
 def palindromic_transfer_check(mu: QuadAlgNum, n: int) -> bool:

@@ -5,7 +5,7 @@ Exit codes: 0 when the certificate verdict is PASS, 1 on FAIL, 2 on input
 errors, 3 on internal failures such as a precision ceiling.  Certificates
 are reproducible byte for byte: exact values are serialized in the canonical
 field-element text forms and numeric values are printed at fixed precision
-from interval midpoints.
+(12 decimals, scientific below 1e-6) from interval midpoints.
 """
 
 from __future__ import annotations
@@ -58,7 +58,10 @@ class InputError(ValueError):
 
 
 def _fmt(x) -> str:
-    return f"{float(x):.12f}"
+    """12 decimals; nonzero values below 1e-6 in scientific form, so that a
+    small epsilon budget does not print as zero."""
+    v = float(x)
+    return f"{v:.12e}" if 0 < abs(v) < 1e-6 else f"{v:.12f}"
 
 
 @dataclass

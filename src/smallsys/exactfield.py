@@ -199,11 +199,6 @@ class RealInterval:
                             _libmp_dir(libmp.mpf_log, self.hi, self.precision, True),
                             self.precision)
 
-    def exp(self) -> "RealInterval":
-        return RealInterval(_libmp_dir(libmp.mpf_exp, self.lo, self.precision, False),
-                            _libmp_dir(libmp.mpf_exp, self.hi, self.precision, True),
-                            self.precision)
-
     def cosh(self) -> "RealInterval":
         a, b = abs(self.lo), abs(self.hi)
         top = max(a, b)
@@ -523,9 +518,9 @@ class TowerContext:
     positive rational that is not a square in k.
     """
 
-    __slots__ = ("radicand", "a_param")
+    __slots__ = ("radicand",)
 
-    def __init__(self, radicand: KElem, a_param=None):
+    def __init__(self, radicand: KElem):
         radicand = KElem._lift(radicand)
         if radicand.sign() <= 0:
             raise ValueError("tower radicand must be positive")
@@ -533,7 +528,6 @@ class TowerContext:
         if sq:
             raise ValueError(f"radicand {radicand} is a square in k; not a quadratic extension")
         object.__setattr__(self, "radicand", radicand)
-        object.__setattr__(self, "a_param", None if a_param is None else Fraction(a_param))
 
     def __setattr__(self, *_):
         raise AttributeError("TowerContext is immutable")
@@ -543,7 +537,7 @@ class TowerContext:
         a = Fraction(a)
         if a <= 0:
             raise ValueError("a must be a positive rational")
-        return cls(KElem(a), a_param=a)
+        return cls(KElem(a))
 
     def __eq__(self, other):
         return isinstance(other, TowerContext) and self.radicand == other.radicand

@@ -78,16 +78,6 @@ class QuadForm:
     def __hash__(self):
         return hash(self.spatial)
 
-    def apply(self, vec):
-        """f(x) = sum c_i x_i^2 - sqrt2 x_{n+1}^2, for any multiplicative entries."""
-        if len(vec) != self.n + 1:
-            raise ValueError("dimension mismatch")
-        total = None
-        for c, x in zip(self.diagonal(), vec):
-            term = x * x * c
-            total = term if total is None else total + term
-        return total
-
     def discriminant(self) -> KElem:
         out = KElem(1)
         for c in self.spatial:
@@ -217,9 +207,6 @@ class Isometry:
     def trace(self):
         return sum_prod([1] * (self.form.n + 1),
                         [self.entries[i][i] for i in range(self.form.n + 1)])
-
-    def apply(self, vec):
-        return mat_vec(self.entries, vec)
 
     def __eq__(self, other):
         return (isinstance(other, Isometry) and self.form == other.form

@@ -1,6 +1,6 @@
-"""Exact polynomial machinery: resultants, minimal polynomials of numbers
-quadratic over k = Q(sqrt 2), algebraic-integer tests, Mahler measure, and
-bounded enumeration of monic integer polynomials.
+"""Exact polynomial machinery: minimal polynomials of numbers quadratic
+over k = Q(sqrt 2), algebraic-integer tests, Mahler measure, and bounded
+enumeration of monic integer polynomials.
 
 Minimal polynomials are exact: every number involved lies in a tower over
 k, its characteristic polynomial over Q is the k/Q norm of its
@@ -22,8 +22,8 @@ import mpmath
 
 from .exactfield import K_ONE, KElem, RealInterval
 
-GAP_TOL = 1e-8          # measures below 1 + GAP_TOL are cross-checked exactly
 GRAEFFE_STEPS = 6       # iterates tried before the certified measure decides
+GUARD_TOL = 1e-9        # width of the guard band above the enumeration cap
 
 
 class PrecisionError(ArithmeticError):
@@ -169,10 +169,11 @@ class ZPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [int(c) for c in coeffs]
-        if any(not isinstance(c, int) for c in coeffs):
+        coeffs = list(coeffs)
+        ints = [int(c) for c in coeffs]
+        if ints != coeffs:
             raise TypeError("ZPoly needs integer coefficients")
-        object.__setattr__(self, "coeffs", _strip(coeffs))
+        object.__setattr__(self, "coeffs", _strip(ints))
 
     def __setattr__(self, *_):
         raise AttributeError("ZPoly is immutable")
@@ -240,70 +241,6 @@ def parse_poly(text: str):
     if all(v.denominator == 1 for v in vals):
         return ZPoly([int(v) for v in vals])
     return QPoly(vals)
-
-
-# ---------------------------------------------------------------------------
-# resultants (subresultant pseudo-remainder sequence)
-# ---------------------------------------------------------------------------
-
-def _pseudo_rem(A, B):
-    """prem(A, B) over Z: remainder of lc(B)^(dA-dB+1) * A by B."""
-    dA, dB = len(A) - 1, len(B) - 1
-    lb = B[-1]
-    R = list(A)
-    for k in range(dA - dB, -1, -1):
-        c = R[dB + k]
-        R = [v * lb for v in R]
-        for j in range(dB + 1):
-            R[j + k] -= c * B[j]
-        del R[dB + k]        # leading term eliminated exactly
-    while len(R) > 1 and R[-1] == 0:
-        R.pop()
-    return R
-
-
-def _resultant_int(P, Q):
-    """Resultant of primitive integer polynomials by the subresultant PRS."""
-    A, B = list(P), list(Q)
-    s = 1
-    if len(A) < len(B):
-        if (len(A) - 1) % 2 == 1 and (len(B) - 1) % 2 == 1:
-            s = -s
-        A, B = B, A
-    if len(B) == 1:
-        return s * B[0] ** (len(A) - 1)
-    g = h = 1
-    while True:
-        dA, dB = len(A) - 1, len(B) - 1
-        delta = dA - dB
-        if dA % 2 == 1 and dB % 2 == 1:
-            s = -s
-        R = _pseudo_rem(A, B)
-        if R == [0]:
-            return 0
-        A = B
-        denom = g * h ** delta
-        B = [c // denom for c in R]
-        g = A[-1]
-        if delta > 0:
-            h = (g ** delta) // (h ** (delta - 1))
-        if len(B) - 1 == 0:
-            dA = len(A) - 1
-            return s * (B[0] ** dA) // (h ** (dA - 1)) if dA >= 1 else s
-
-
-def resultant(p: QPoly, q: QPoly) -> Fraction:
-    """res(p, q) over Q via the subresultant PRS on primitive parts."""
-    if p.is_zero() or q.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    if p.degree() == 0:
-        return p.coeffs[0] ** q.degree()
-    if q.degree() == 0:
-        return q.coeffs[0] ** p.degree()
-    cp, P = p.content_primitive()
-    cq, Q = q.content_primitive()
-    r = _resultant_int(list(P.coeffs), list(Q.coeffs))
-    return cp ** q.degree() * cq ** p.degree() * r
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +512,10 @@ def _graeffe_verdict(p: ZPoly, powers) -> bool | None:
     return None
 
 
-def enumerate_bounded(D: int, mu: float, tol: float = 1e-9):
+def enumerate_bounded(D: int, mu: float):
     """All monic integer polynomials of degree 1..D with Mahler measure
-    <= mu, possibly including a guard band of measures in (mu, mu + tol].
+    <= mu, possibly including a guard band of measures in
+    (mu, mu + GUARD_TOL].
 
     Coefficient boxes come from |a_{d-i}| <= binom(d, i) * mu.  Each box
     polynomial is decided on integers: measure one by the Kronecker test,
@@ -602,7 +540,8 @@ def enumerate_bounded(D: int, mu: float, tol: float = 1e-9):
             poly = ZPoly(list(tail) + [1])
             verdict = is_measure_one(poly) or _graeffe_verdict(poly, powers)
             if verdict is None:
-                verdict = mahler_measure(poly, tol / 4) <= mu + tol
+                verdict = (mahler_measure(poly, GUARD_TOL / 4)
+                           <= mu + GUARD_TOL)
             if verdict:
                 out.add(poly)
     out |= {_mirror(p) for p in out}
@@ -610,19 +549,16 @@ def enumerate_bounded(D: int, mu: float, tol: float = 1e-9):
 
 
 def min_mahler_above_one(D: int):
-    """Minimum Mahler measure strictly above 1 + GAP_TOL among monic integer
+    """Minimum Mahler measure strictly above 1 among monic integer
     polynomials of degree <= D, with its witness; ties resolved by smallest
-    (degree, coefficient list).  x - 2 guarantees the search is nonempty."""
+    (degree, coefficient list).  Measure one is excluded by the exact
+    Kronecker test.  x - 2 guarantees the search is nonempty."""
     if D < 1:
         raise ValueError("D must be at least 1")
     for cap in (1.4, 1.7, 2.0001):
-        measured = []
-        for poly in enumerate_bounded(D, cap):
-            if is_measure_one(poly):
-                continue
-            mc = mahler_measure(poly, 1e-10)
-            if mc > 1 + GAP_TOL:
-                measured.append((mc, poly))
+        measured = [(mahler_measure(poly, 1e-10), poly)
+                    for poly in enumerate_bounded(D, cap)
+                    if not is_measure_one(poly)]
         if not measured:
             continue
         best = min(m for m, _ in measured)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from smallsys.arith import (
-    DENSITY_CAVEAT,
     FieldDescriptor,
     GroupSample,
     adjoint_trace,
@@ -190,8 +189,6 @@ class TestNonQACertificate:
         amb = trace_field_sample(GroupSample([g1_iso(), g2_conj()], 2))
         report = non_qa_certificate(3, sub, amb)
         assert report.passed
-        assert report.verdict() == "PASS"
-        assert DENSITY_CAVEAT in report.notes
 
     def test_square_parameter_fails(self):
         sub = FieldDescriptor("k")
@@ -232,25 +229,6 @@ class TestPalindromicTransfer:
     def test_requires_mu_above_one(self):
         with pytest.raises(ValueError):
             palindromic_transfer_check(QuadAlgNum.from_kelem(KElem(Fraction(1, 2))), 2)
-
-
-def test_certificate_json_document():
-    import json
-    from smallsys.arith import certificate_json
-
-    sub = trace_field_sample(GroupSample([g1_iso()], 3))
-    amb = trace_field_sample(GroupSample([g1_iso(), g2_conj()], 2))
-    report = non_qa_certificate(3, sub, amb)
-    scan = integrality_scan(GroupSample([g1_iso(), g2_conj()], 2))
-    doc = certificate_json(report, sub, amb, scan)
-    text = json.dumps(doc)                          # JSON-serializable
-    assert doc["verdict"] == "PASS"
-    assert doc["field_levels"] == {"subgroup": "k", "ambient": "K"}
-    assert doc["instance"]["a"] == "3"
-    assert doc["nonintegral_traces"]
-    first = doc["nonintegral_traces"][0]
-    assert set(first) == {"word", "trace", "minpoly"}
-    assert "7+4*rt2" in text
 
 
 def test_tower_value_as_quadratic_roundtrip():

@@ -17,6 +17,23 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+CERT_KEYS = {"schema", "command", "inputs", "checks", "verdict"}
+CHECK_KEYS = {"name", "status", "claim", "exact_values", "numeric_values"}
+
+
+def assert_one_format(argv, capsys, tmp_path):
+    """Two runs write byte-identical certificates of the one cli format."""
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    run(["--quiet", "--json", str(p1)] + argv, capsys)
+    run(["--quiet", "--json", str(p2)] + argv, capsys)
+    assert p1.read_bytes() == p2.read_bytes()
+    data = json.loads(p1.read_text())
+    assert set(data) == CERT_KEYS
+    assert data["command"] == argv[0]
+    assert data["checks"]
+    assert all(set(c) == CHECK_KEYS for c in data["checks"])
+
+
 class TestVerify:
     def test_default_instance_passes(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -31,6 +48,16 @@ class TestVerify:
         assert byname["lambda2_nonintegral"]["status"] == "PASS"
         assert byname["lambda1_integral"]["status"] == "PASS"
         assert all(c["claim"] for c in data["checks"])
+        # the non-quasi-arithmeticity chain
+        assert data["inputs"]["a"] == "3"
+        sub = byname["subgroup_trace_field"]["exact_values"]
+        assert sub["level"] == "k"
+        assert sub["witness_trace"] == "7+4*rt2"
+        assert byname["ambient_trace_field"]["exact_values"]["level"] == "K"
+        assert int(byname["nonintegral_trace_sample"]["exact_values"]["count"]) > 0
+        non_qa = byname["non_quasi_arithmetic"]
+        assert non_qa["status"] == "PASS"
+        assert non_qa["exact_values"]["failures"] == "none"
 
     def test_square_parameter_is_input_error(self, capsys):
         code, _, err = run(["verify", "--a", "2"], capsys)
@@ -61,10 +88,24 @@ class TestVerify:
         assert calls["mat_mul"] <= 18
 
     def test_reproducible_json(self, capsys, tmp_path):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        run(["--quiet", "--json", str(p1), "verify"], capsys)
-        run(["--quiet", "--json", str(p2), "verify"], capsys)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert_one_format(["verify"], capsys, tmp_path)
+
+
+class TestOneFormat:
+    @pytest.mark.parametrize("argv", [
+        ["search", "--epsilon", "0.25"],
+        ["mahler", "--D", "2"],
+        ["bracelets", "--length", "8"],
+        ["bracelets", "--m", "3"],
+        ["minpoly", "--trace", "6+4*rt2", "--norm", "1"],
+        ["budget", "--m", "3", "--D", "4"],
+        ["congruence", "{g1}", "--level", "2"],
+    ], ids=["search", "mahler", "bracelets-length", "bracelets-m", "minpoly",
+            "budget", "congruence"])
+    def test_reproducible_json(self, capsys, tmp_path, argv):
+        mat = tmp_path / "g1.mat"
+        mat.write_text(serialize_isometry(block_g1().to_isometry()))
+        assert_one_format([a.format(g1=mat) for a in argv], capsys, tmp_path)
 
 
 class TestSearch:
@@ -213,3 +254,11 @@ class TestMinpolyAndBudget:
         assert code == 0
         vals = json.loads(path.read_text())["checks"][0]["numeric_values"]
         assert vals["glued_length_bound"] == f"{1 / 2200:.12f}"
+
+    def test_budget_keeps_small_epsilon(self, capsys, tmp_path):
+        path = tmp_path / "bud.json"
+        code, _, _ = run(["--quiet", "--json", str(path), "budget",
+                          "--m", "40", "--D", "3"], capsys)
+        assert code == 0
+        vals = json.loads(path.read_text())["checks"][0]["numeric_values"]
+        assert float(vals["epsilon"]) == pytest.approx(2 ** -40 / 40, rel=1e-9)

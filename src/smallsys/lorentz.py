@@ -1,7 +1,7 @@
 """Diagonal quadratic forms of signature (n, 1) over k = Q(sqrt 2), exact
 isometry verification, the one-parameter corner-block subgroup with its
-rational conic parametrization, leading eigenvalues and translation lengths,
-and the search for elements of small translation length.
+rational conic parametrization, leading eigenvalues, translation lengths,
+and a search for small ones that reads its parameter off a bound on t^2.
 
 Forms are diag(c_1, ..., c_n, -sqrt 2) with positive spatial coefficients;
 matrices may have entries in k or in a quadratic tower over it.
@@ -9,9 +9,10 @@ matrices may have entries in k or in a quadratic tower over it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exactfield import KElem, RealInterval, SQRT2, TowerElem
+from .exactfield import KElem, RealInterval, SQRT2, TowerElem, sqrt2_interval
 from .polyalg import PrecisionError, QuadAlgNum
 
 
@@ -352,63 +353,62 @@ def translation_length(g: ABlockElement, precision: int = 64) -> RealInterval:
 
 
 def _length_below(g: ABlockElement, eps: Fraction, precision: int):
-    """None when undecided at this precision, else whether
-    arccosh(alpha) < eps, decided by comparing alpha against cosh(eps)."""
-    alpha_iv = g.alpha.embed(precision)
-    cosh_iv = RealInterval(eps, eps, precision).cosh()
-    if alpha_iv.strictly_less(cosh_iv):
-        return True
-    if cosh_iv.strictly_less(alpha_iv):
-        return False
-    return None
+    """None when undecided at this precision, else whether arccosh(alpha) < eps
+    (cosh(eps) is never built, so a huge eps costs nothing)."""
+    length = g.alpha.embed(precision).acosh()
+    return True if length.hi < eps else False if length.lo > eps else None
 
 
-def _k_parameters(height_bound: int):
-    """Non-integer k-elements t = u + v*sqrt2 in height order (v != 0)."""
-    for h in range(1, height_bound + 1):
-        for u in range(-h, h + 1):
-            for v in range(-h, h + 1):
-                if v == 0 or max(abs(u), abs(v)) != h:
-                    continue
-                yield KElem(u, v)
+def _guesses(c: KElem, eps: Fraction):
+    """Least n with n^2 > T and least h with h^2 (1 + sqrt2)^2 > T, each right to
+    within one, where T = (c/sqrt2) coth^2(eps/2): on the valid branch alpha(t) <
+    cosh(eps) exactly when t^2 > T.  Capping eps/2 at 64 moves T by < c 2^-180."""
+    x = min(eps / 2, Fraction(64))
+    prec = 64 + max(0, x.denominator.bit_length() - x.numerator.bit_length())
+    while True:     # the starting bits keep sinh(x) away from 0
+        inv_sinh = 1 / RealInterval(x, x, prec).sinh()
+        T = c.embed(prec) * (1 + inv_sinh * inv_sinh) / sqrt2_interval(prec)
+        if T.width() < 1:
+            return [math.isqrt(max(0, int(b.lo))) + 1
+                    for b in (T, T * (3 - 2 * sqrt2_interval(prec)))]
+        prec *= 2
 
 
 def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement:
-    """First block with 0 < translation length < eps_target, scanning integer
-    parameters t = 1, 2, ... (length is strictly decreasing in t on the valid
-    branch), then non-integer k-parameters in height order.  A length still
-    undecided against eps_target at 4096 bits raises PrecisionError."""
+    """First block with 0 < translation length < eps_target among t = 1, 2, ...,
+    height_bound, then t = u + v sqrt2 (v != 0) by height max(|u|, |v|), u and
+    then v ascending.  Nothing is scanned: the length falls strictly as t^2
+    grows, so the hits start at _guesses, the first in shell h at -h - h sqrt2,
+    and _length_below confirms each boundary on both sides (undecided at 4096
+    bits raises PrecisionError).  On exhaustion ``best`` is the block at
+    -H - H sqrt2, of least length, or None when it is not loxodromic."""
     if eps_target <= 0:
         raise ValueError("eps_target must be positive")
-    c = KElem._lift(c)
-    eps = Fraction(eps_target)
-    best = None      # smallest alpha seen, compared exactly
+    c, eps, cap = KElem._lift(c), Fraction(eps_target), height_bound + 1
 
-    def try_param(t):
-        nonlocal best
+    def block(t):
         try:
-            g = param_block(c, t, 2)
+            return param_block(c, t, 2)
         except (WrongBranchError, DegenerateParameterError):
             return None
-        prec = 64
-        while (verdict := _length_below(g, eps, prec)) is None:
+
+    def below(t):
+        prec, g = 64, block(t)
+        while g is not None and (verdict := _length_below(g, eps, prec)) is None:
             prec *= 2
             if prec > 4096:
                 raise PrecisionError(f"length at t = {t.to_text()} undecided at 4096 bits")
-        if verdict:
-            return g
-        if best is None or (g.alpha - best.alpha).sign() < 0:
-            best = g
-        return None
+        return g is not None and verdict
 
-    for t_int in range(1, height_bound + 1):
-        g = try_param(KElem(t_int))
-        if g is not None:
-            return g
-    for t in _k_parameters(height_bound):
-        g = try_param(t)
-        if g is not None:
-            return g
+    for n, param in zip(_guesses(c, eps), (KElem, lambda h: KElem(-h, -h))):
+        n = min(n, cap)     # below is monotone: step to below(n), not below(n - 1)
+        while n < cap and not below(param(n)):
+            n += 1
+        while n > 1 and below(param(n - 1)):
+            n -= 1
+        if n < cap:
+            return block(param(n))
+    best = block(KElem(-height_bound, -height_bound))
     best_len = float(translation_length(best, 64)) if best is not None else None
     raise SearchExhaustedError(
         f"no parameter of height <= {height_bound} reaches length < {eps_target}"

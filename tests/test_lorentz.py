@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from smallsys import lorentz
-from smallsys.exactfield import KElem, SQRT2, TowerContext
+from smallsys import cli, lorentz
+from smallsys.exactfield import KElem, RealInterval, SQRT2, TowerContext, parse_kelem
 from smallsys.lorentz import (
     ABlockElement,
     DegenerateParameterError,
@@ -43,6 +45,78 @@ G2_ENTRIES = (
 )
 F1 = QuadForm.standard(1, 2)
 F2 = QuadForm.standard(3, 2)
+
+
+def reference_scan(c, eps_target, height_bound):
+    """The linear scan find_small_element replaced, kept as its reference:
+    t = 1..H, then u + v sqrt2 (v != 0) shell by shell, u and then v
+    ascending, with the least alpha kept strictly, and alpha compared against
+    cosh(eps) at escalating precision."""
+    c, eps = KElem._lift(c), Fraction(eps_target)
+    best = None
+
+    def length_below(g):
+        prec = 64
+        while prec <= 4096:
+            alpha_iv = g.alpha.embed(prec)
+            cosh_iv = RealInterval(eps, eps, prec).cosh()
+            if alpha_iv.strictly_less(cosh_iv):
+                return True
+            if cosh_iv.strictly_less(alpha_iv):
+                return False
+            prec *= 2
+        raise PrecisionError("undecided")
+
+    def params():
+        for t in range(1, height_bound + 1):
+            yield KElem(t)
+        for h in range(1, height_bound + 1):
+            for u in range(-h, h + 1):
+                for v in range(-h, h + 1):
+                    if v != 0 and max(abs(u), abs(v)) == h:
+                        yield KElem(u, v)
+
+    for t in params():
+        try:
+            g = param_block(c, t, 2)
+        except (WrongBranchError, DegenerateParameterError):
+            continue
+        if length_below(g):
+            return g
+        if best is None or (g.alpha - best.alpha).sign() < 0:
+            best = g
+    best_len = float(translation_length(best, 64)) if best is not None else None
+    raise SearchExhaustedError(
+        f"no parameter of height <= {height_bound} reaches length < {eps_target}"
+        + (f"; smallest length found {best_len:.6g}" if best_len is not None else ""),
+        best=best, best_length=best_len)
+
+
+def search_outcome(search, c, eps, height_bound):
+    try:
+        return "hit", search(c, eps, height_bound).parameter()
+    except SearchExhaustedError as exc:
+        best = exc.best.parameter() if exc.best is not None else None
+        return "exhausted", best, exc.best_length, str(exc)
+
+
+def k_value(x):
+    """x = a + b sqrt2 in mpmath at the working precision."""
+    def q(r):
+        return mpmath.mpf(r.numerator) / r.denominator
+    return q(x.a) + q(x.b) * mpmath.sqrt(2)
+
+
+def threshold_oracle(c, eps, bits=256):
+    """T = (c/sqrt2) coth^2(eps/2) at the given bits: alpha(t) < cosh(eps)
+    exactly when t^2 > T."""
+    with mpmath.workprec(bits):
+        return k_value(c) * mpmath.coth(mpmath.mpf(eps) / 2) ** 2 / mpmath.sqrt(2)
+
+
+def square_over(t, T):
+    with mpmath.workprec(256):
+        return k_value(t) ** 2 > T
 
 
 def rand_valid_param(rng, c):
@@ -210,11 +284,116 @@ class TestFindSmallElement:
         with pytest.raises(ValueError):
             find_small_element(KElem(1), 0.0, 10)
 
+    def test_matches_linear_scan(self, monkeypatch):
+        # c = 4 rt2 is degenerate at t = 2 and c = 4 + 3 rt2 at t = -1 - rt2, so
+        # H = 1 has no loxodromic parameter; c = 1000 is on the wrong branch
+        # below t = 27 and h = 12
+        cases = [(c, eps, height_bound)
+                 for c in (KElem(1), KElem(2), KElem(3), KElem(1, 1), KElem(0, 4),
+                           KElem(4, 3), KElem(1000))
+                 for eps in (3.0, 1.0, 0.5, 0.3, 0.2, 0.12, 0.05, 1e-2)
+                 for height_bound in (1, 2, 3, 6)]
+        cases += [(KElem(1000), 3.0, 30), (KElem(1000), 0.3, 15)]
+        guesses = lorentz._guesses
+        kinds = set()
+        for case in cases:
+            want = search_outcome(reference_scan, *case)
+            # the guesses only seed the walk, which must end at the same place
+            # from a start a step or two off either way
+            for shift in (0, -2, -1, 1, 2):
+                monkeypatch.setattr(lorentz, "_guesses", lambda c, eps, shift=shift: [
+                    max(1, n + shift) for n in guesses(c, eps)])
+                assert search_outcome(find_small_element, *case) == want, (case, shift)
+            if want[0] == "hit":
+                kinds.add("shell hit" if want[1].b else "integer hit")
+            else:
+                kinds.add("exhausted" if want[1] is not None else "no best")
+        assert kinds == {"integer hit", "shell hit", "exhausted", "no best"}
+
+    @pytest.mark.parametrize("eps, height_bound, want", [
+        (1e-3, 10 ** 4, "1682"),
+        (1e-6, 2 * 10 ** 6, "1681793"),
+        (1e-4, 10 ** 4, "-6967-6967*rt2"),
+        (1e-3, 25, None),
+    ])
+    def test_handful_of_checks(self, monkeypatch, eps, height_bound, want):
+        calls, checked = [], lorentz._length_below
+
+        def counting(g, eps, prec):
+            calls.append(prec)
+            return checked(g, eps, prec)
+        monkeypatch.setattr(lorentz, "_length_below", counting)
+        outcome = search_outcome(find_small_element, KElem(1), eps, height_bound)
+        if want is None:
+            assert outcome[:2] == ("exhausted", KElem(-25, -25))
+        else:
+            assert outcome == ("hit", parse_kelem(want))
+        assert 1 <= len(calls) <= 8
+
+    @pytest.mark.parametrize("c", [KElem(1), KElem(3), KElem(1, 1), KElem(1000)])
+    @pytest.mark.parametrize("eps", [1e300, 2.5, 1e-3, 1e-6, 1e-300, 5e-324])
+    def test_guesses_within_one_of_threshold(self, c, eps):
+        # no division by an interval that contains 0, and no cosh(eps) built;
+        # T reaches 2^2160 at eps = 5e-324, hence the oracle's 4096 bits
+        T = threshold_oracle(c, eps, 4096)
+        n, h = lorentz._guesses(c, Fraction(eps))
+        with mpmath.workprec(4096):
+            for guess, bound in ((n, T), (h, T / (1 + mpmath.sqrt(2)) ** 2)):
+                exact = int(mpmath.floor(mpmath.sqrt(bound))) + 1
+                assert exact - 1 <= guess <= exact
+
     def test_undecided_length_raises(self, monkeypatch):
         # an undecided comparison at the precision ceiling is not "not below"
         monkeypatch.setattr(lorentz, "_length_below", lambda g, eps, prec: None)
         with pytest.raises(PrecisionError):
             find_small_element(KElem(1), 0.25, 10)
+
+
+class TestSearchCommand:
+    """`smallsys search` end to end, on inputs the linear scan could not reach."""
+
+    def certificate(self, argv, capsys, tmp_path):
+        path = tmp_path / "search.json"
+        code = cli.main(["--quiet", "--json", str(path), "search"] + argv)
+        capsys.readouterr()
+        return code, path.read_bytes()
+
+    # each hit against the parameters just before it in the search order: for
+    # the shell hit, the previous shell's largest t^2 and the last integer
+    @pytest.mark.parametrize("eps, height_bound, want, before", [
+        ("1e-6", "2000000", "1681793", ["1681792"]),
+        ("1e-4", "10000", "-6967-6967*rt2", ["-6966-6966*rt2", "10000"]),
+    ])
+    def test_first_hit_against_oracle(self, capsys, tmp_path, eps, height_bound,
+                                      want, before):
+        code, raw = self.certificate(["--epsilon", eps, "--height-bound", height_bound],
+                                     capsys, tmp_path)
+        assert code == 0
+        assert json.loads(raw)["checks"][0]["exact_values"]["t"] == want
+        T = threshold_oracle(KElem(1), float(eps))
+        assert square_over(parse_kelem(want), T)
+        assert not any(square_over(parse_kelem(t), T) for t in before)
+
+    @pytest.mark.parametrize("eps", ["1e10", "1e300"])
+    def test_huge_epsilon_passes_at_t1(self, capsys, tmp_path, eps):
+        code, raw = self.certificate(["--c", "1", "--epsilon", eps], capsys, tmp_path)
+        assert code == 0
+        assert json.loads(raw)["checks"][0]["exact_values"]["t"] == "1"
+
+    def test_tiny_epsilon_matches_linear_scan(self, capsys, tmp_path, monkeypatch):
+        argv = ["--epsilon", "1e-300", "--height-bound", "5"]
+        code, raw = self.certificate(argv, capsys, tmp_path)
+        assert code == 1
+        assert json.loads(raw)["checks"][0]["exact_values"]["best_t"] == "-5-5*rt2"
+        monkeypatch.setattr(cli, "find_small_element", reference_scan)
+        assert self.certificate(argv, capsys, tmp_path) == (code, raw)
+
+    def test_tiny_epsilon_exhausts_default_height(self, capsys, tmp_path):
+        code, raw = self.certificate(["--epsilon", "1e-300"], capsys, tmp_path)
+        assert code == 1
+        check = json.loads(raw)["checks"][0]
+        assert check["exact_values"]["best_t"] == "-10000-10000*rt2"
+        assert check["numeric_values"]["best_length"].startswith("0.0000696621")
 
 
 class TestSimilarityObstruction:

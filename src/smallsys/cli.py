@@ -45,6 +45,7 @@ from .lorentz import (
     translation_length,
 )
 from .polyalg import (
+    PrecisionError,
     QuadAlgNum,
     epsilon_gap,
     min_mahler_above_one,
@@ -263,6 +264,11 @@ def cmd_search(c_text: str, eps: float, height_bound: int, precision: int) -> Ce
         return cert
     lam = leading_eigenvalue(g)
     ell = translation_length(g, precision)
+    while ell.lo <= eps <= ell.hi:      # a length near 0 needs more bits
+        precision *= 2
+        if precision > 4096:
+            raise PrecisionError("translation length undecided at 4096 bits")
+        ell = translation_length(g, precision)
     cert.add("small_element",
              f"the block at t = {g.parameter().to_text()} has translation "
              f"length below {eps}",

@@ -1,10 +1,11 @@
-"""Balanced cyclic sequences over {1, 2} up to dihedral symmetry, Burnside
-cross-counts, glued-geodesic length accounting, the hybrid systole lower
-bound, and the epsilon budget for the incommensurable-family construction.
+"""Balanced cyclic sequences over {1, 2} up to dihedral symmetry, generated
+directly in lexicographic order, Burnside cross-counts, glued-geodesic length
+accounting, and the epsilon budget for the incommensurable-family construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 
@@ -15,8 +16,9 @@ class CyclicBinarySeq:
     __slots__ = ("word",)
 
     def __init__(self, word):
-        word = "".join(str(c) for c in word)
-        if not word or any(ch not in "12" for ch in word):
+        if not isinstance(word, str):
+            word = "".join(str(c) for c in word)
+        if not word or word.strip("12"):
             raise ValueError(f"word must be nonempty over {{1,2}}, got {word!r}")
         object.__setattr__(self, "word", word)
 
@@ -41,9 +43,6 @@ class CyclicBinarySeq:
     def __repr__(self):
         return f"CyclicBinarySeq({self.word!r})"
 
-    def is_balanced(self) -> bool:
-        return len(self) % 2 == 0 and self.word.count("1") == len(self) // 2
-
     def dihedral_images(self):
         w = self.word
         for r in range(len(w)):
@@ -51,42 +50,56 @@ class CyclicBinarySeq:
             yield rot
             yield rot[::-1]
 
-    def is_canonical(self) -> bool:
-        return all(self.word <= img for img in self.dihedral_images())
-
 
 def canonical_form(seq: CyclicBinarySeq) -> CyclicBinarySeq:
     """Lexicographic minimum over the 2L dihedral images; idempotent."""
     return CyclicBinarySeq(min(seq.dihedral_images()))
 
 
-def _balanced_words_lex(length: int):
-    """Balanced words of the given length in lexicographic order."""
-    half = length // 2
-    word = [1] * half + [2] * half
-    while True:
-        yield "".join(map(str, word))
-        # next multiset permutation
-        i = length - 2
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = length - 1
-        while word[j] <= word[i]:
-            j -= 1
-        word[i], word[j] = word[j], word[i]
-        word[i + 1:] = reversed(word[i + 1:])
+def _bracelets_lex(length: int):
+    """Canonical balanced words of an even length >= 2, in lexicographic order.
+
+    Sawada's fixed-content prenecklace recursion (TCS 2003) on an explicit
+    stack, so long words stay below the recursion limit, yields the balanced
+    necklaces.  One <= every rotation of its reversal is the least of its 2L
+    dihedral images (Sawada, SIAM J. Comput. 2001); only rotations starting
+    with its leading run of 1s, its longest, and then a 2 can be smaller."""
+    n = length
+    a = [0] * n                     # 0 < 1 stand for "1" < "2"
+    p = [1] * (n + 1)               # p[t]: length of a[:t]'s longest Lyndon prefix
+    left = [n // 2 - 1, n // 2]     # letters still to place
+    t, s = 1, 0                     # s: the next letter to try at position t
+    while t:
+        while s < 2 and not left[s]:
+            s += 1
+        if s < 2:
+            a[t] = s
+            left[s] -= 1
+            p[t + 1] = p[t] if s == a[t - p[t]] else t + 1
+            if t + 1 < n:
+                t += 1
+                s = a[t - p[t]]
+                continue
+            if n % p[n] == 0:
+                word = "".join(["12"[c] for c in a])
+                rev, head = word[::-1] * 2, word[:word.index("2") + 1]
+                i = rev.find(head)
+                while 0 <= i < n and word <= rev[i:i + n]:
+                    i = rev.find(head, i + 1)
+                if not 0 <= i < n:
+                    yield word
+        else:
+            t -= 1
+        left[a[t]] += 1             # take back a[t] and try the next letter
+        s = a[t] + 1
 
 
 def enumerate_balanced_bracelets(length: int):
-    """All canonical balanced sequences, sorted; the count matches
-    burnside_count(length)."""
+    """All canonical balanced sequences, sorted: generated, not filtered
+    from every balanced word.  The count matches burnside_count(length)."""
     if length % 2 != 0 or length < 2:
         raise ValueError("length must be a positive even number")
-    out = [CyclicBinarySeq(w) for w in _balanced_words_lex(length)
-           if CyclicBinarySeq(w).is_canonical()]
-    return out
+    return [CyclicBinarySeq(w) for w in _bracelets_lex(length)]
 
 
 def burnside_count(length: int) -> int:
@@ -121,21 +134,18 @@ def burnside_count(length: int) -> int:
 
 def select_inequivalent(m: int):
     """The first m balanced canonical sequences of length 2^m in
-    lexicographic order; lazily enumerated so large lengths stay cheap."""
+    lexicographic order; generated lazily, so large lengths stay cheap."""
     if m < 1:
         raise ValueError("m must be at least 1")
     length = 2 ** m
     if burnside_count(length) < m:
         raise AssertionError("fewer balanced bracelets than requested; "
                              "counting bug")
-    out = []
-    for w in _balanced_words_lex(length):
-        seq = CyclicBinarySeq(w)
-        if seq.is_canonical():
-            out.append(seq)
-            if len(out) == m:
-                return out
-    raise AssertionError("lexicographic scan exhausted early; counting bug")
+    out = [CyclicBinarySeq(w)
+           for w in itertools.islice(_bracelets_lex(length), m)]
+    if len(out) < m:
+        raise AssertionError("bracelet generation exhausted early; counting bug")
+    return out
 
 
 def glued_geodesic_length(seq: CyclicBinarySeq, len1: float, len2: float) -> float:
@@ -145,14 +155,6 @@ def glued_geodesic_length(seq: CyclicBinarySeq, len1: float, len2: float) -> flo
         raise ValueError("lengths must be positive")
     per = {"1": 2.0 * len1, "2": 2.0 * len2}
     return sum(per[ch] for ch in seq.word)
-
-
-def hybrid_systole_lower_bound(sys1: float, sys2: float) -> float:
-    """min over the contained-in-one-piece and crossing cases:
-    min(s1, s2, (s1 + s2)/2)."""
-    if sys1 <= 0 or sys2 <= 0:
-        raise ValueError("systoles must be positive")
-    return min(sys1, sys2, (sys1 + sys2) / 2)
 
 
 def epsilon_budget(m: int, eps_2n: float) -> float:

@@ -229,20 +229,6 @@ class ZPoly:
         return f"ZPoly({list(self.coeffs)!r})"
 
 
-def parse_poly(text: str):
-    """Parse '[a0, a1, ...]'; ZPoly when all entries are integers, else QPoly."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"expected '[a0, a1, ...]', got {text!r}")
-    toks = [t.strip() for t in s[1:-1].split(",") if t.strip()]
-    if not toks:
-        raise ValueError("empty coefficient list")
-    vals = [Fraction(t) for t in toks]
-    if all(v.denominator == 1 for v in vals):
-        return ZPoly([int(v) for v in vals])
-    return QPoly(vals)
-
-
 # ---------------------------------------------------------------------------
 # quadratic algebraic numbers over k
 # ---------------------------------------------------------------------------
@@ -512,6 +498,34 @@ def _graeffe_verdict(p: ZPoly, powers) -> bool | None:
     return None
 
 
+def _bounded_verdicts(D: int, mu: float):
+    """enumerate_bounded's polynomials mapped to whether their measure is one."""
+    if D < 1:
+        raise ValueError("D must be at least 1")
+    if mu < 1:
+        raise ValueError("mu must be at least 1")
+    m = Fraction(mu)
+    powers = [(m.numerator ** (1 << k), m.denominator ** (1 << k))
+              for k in range(GRAEFFE_STEPS + 1)]
+    out = {}
+    for d in range(1, D + 1):
+        ranges = []
+        for j in range(d):
+            bound = math.floor(math.comb(d, d - j) * mu + 1e-12)
+            ranges.append(range(-bound, bound + 1))
+        for tail in itertools.product(*ranges):
+            poly = ZPoly(list(tail) + [1])
+            one = is_measure_one(poly)
+            verdict = one or _graeffe_verdict(poly, powers)
+            if verdict is None:
+                verdict = (mahler_measure(poly, GUARD_TOL / 4)
+                           <= mu + GUARD_TOL)
+            if verdict:
+                out[poly] = one
+    out |= {_mirror(p): one for p, one in out.items()}
+    return out
+
+
 def enumerate_bounded(D: int, mu: float):
     """All monic integer polynomials of degree 1..D with Mahler measure
     <= mu, possibly including a guard band of measures in
@@ -523,29 +537,7 @@ def enumerate_bounded(D: int, mu: float):
     against the exact rational mu.  Only polynomials whose measure lies too
     close to mu for GRAEFFE_STEPS iterates go to the certified measure.
     """
-    if D < 1:
-        raise ValueError("D must be at least 1")
-    if mu < 1:
-        raise ValueError("mu must be at least 1")
-    m = Fraction(mu)
-    powers = [(m.numerator ** (1 << k), m.denominator ** (1 << k))
-              for k in range(GRAEFFE_STEPS + 1)]
-    out = set()
-    for d in range(1, D + 1):
-        ranges = []
-        for j in range(d):
-            bound = math.floor(math.comb(d, d - j) * mu + 1e-12)
-            ranges.append(range(-bound, bound + 1))
-        for tail in itertools.product(*ranges):
-            poly = ZPoly(list(tail) + [1])
-            verdict = is_measure_one(poly) or _graeffe_verdict(poly, powers)
-            if verdict is None:
-                verdict = (mahler_measure(poly, GUARD_TOL / 4)
-                           <= mu + GUARD_TOL)
-            if verdict:
-                out.add(poly)
-    out |= {_mirror(p) for p in out}
-    return sorted(out)
+    return sorted(_bounded_verdicts(D, mu))
 
 
 def min_mahler_above_one(D: int):
@@ -557,8 +549,8 @@ def min_mahler_above_one(D: int):
         raise ValueError("D must be at least 1")
     for cap in (1.4, 1.7, 2.0001):
         measured = [(mahler_measure(poly, 1e-10), poly)
-                    for poly in enumerate_bounded(D, cap)
-                    if not is_measure_one(poly)]
+                    for poly, one in _bounded_verdicts(D, cap).items()
+                    if not one]
         if not measured:
             continue
         best = min(m for m, _ in measured)

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from itertools import product as iproduct
 
 import pytest
 
+from smallsys import cli
 from smallsys.combin import (
     CyclicBinarySeq,
     burnside_count,
@@ -11,7 +13,6 @@ from smallsys.combin import (
     enumerate_balanced_bracelets,
     epsilon_budget,
     glued_geodesic_length,
-    hybrid_systole_lower_bound,
     select_inequivalent,
 )
 
@@ -30,6 +31,46 @@ def brute_force_balanced_bracelets(length):
             orbit.add(rot[::-1])
         seen.add(min(orbit))
     return sorted(seen)
+
+
+def reference_balanced_words(length):
+    """Balanced words of the given length in lexicographic order, by next
+    multiset permutation."""
+    half = length // 2
+    word = [1] * half + [2] * half
+    while True:
+        yield "".join(map(str, word))
+        i = length - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = length - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
+
+
+def reference_is_canonical(word):
+    rotations = [word[r:] + word[:r] for r in range(len(word))]
+    return all(word <= img for rot in rotations for img in (rot, rot[::-1]))
+
+
+def reference_bracelets(length):
+    """Every balanced word filtered by the O(L^2) canonical test, sorted."""
+    if length % 2 != 0 or length < 2:
+        raise ValueError("length must be a positive even number")
+    return [CyclicBinarySeq(w) for w in reference_balanced_words(length)
+            if reference_is_canonical(w)]
+
+
+def reference_select(m):
+    """The first m canonical balanced words of length 2^m by the same scan."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    canonical = filter(reference_is_canonical, reference_balanced_words(2 ** m))
+    return [CyclicBinarySeq(w) for w in itertools.islice(canonical, m)]
 
 
 class TestCanonicalForm:
@@ -70,9 +111,17 @@ class TestEnumeration:
         assert len(enumerate_balanced_bracelets(8)) == 8
 
     def test_matches_brute_force(self):
-        for length in (2, 4, 6, 8, 10, 12):
+        for length in (2, 4, 6, 8, 10, 12, 14, 16):
             got = [str(s) for s in enumerate_balanced_bracelets(length)]
             assert got == brute_force_balanced_bracelets(length)
+
+    def test_matches_reference_filter(self):
+        for length in range(2, 21, 2):
+            assert enumerate_balanced_bracelets(length) == reference_bracelets(length)
+
+    @pytest.mark.parametrize("length", [22, 24])
+    def test_count_beyond_reference(self, length):
+        assert len(enumerate_balanced_bracelets(length)) == burnside_count(length)
 
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
@@ -117,8 +166,17 @@ class TestSelectInequivalent:
             assert len(set(sel)) == m
             for s in sel:
                 assert len(s) == 2 ** m
-                assert s.is_balanced()
+                assert s.word.count("1") == len(s) // 2
                 assert canonical_form(s) == s
+
+    def test_matches_reference_scan(self):
+        for m in range(1, 13):
+            assert select_inequivalent(m) == reference_select(m)
+
+    def test_long_words_need_no_recursion(self):
+        sel = select_inequivalent(14)
+        assert len(sel) == 14 and len(sel[-1]) == 2 ** 14
+        assert sel[0].word == "1" * 2 ** 13 + "2" * 2 ** 13
 
 
 class TestLengthsAndBudget:
@@ -141,12 +199,6 @@ class TestLengthsAndBudget:
             val = glued_geodesic_length(s, eps / 4 * 0.999, eps / 4 * 0.999)
             assert val < 8 * eps / 2
 
-    def test_hybrid_lower_bound(self):
-        assert hybrid_systole_lower_bound(1.0, 1.0) == pytest.approx(1.0)
-        assert hybrid_systole_lower_bound(2.0, 4.0) == pytest.approx(2.0)
-        eps = 0.123
-        assert hybrid_systole_lower_bound(eps, eps) == pytest.approx(eps)
-
     def test_epsilon_budget_values(self):
         assert epsilon_budget(1, 10.0) == pytest.approx(0.5)
         assert epsilon_budget(3, 0.1) == pytest.approx(0.0125)
@@ -157,3 +209,21 @@ class TestLengthsAndBudget:
             epsilon_budget(0, 1.0)
         with pytest.raises(ValueError):
             epsilon_budget(2, 0.0)
+
+
+class TestBraceletsCommand:
+    @pytest.mark.parametrize("argv", [["--length", "20"], ["--m", "12"]],
+                             ids=["length20", "m12"])
+    def test_matches_reference_certificate(self, capsys, tmp_path, monkeypatch, argv):
+        path = tmp_path / "b.json"
+
+        def certificate():
+            code = cli.main(["--quiet", "--json", str(path), "bracelets"] + argv)
+            capsys.readouterr()
+            return code, path.read_bytes()
+
+        got = certificate()
+        assert got[0] == 0
+        monkeypatch.setattr(cli, "enumerate_balanced_bracelets", reference_bracelets)
+        monkeypatch.setattr(cli, "select_inequivalent", reference_select)
+        assert certificate() == got

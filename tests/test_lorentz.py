@@ -388,6 +388,32 @@ class TestSearchCommand:
         monkeypatch.setattr(cli, "find_small_element", reference_scan)
         assert self.certificate(argv, capsys, tmp_path) == (code, raw)
 
+    def test_tiny_epsilon_hit_passes(self, capsys, tmp_path):
+        # near 0 a 128-bit arccosh interval is about 2^-64 wide, so the verdict
+        # on this hit needs more bits than --precision
+        t = "16817928305074292049769794435721570581303"
+        code, raw = self.certificate(["--epsilon", "1e-40", "--height-bound",
+                                      str(10 ** 41)], capsys, tmp_path)
+        assert code == 0
+        check = json.loads(raw)["checks"][0]
+        assert check["status"] == "PASS"
+        assert check["exact_values"]["t"] == t
+        assert check["numeric_values"]["length"].endswith("e-40")
+        T = threshold_oracle(KElem(1), 1e-40)
+        assert square_over(parse_kelem(t), T)
+        assert not square_over(parse_kelem(str(int(t) - 1)), T)
+
+    def test_undecided_length_raises_at_4096_bits(self, capsys, monkeypatch):
+        tried = []
+
+        def undecided(g, bits):
+            tried.append(bits)
+            return RealInterval(0, 1, bits)
+        monkeypatch.setattr(cli, "translation_length", undecided)
+        assert cli.main(["search", "--epsilon", "0.25"]) == 3
+        assert "PrecisionError" in capsys.readouterr().err
+        assert tried == [128, 256, 512, 1024, 2048, 4096]
+
     def test_tiny_epsilon_exhausts_default_height(self, capsys, tmp_path):
         code, raw = self.certificate(["--epsilon", "1e-300"], capsys, tmp_path)
         assert code == 1

@@ -18,7 +18,6 @@ from smallsys.polyalg import (
     mahler_measure,
     min_mahler_above_one,
     minpoly_over_Q,
-    parse_poly,
     product,
 )
 
@@ -301,12 +300,6 @@ class TestMinMahler:
 
 
 class TestPolyBasics:
-    def test_parse_roundtrip(self):
-        p = ZPoly([1, -12, 6, -12, 1])
-        assert parse_poly(p.to_text()) == p
-        q = QPoly([Fraction(1, 7), 2])
-        assert parse_poly(q.to_text()) == q
-
     def test_divmod(self):
         p = QPoly([-1, 0, 1])
         q, r = divmod(p, QPoly([-1, 1]))

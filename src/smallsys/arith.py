@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exactfield import KElem, TowerContext, as_tower_coords
 from .lorentz import Isometry, QuadForm, sum_prod
-from .polyalg import QuadAlgNum, is_algebraic_integer, minpoly_over_Q
+from .polyalg import QuadAlgNum, minpoly_over_Q
 
 def adjoint_trace(m: Isometry):
     """((tr M)^2 - tr M^2) / 2, exact; equals the trace of M acting on the
@@ -25,19 +25,6 @@ def adjoint_trace(m: Isometry):
     t2 = sum_prod([x for row in m.entries for x in row],
                   [x for col in zip(*m.entries) for x in col])
     return (t * t - t2) / 2
-
-
-def exterior_square_trace(m: Isometry):
-    """Brute-force pairing oracle: sum over i < j of the 2x2 principal-minor
-    pairings M_ii M_jj - M_ij M_ji."""
-    e = m.entries
-    size = len(e)
-    total = None
-    for i in range(size):
-        for j in range(i + 1, size):
-            term = e[i][i] * e[j][j] - e[i][j] * e[j][i]
-            total = term if total is None else total + term
-    return total
 
 
 def conjugate_between_forms(m: Isometry, a) -> Isometry:
@@ -191,19 +178,3 @@ def non_qa_certificate(a, subgroup_field: FieldDescriptor,
         if square:
             failures.append(f"a = {a} is a square in k")
     return NonQAReport(passed=not failures, failures=tuple(failures))
-
-
-def palindromic_transfer_check(mu: QuadAlgNum, n: int) -> bool:
-    """Whether integrality transfers between mu and mu + 1/mu + (n - 1),
-    i.e. the two integrality verdicts agree."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if not mu.norm:
-        raise ValueError("mu must be invertible")
-    lo = mu.numeric(96).lo
-    if lo <= 1:
-        raise ValueError("mu must exceed 1")
-    # mu + 1/mu = (1 - 1/norm) mu + trace/norm, an affine image over k
-    shifted = mu.affine(KElem(1) - KElem(1) / mu.norm,
-                        mu.trace / mu.norm + KElem(n - 1))
-    return is_algebraic_integer(shifted) == is_algebraic_integer(mu)

@@ -16,8 +16,6 @@ from fractions import Fraction
 
 from mpmath import libmp
 
-RationalLike = "int | Fraction"
-
 
 class ContextMismatchError(ValueError):
     """Raised when tower elements from different field contexts are mixed."""
@@ -322,18 +320,6 @@ class KElem:
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = KElem(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
@@ -431,13 +417,6 @@ class KElem:
                 return True, root
         return False, None
 
-    def height(self) -> int:
-        """Max absolute value of the four integers in the reduced form."""
-        if not self:
-            return 0
-        return max(abs(self.a.numerator), self.a.denominator,
-                   abs(self.b.numerator), self.b.denominator)
-
     def embed(self, precision: int = 64) -> RealInterval:
         """Certified enclosure of the value under the distinguished embedding."""
         if precision < 16:
@@ -470,38 +449,29 @@ K_ONE = KElem(1)
 K_ZERO = KElem(0)
 
 
-_TERM_RE = re.compile(r"^(?P<coef>[+-]?\d+(?:/\d*[1-9]\d*)?)(?:\*(?P<rad>rt2|rtA))?$|^(?P<sign>[+-]?)(?P<bare>rt2|rtA)$")
+_TERM_RE = re.compile(r"^(?P<coef>[+-]?\d+(?:/\d*[1-9]\d*)?)(?:\*(?P<rad>rt2))?$|^(?P<sign>[+-]?)rt2$")
 
 
-def _parse_terms(text: str):
-    """Split 'a+b*rt2' style text into (rational, rt2-coef, rtA-coef)."""
+def parse_kelem(text: str) -> KElem:
+    """Parse 'p/q', 'p/q+r/s*rt2' and friends; inverse of KElem.to_text."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty field element")
     chunks = re.findall(r"[+-]?[^+-]+", s)
     if "".join(chunks) != s:
         raise ValueError(f"cannot parse field element: {text!r}")
-    coords = {None: Fraction(0), "rt2": Fraction(0), "rtA": Fraction(0)}
+    a = b = Fraction(0)
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
-        if m.group("bare") is not None:
-            coef = Fraction(-1 if m.group("sign") == "-" else 1)
-            rad = m.group("bare")
+        if m.group("coef") is None:
+            b += -1 if m.group("sign") == "-" else 1
+        elif m.group("rad"):
+            b += Fraction(m.group("coef"))
         else:
-            coef = Fraction(m.group("coef"))
-            rad = m.group("rad")
-        coords[rad] += coef
-    return coords
-
-
-def parse_kelem(text: str) -> KElem:
-    """Parse 'p/q', 'p/q+r/s*rt2' and friends; inverse of KElem.to_text."""
-    coords = _parse_terms(text)
-    if coords["rtA"]:
-        raise ValueError(f"unexpected rtA term in k-element: {text!r}")
-    return KElem(coords[None], coords["rt2"])
+            a += Fraction(m.group("coef"))
+    return KElem(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -633,18 +603,6 @@ class TowerElem:
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ctx.from_k(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, TowerElem) and other.ctx != self.ctx:
             return False
@@ -692,16 +650,6 @@ class TowerElem:
 
     def __str__(self):
         return self.to_text()
-
-
-def parse_tower(text: str, ctx: TowerContext) -> TowerElem:
-    """Parse '(u)+(v)*rtA' (or any k-element text) inside a declared context."""
-    s = text.replace(" ", "")
-    m = re.match(r"^\((?P<u>[^()]*)\)\+\((?P<v>[^()]*)\)\*rtA$", s)
-    if m:
-        return ctx.elem(parse_kelem(m.group("u")), parse_kelem(m.group("v")))
-    coords = _parse_terms(s)
-    return ctx.elem(KElem(coords[None], coords["rt2"]), KElem(coords["rtA"]))
 
 
 def as_tower_coords(x):

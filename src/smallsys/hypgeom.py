@@ -1,30 +1,22 @@
-"""Hyperboloid-model geometry for the diagonal forms: points, distances,
-geodesic hyperplanes and their images, orthogeodesics, and the glued-length
-witness.
+"""Geodesic hyperplanes of the diagonal forms: the hyperplane {x1 = 0} and
+its images under isometries, the exact distance trichotomy between two
+hyperplanes, and the glued-length witness.
 
-The hyperboloid is normalized as f = -1.  Every exact point this toolkit
-needs has coordinates (k-vector) * 2^(-1/4): the gauge factor satisfies
-(2^(-1/4))^2 = sqrt2/2 in k, so exact pairings stay in k (or in the ambient
-tower) after one division by sqrt2.  Points built at generic arc-length
-parameters carry certified interval coordinates instead.
+A hyperplane is {B(u, .) = 0} for an exact spacelike normal u, so every
+comparison is decided in the coefficient field (k or the ambient tower);
+only the final distance or angle is a certified interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactfield import KElem, RealInterval, SQRT2, TowerElem, embed
-from .lorentz import ABlockElement, Isometry, QuadForm, mat_vec, translation_length
+from .exactfield import KElem, RealInterval, embed
+from .lorentz import Isometry, QuadForm, mat_vec
 
 
 class GeometryError(ValueError):
     """Numerical or exact data inconsistent with the claimed geometric object."""
-
-
-def gauge_interval(precision: int = 64) -> RealInterval:
-    """Certified enclosure of 2^(-1/4)."""
-    return RealInterval.exact(Fraction(1, 2), precision).sqrt().sqrt()
 
 
 def bilinear(form: QuadForm, x, y):
@@ -36,126 +28,6 @@ def bilinear(form: QuadForm, x, y):
         term = a * b * c
         total = term if total is None else total + term
     return total
-
-
-def _bilinear_intervals(form: QuadForm, x, y, precision: int):
-    total = None
-    for c, a, b in zip(form.diagonal(), x, y):
-        term = a * b * c.embed(precision)
-        total = term if total is None else total + term
-    return total
-
-
-class HPoint:
-    """A point on the upper sheet of {f = -1}.
-
-    ``scaled`` (when present) holds exact field elements w with coordinates
-    w * 2^(-1/4); the defining identity is then f_k(w) = -sqrt2 exactly.
-    """
-
-    __slots__ = ("form", "scaled", "_coords")
-
-    def __init__(self, form: QuadForm, scaled=None, coords=None, precision: int = 64):
-        if scaled is None and coords is None:
-            raise ValueError("need exact scaled coordinates or intervals")
-        if scaled is not None:
-            scaled = tuple(KElem._lift(w) if isinstance(w, (int, Fraction)) else w
-                           for w in scaled)
-            if len(scaled) != form.n + 1:
-                raise ValueError("dimension mismatch")
-            if bilinear(form, scaled, scaled) != -SQRT2:
-                raise GeometryError("scaled coordinates do not satisfy f = -sqrt2")
-            if scaled[-1].sign() != 1:
-                raise GeometryError("point is not on the upper sheet")
-        if coords is not None:
-            coords = tuple(coords)
-            if len(coords) != form.n + 1:
-                raise ValueError("dimension mismatch")
-            val = _bilinear_intervals(form, coords, coords, precision)
-            if not (-1 in val):
-                raise GeometryError("interval coordinates exclude f = -1")
-            if not coords[-1].lo > 0:
-                raise GeometryError("point is not certainly on the upper sheet")
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "_coords", coords)
-
-    def __setattr__(self, *_):
-        raise AttributeError("HPoint is immutable")
-
-    def is_exact(self) -> bool:
-        return self.scaled is not None
-
-    def coords(self, precision: int = 64):
-        if self.scaled is not None:
-            g = gauge_interval(precision)
-            return tuple(embed(w, precision) * g for w in self.scaled)
-        return self._coords
-
-    def __repr__(self):
-        kind = "exact" if self.is_exact() else "interval"
-        return f"HPoint({kind}, n={self.form.n})"
-
-
-def basepoint(form: QuadForm) -> HPoint:
-    """(0, ..., 0, 2^(-1/4)), the point where the block axis meets {x1 = 0}."""
-    zero, one = KElem(0), KElem(1)
-    return HPoint(form, scaled=[zero] * form.n + [one])
-
-
-def axis_point(c, s, n: int, precision: int = 64) -> HPoint:
-    """The point at arc length s along the block axis:
-    (sinh(s)/sqrt(c), 0, ..., 0, cosh(s) * 2^(-1/4)).
-
-    Exact at s = 0 (the basepoint); interval-valued for real or interval s.
-    """
-    form = QuadForm.standard(c, n)
-    if not isinstance(s, RealInterval):
-        s = RealInterval.exact(Fraction(s), precision)
-    if s.lo == 0 and s.hi == 0:
-        return basepoint(form)
-    c_iv = KElem._lift(c).embed(precision)
-    zero = RealInterval.exact(0, precision)
-    first = s.sinh() / c_iv.sqrt()
-    last = s.cosh() * gauge_interval(precision)
-    return HPoint(form, coords=[first] + [zero] * (n - 1) + [last],
-                  precision=precision)
-
-
-def apply_isometry(iso, point: HPoint, precision: int = 64) -> HPoint:
-    """Image of a point; stays exact when both matrix and point are exact."""
-    entries = iso.entries if isinstance(iso, Isometry) else iso
-    form = iso.form if isinstance(iso, Isometry) else point.form
-    if point.scaled is not None:
-        return HPoint(form, scaled=mat_vec(entries, point.scaled))
-    emb = tuple(tuple(embed(e, precision) for e in row) for row in entries)
-    coords = tuple(
-        sum((a * b for a, b in zip(row, point.coords(precision))),
-            RealInterval.exact(0, precision))
-        for row in emb)
-    return HPoint(form, coords=coords, precision=precision)
-
-
-def pair_points(x: HPoint, y: HPoint, precision: int = 64):
-    """B(x, y); exact (a field element) when both points are exact."""
-    if x.form != y.form:
-        raise ValueError("points live on different forms")
-    if x.scaled is not None and y.scaled is not None:
-        return bilinear(x.form, x.scaled, y.scaled) / SQRT2
-    return _bilinear_intervals(x.form, x.coords(precision), y.coords(precision),
-                               precision)
-
-
-def dist_points(x: HPoint, y: HPoint, precision: int = 64) -> RealInterval:
-    """arccosh(-B(x, y)); symmetric, zero iff the points coincide."""
-    b = pair_points(x, y, precision)
-    if isinstance(b, (KElem, TowerElem)):
-        val = (-b).embed(precision)
-    else:
-        val = -b
-    if val.hi < 1:
-        raise GeometryError("pairing below 1: not two points on the hyperboloid")
-    return val.acosh()
 
 
 class GeodesicHyperplane:
@@ -185,13 +57,6 @@ class GeodesicHyperplane:
     def image(self, iso) -> "GeodesicHyperplane":
         entries = iso.entries if isinstance(iso, Isometry) else iso
         return GeodesicHyperplane(mat_vec(entries, self.normal), self.form)
-
-    def contains(self, point: HPoint) -> bool:
-        """Exact membership for exact points."""
-        if point.scaled is None:
-            raise ValueError("membership is decided exactly; need an exact point")
-        val = bilinear(self.form, self.normal, point.scaled)
-        return not val
 
     def __repr__(self):
         return f"GeodesicHyperplane(n={self.form.n})"
@@ -233,31 +98,6 @@ def dist_hyperplanes(h1: GeodesicHyperplane, h2: GeodesicHyperplane,
             return HyperplaneRelation("intersecting", q, angle=root.acos())
         return HyperplaneRelation("asymptotic", q)
     return HyperplaneRelation("intersecting", q, angle=root.acos())
-
-
-@dataclass(frozen=True)
-class Orthogeodesic:
-    length: RealInterval
-    foot: HPoint
-    midpoint: HPoint
-
-
-def orthogeodesic(h: GeodesicHyperplane, gh: GeodesicHyperplane,
-                  g: ABlockElement, precision: int = 64) -> Orthogeodesic:
-    """The common-perpendicular segment from {x1 = 0} to its image under the
-    block g, realized along the block axis: foot at s = 0, midpoint at half
-    the translation length."""
-    rel = dist_hyperplanes(h, gh, precision)
-    if rel.kind != "disjoint":
-        raise GeometryError(f"hyperplanes are {rel.kind}, not disjoint")
-    if rel.cosh_sq != g.alpha * g.alpha:
-        raise GeometryError("hyperplane pair does not match the block "
-                            "(cosh^2 of the distance differs from alpha^2)")
-    length = translation_length(g, precision)
-    half = RealInterval(length.lo / 2, length.hi / 2, precision)
-    return Orthogeodesic(length=length,
-                         foot=axis_point(g.c, 0, g.n, precision),
-                         midpoint=axis_point(g.c, half, g.n, precision))
 
 
 def systole_witness(len1: float, len2: float) -> float:

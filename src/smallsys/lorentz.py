@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactfield import KElem, RealInterval, SQRT2, TowerElem, sqrt2_interval
+from .exactfield import (KElem, RealInterval, SQRT2, TowerElem, parse_kelem,
+                         sqrt2_interval)
 from .polyalg import PrecisionError, QuadAlgNum
 
 
@@ -99,7 +100,6 @@ def parse_form_header(line: str) -> QuadForm:
     toks = [t.strip() for t in s[len("form: diag("):-1].split(",")]
     if not toks or toks[-1] != "-rt2":
         raise ValueError("form header must end with the temporal coefficient -rt2")
-    from .exactfield import parse_kelem
     return QuadForm([parse_kelem(t) for t in toks[:-1]])
 
 
@@ -229,7 +229,6 @@ def serialize_isometry(iso: Isometry) -> str:
 
 
 def parse_isometry(text: str) -> Isometry:
-    from .exactfield import parse_kelem
     lines = [ln for ln in (ln.strip() for ln in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty matrix file")

@@ -137,13 +137,6 @@ class QPoly:
             return QPoly.zero()
         return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def evaluate(self, x):
-        """Horner evaluation; works for Fraction, KElem, intervals, mpmath."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
-
     def content_primitive(self):
         """Positive content and primitive integer part (lc sign preserved)."""
         if self.is_zero():
@@ -281,12 +274,6 @@ class QuadAlgNum:
         t, n = self.trace, self.norm
         return QuadAlgNum(a * t + 2 * b, a * a * n + a * b * t + b * b,
                           self.branch * a.sign())
-
-    def reciprocal(self) -> "QuadAlgNum":
-        n = self.norm
-        if not n:
-            raise ZeroDivisionError("reciprocal of a root of x^2 - t x")
-        return QuadAlgNum(self.trace / n, 1 / n, -self.branch * n.sign())
 
     def __repr__(self):
         return (f"QuadAlgNum(trace={self.trace}, norm={self.norm}, "
@@ -446,6 +433,9 @@ def _monic_measure_certified(f: QPoly, rel_tol: float):
     prec = 64
     while prec <= 4096:
         roots, err = _cluster_roots(P.coeffs, prec)
+        if roots is None:
+            prec *= 2
+            continue
         e = 4 * err + 2.0 ** (1 - prec)
         lo, hi = 1.0, 1.0
         for r in roots:

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -8,20 +7,11 @@ from smallsys.exactfield import KElem, SQRT2
 from smallsys.hypgeom import (
     GeodesicHyperplane,
     GeometryError,
-    HPoint,
-    apply_isometry,
-    axis_point,
-    basepoint,
     bilinear,
     dist_hyperplanes,
-    dist_points,
-    gauge_interval,
-    orthogeodesic,
-    pair_points,
     systole_witness,
 )
 from smallsys.lorentz import (
-    Isometry,
     QuadForm,
     block_g1,
     block_g2,
@@ -60,96 +50,6 @@ class TestBilinear:
             assert bilinear(F1, x, y) == (fxy - fx - fy) / 2
 
 
-class TestPoints:
-    def test_basepoint_is_exact_and_on_plane(self):
-        p = basepoint(F1)
-        assert p.is_exact()
-        h = GeodesicHyperplane.coordinate(F1)
-        assert h.contains(p)
-        last = p.coords(64)[-1]
-        assert float(last) == pytest.approx(2 ** -0.25, abs=1e-15)
-
-    def test_axis_point_satisfies_form(self):
-        rng = random.Random(89)
-        for _ in range(50):
-            s = rng.uniform(-3, 3)
-            c = KElem(rng.randint(1, 4))
-            coords = axis_point(c, s, 3, 96).coords(96)
-            total = None
-            for cf, x in zip(QuadForm.standard(c, 3).diagonal(), coords):
-                term = x * x * cf.embed(96)
-                total = term if total is None else total + term
-            assert -1 in total
-
-    def test_axis_point_zero_is_basepoint(self):
-        p = axis_point(KElem(1), 0, 2)
-        assert p.is_exact()
-        assert p.scaled == (KElem(0), KElem(0), KElem(1))
-
-    def test_invalid_point_rejected(self):
-        with pytest.raises(GeometryError):
-            HPoint(F1, scaled=[KElem(1), KElem(0), KElem(1)])
-        with pytest.raises(GeometryError):
-            HPoint(F1, scaled=[KElem(0), KElem(0), KElem(-1)])
-
-    def test_distance_to_self_is_zero(self):
-        p = basepoint(F1)
-        d = dist_points(p, p)
-        assert d.lo == 0
-        assert d.hi < Fraction(1, 10 ** 15)
-
-    def test_distance_along_axis_recovers_parameter(self):
-        base = basepoint(F1)
-        for s in (0.5, 1.0, 2.0):
-            p = axis_point(KElem(1), s, 2, 96)
-            assert float(dist_points(base, p, 96)) == pytest.approx(s, abs=1e-12)
-
-    def test_distance_symmetry(self):
-        rng = random.Random(97)
-        for _ in range(30):
-            p = axis_point(KElem(1), rng.uniform(0.1, 2), 2, 80)
-            q = axis_point(KElem(1), rng.uniform(-2, -0.1), 2, 80)
-            d1 = dist_points(p, q, 80)
-            d2 = dist_points(q, p, 80)
-            assert d1.overlaps(d2)
-
-
-class TestAxisTranslation:
-    def test_block_translates_basepoint_along_axis(self):
-        g = block_g1()
-        moved = apply_isometry(g.to_isometry(), basepoint(F1))
-        assert moved.is_exact()
-        target = axis_point(KElem(1), translation_length(g, 96), 2, 96)
-        for a, b in zip(moved.coords(96), target.coords(96)):
-            assert a.overlaps(b)
-
-    def test_translated_distance_is_length(self):
-        g = block_g1()
-        base = basepoint(F1)
-        moved = apply_isometry(g.to_isometry(), base)
-        d = dist_points(base, moved, 96)
-        ell = translation_length(g, 96)
-        assert d.overlaps(ell)
-
-    def test_isometry_invariance_of_distance(self):
-        rng = random.Random(101)
-        swap = Isometry((
-            (KElem(0), KElem(1), KElem(0)),
-            (KElem(1), KElem(0), KElem(0)),
-            (KElem(0), KElem(0), KElem(1)),
-        ), F1)
-        for _ in range(25):
-            t = KElem(rng.randint(1, 12), rng.randint(0, 4))
-            m = param_block(KElem(1), t, 2).to_isometry()
-            if rng.random() < 0.5:
-                m = m * swap
-            p = axis_point(KElem(1), rng.uniform(-1.5, 1.5), 2, 96)
-            q = axis_point(KElem(1), rng.uniform(-1.5, 1.5), 2, 96)
-            d0 = dist_points(p, q, 96)
-            d1 = dist_points(apply_isometry(m, p, 96), apply_isometry(m, q, 96), 96)
-            assert d0.overlaps(d1)
-
-
 class TestHyperplanes:
     def test_identical_hyperplanes_intersect_at_zero(self):
         h = GeodesicHyperplane.coordinate(F1)
@@ -184,8 +84,6 @@ class TestHyperplanes:
             assert rel.cosh_sq == g.alpha * g.alpha
             ell = translation_length(g)
             assert rel.distance.overlaps(ell)
-            om = orthogeodesic(h, image, g)
-            assert om.length.overlaps(ell)
 
     def test_intersecting_pair(self):
         h1 = GeodesicHyperplane.coordinate(F1)
@@ -197,40 +95,6 @@ class TestHyperplanes:
     def test_timelike_normal_rejected(self):
         with pytest.raises(GeometryError):
             GeodesicHyperplane(e(2, 2), F1)
-
-
-class TestOrthogeodesic:
-    def test_g1_orthogeodesic(self):
-        g = block_g1()
-        h = GeodesicHyperplane.coordinate(F1)
-        om = orthogeodesic(h, h.image(g.to_isometry()), g, 96)
-        assert float(om.length) == pytest.approx(LEN1, abs=1e-12)
-        assert om.foot.is_exact()
-        assert h.contains(om.foot)
-        mid_last = om.midpoint.coords(96)[-1]
-        assert float(mid_last) == pytest.approx(
-            math.cosh(LEN1 / 2) * 2 ** -0.25, abs=1e-9)
-
-    def test_foot_to_image_distance_is_length(self):
-        g = block_g1()
-        h = GeodesicHyperplane.coordinate(F1)
-        om = orthogeodesic(h, h.image(g.to_isometry()), g, 96)
-        moved = apply_isometry(g.to_isometry(), om.foot)
-        d = dist_points(om.foot, moved, 96)
-        assert d.overlaps(om.length)
-
-    def test_non_disjoint_rejected(self):
-        g = block_g1()
-        h = GeodesicHyperplane.coordinate(F1)
-        with pytest.raises(GeometryError):
-            orthogeodesic(h, h, g)
-
-    def test_mismatched_block_rejected(self):
-        g = block_g1()
-        other = param_block(KElem(1), KElem(2), 2)
-        h = GeodesicHyperplane.coordinate(F1)
-        with pytest.raises(GeometryError):
-            orthogeodesic(h, h.image(g.to_isometry()), other)
 
 
 class TestSystoleWitness:
@@ -255,8 +119,3 @@ class TestSystoleWitness:
     def test_positive_required(self):
         with pytest.raises(ValueError):
             systole_witness(0.0, 1.0)
-
-
-def test_gauge_interval():
-    iv = gauge_interval(96)
-    assert float(iv) == pytest.approx(2 ** -0.25, abs=1e-18)

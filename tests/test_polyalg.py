@@ -6,8 +6,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from smallsys import polyalg
 from smallsys.exactfield import SQRT2, KElem
 from smallsys.polyalg import (
+    PrecisionError,
     QPoly,
     QuadAlgNum,
     ZPoly,
@@ -27,6 +29,14 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 # the two loxodromic eigenvalues of the worked instance (traces in k, norm 1)
 LAM1 = QuadAlgNum(KElem(6, 4), KElem(1))
 LAM2 = QuadAlgNum(KElem(Fraction(22, 7), Fraction(12, 7)), KElem(1))
+
+
+def horner(p: QPoly, x):
+    """p(x) by Horner's rule, for any x that mixes with Fraction."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def sympy_value(sympy, lam: QuadAlgNum):
@@ -88,7 +98,7 @@ class TestMinpoly:
                       Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
             m = minpoly_over_Q(QuadAlgNum.from_kelem(r))
             assert m.degree() <= 2
-            assert m.evaluate(r) == KElem(0) or m.evaluate(r) == Fraction(0)
+            assert horner(m, r) == 0
 
     def test_numeric_root_containment(self):
         iv = LAM1.numeric(96)
@@ -122,7 +132,8 @@ class TestProduct:
         assert Fraction(6) in iv
 
     def test_reciprocal_pair(self):
-        m, iv = product(LAM1, LAM1.reciprocal())
+        # LAM1 has norm 1, so its reciprocal is the other root
+        m, iv = product(LAM1, QuadAlgNum(LAM1.trace, LAM1.norm, -1))
         assert m == QPoly([-1, 1])
         assert Fraction(1) in iv
 
@@ -221,6 +232,34 @@ class TestMahlerMeasure:
     def test_scalar_multiple(self):
         assert mahler_measure(ZPoly([-6, 3]), 1e-9) == pytest.approx(6.0, abs=1e-8)
 
+    @staticmethod
+    def _failing_polyroots(monkeypatch, failures):
+        """Make mpmath.polyroots raise NoConvergence on its first `failures`
+        calls; returns the list of working precisions it was called at."""
+        real = polyalg.mpmath.polyroots
+        tried = []
+
+        def polyroots(*args, **kwargs):
+            tried.append(mpmath.mp.prec)
+            if len(tried) <= failures:
+                raise mpmath.libmp.NoConvergence("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(polyalg.mpmath, "polyroots", polyroots)
+        return tried
+
+    def test_failed_root_solve_escalates_precision(self, monkeypatch):
+        tried = self._failing_polyroots(monkeypatch, 1)
+        assert mahler_measure(ZPoly([-1, -1, 1]), 1e-10) == pytest.approx(
+            GOLDEN, abs=1e-10)
+        assert tried == [64, 128]
+
+    def test_root_solve_that_never_converges_raises(self, monkeypatch):
+        tried = self._failing_polyroots(monkeypatch, float("inf"))
+        with pytest.raises(PrecisionError):
+            mahler_measure(ZPoly([-1, -1, 1]), 1e-10)
+        assert tried == [64, 128, 256, 512, 1024, 2048, 4096]
+
 
 class TestEnumeration:
     def test_degree_one_small(self):
@@ -304,11 +343,6 @@ class TestPolyBasics:
         p = QPoly([-1, 0, 1])
         q, r = divmod(p, QPoly([-1, 1]))
         assert q == QPoly([1, 1]) and r.is_zero()
-
-    def test_evaluate_on_kelem(self):
-        p = QPoly([-2, 0, 1])
-        from smallsys.exactfield import SQRT2
-        assert p.evaluate(SQRT2) == KElem(0)
 
     @pytest.mark.parametrize("coeffs", [[Fraction(1, 2), 1], [2.7, 1], [1, 0.5]])
     def test_zpoly_rejects_non_integers(self, coeffs):

@@ -11,7 +11,7 @@ from .lorentz import Isometry
 
 
 def _is_integral_kelem(x: KElem) -> bool:
-    return x.a.denominator == 1 and x.b.denominator == 1
+    return x.d == 1
 
 
 def _as_kelem(x) -> KElem:

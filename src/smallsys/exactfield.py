@@ -1,11 +1,12 @@
 """Exact arithmetic in Q, k = Q(sqrt 2), and quadratic towers k(sqrt d).
 
 Every value is immutable and every operation is a pure function, so all of
-this is safe to use from concurrent tasks.  Sign determination is exact
-(integer case analysis, never floating point); numerical evaluation goes
-through ``RealInterval``, whose endpoints always enclose the exact value.
-The distinguished real embedding sends sqrt(2) and sqrt(d) to their
-positive roots.
+this is safe to use from concurrent tasks.  An element of k is one integer
+triple (p + q sqrt2)/d with d > 0 and gcd(p, q, d) = 1, so field arithmetic
+and sign determination run on ints only, never on floating point; numerical
+evaluation goes through ``RealInterval``, whose endpoints always enclose the
+exact value.  The distinguished real embedding sends sqrt(2) and sqrt(d) to
+their positive roots.
 """
 
 from __future__ import annotations
@@ -255,16 +256,37 @@ def _rational_sqrt(x: Fraction):
 
 
 class KElem:
-    """An element a + b*sqrt(2) of Q(sqrt 2), with exact rational a, b."""
+    """An element a + b*sqrt(2) of Q(sqrt 2).
 
-    __slots__ = ("a", "b")
+    It is stored as one integer triple, (p + q*sqrt(2))/d with d > 0 and
+    gcd(p, q, d) = 1.  That form is canonical, so equal values have equal
+    triples, and every operation of the field and its order works on plain
+    ints.  ``a`` = p/d and ``b`` = q/d are read-only Fraction views.
+    """
+
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        if type(a) is int and type(b) is int:
+            p, q, d = a, b, 1
+        else:
+            a, b = Fraction(a), Fraction(b)
+            d = math.lcm(a.denominator, b.denominator)
+            p, q = a.numerator * d // a.denominator, b.numerator * d // b.denominator
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_d(self, d)
 
     def __setattr__(self, *_):
         raise AttributeError("KElem is immutable")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     @staticmethod
     def _lift(x) -> "KElem":
@@ -277,102 +299,101 @@ class KElem:
     # -- ring/field structure --------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is KElem else self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return KElem(self.a + o.a, self.b + o.b)
+        d, e = self.d, o.d
+        if d == e:
+            return _canon(self.p + o.p, self.q + o.q, d)
+        return _canon(self.p * e + o.p * d, self.q * e + o.q * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return KElem(-self.a, -self.b)
+        return _canon(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is KElem else self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        d, e = self.d, o.d
+        if d == e:
+            return _canon(self.p - o.p, self.q - o.q, d)
+        return _canon(self.p * e - o.p * d, self.q * e - o.q * d, d * e)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is KElem else self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return KElem(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p, q, r, s = self.p, self.q, o.p, o.q
+        return _canon(p * r + 2 * q * s, p * s + q * r, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "KElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        conj = self.conjugate()
-        return KElem(conj.a / n, conj.b / n)
+        return 1 / self
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is KElem else self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return self * o.inverse()
+        p, q, r, s, e = self.p, self.q, o.p, o.q, o.d
+        n = r * r - 2 * s * s
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
+        return _canon(e * (p * r - 2 * q * s), e * (q * r - p * s), self.d * n)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
     def __eq__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is KElem else self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.p == o.p and self.q == o.q and self.d == o.d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.p, self.q, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.p != 0 or self.q != 0
 
     # -- order under the distinguished embedding --------------------------
 
     def sign(self) -> int:
-        """Exact sign under sqrt(2) -> +1.414..., by integer case analysis."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| vs |b|*sqrt(2) decided by a^2 vs 2 b^2
-        cmp = a * a - 2 * b * b
-        big_is_a = 1 if cmp > 0 else -1   # cmp == 0 impossible: sqrt 2 irrational
-        return big_is_a if a > 0 else -big_is_a
+        """Exact sign under sqrt(2) -> +1.414...: with d > 0 it is the sign
+        of p + q sqrt2, decided when p and q differ in sign by p^2 vs 2 q^2."""
+        p, q = self.p, self.q
+        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+        if sp == sq or not sq:
+            return sp
+        if not sp:
+            return sq
+        return sp if p * p > 2 * q * q else sq   # never equal: sqrt 2 irrational
+
+    def _cmp(self, other):
+        """The sign of self - other, or NotImplemented for a foreign type."""
+        o = self._lift(other)
+        return o if o is NotImplemented else (self - o).sign()
 
     def __lt__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s < 0
 
     def __le__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s <= 0
 
     def __gt__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() > 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s > 0
 
     def __ge__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -381,11 +402,11 @@ class KElem:
 
     def conjugate(self) -> "KElem":
         """The nontrivial Galois conjugate a + b*sqrt(2) -> a - b*sqrt(2)."""
-        return KElem(self.a, -self.b)
+        return _canon(self.p, -self.q, self.d)
 
     def norm(self) -> Fraction:
-        """Field norm x * conj(x) = a^2 - 2 b^2."""
-        return self.a * self.a - 2 * self.b * self.b
+        """Field norm x * conj(x) = a^2 - 2 b^2 = (p^2 - 2 q^2)/d^2."""
+        return Fraction(self.p ** 2 - 2 * self.q ** 2, self.d ** 2)
 
     def is_square(self):
         """Decide x = r^2 for some r in k; returns (bool, witness or None).
@@ -422,7 +443,7 @@ class KElem:
         if precision < 16:
             raise ValueError("precision must be at least 16 bits")
         out = RealInterval.exact(self.a, precision)
-        if self.b:
+        if self.q:
             out = out + RealInterval.exact(self.b, precision) * sqrt2_interval(precision)
         return out
 
@@ -432,9 +453,9 @@ class KElem:
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        if self.b == 0:
+        if not self.q:
             return str(self.a)
-        sign = "+" if self.b >= 0 else "-"
+        sign = "+" if self.q > 0 else "-"
         return f"{self.a}{sign}{abs(self.b)}*rt2"
 
     def __repr__(self):
@@ -442,6 +463,25 @@ class KElem:
 
     def __str__(self):
         return self.to_text()
+
+
+# the slots are written through their descriptors, past the __setattr__ guard
+_set_p, _set_q, _set_d = KElem.p.__set__, KElem.q.__set__, KElem.d.__set__
+
+
+def _canon(p: int, q: int, d: int) -> KElem:
+    """The KElem (p + q sqrt2)/d for any d != 0, put in canonical form."""
+    if d != 1:
+        g = math.gcd(p, q, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+    x = object.__new__(KElem)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
 
 
 SQRT2 = KElem(0, 1)
@@ -543,7 +583,7 @@ class TowerElem:
 
     def _lift(self, x) -> "TowerElem":
         if isinstance(x, TowerElem):
-            if x.ctx != self.ctx:
+            if x.ctx is not self.ctx and x.ctx != self.ctx:
                 raise ContextMismatchError(
                     f"mixing towers k(sqrt({x.ctx.radicand})) and k(sqrt({self.ctx.radicand}))")
             return x
@@ -604,7 +644,8 @@ class TowerElem:
         return self._lift(other) / self
 
     def __eq__(self, other):
-        if isinstance(other, TowerElem) and other.ctx != self.ctx:
+        if isinstance(other, TowerElem) and other.ctx is not self.ctx \
+                and other.ctx != self.ctx:
             return False
         o = self._lift(other)
         if o is NotImplemented:

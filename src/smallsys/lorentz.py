@@ -108,9 +108,8 @@ def parse_form_header(line: str) -> QuadForm:
 # ---------------------------------------------------------------------------
 
 def mat_mul(A, B):
-    size = len(A)
-    return tuple(tuple(sum_prod(A[i], [B[r][j] for r in range(size)])
-                       for j in range(size)) for i in range(size))
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum_prod(row, col) for col in cols) for row in A)
 
 
 def sum_prod(row, col):
@@ -145,7 +144,7 @@ def is_isometry(entries, form: QuadForm) -> bool:
                 val = term if val is None else val + term
             want = diag[i] if i == j else None
             if want is None:
-                if val != 0 * val:
+                if val:
                     return False
             elif val != want:
                 return False

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -89,6 +90,23 @@ class TestVerify:
 
     def test_reproducible_json(self, capsys, tmp_path):
         assert_one_format(["verify"], capsys, tmp_path)
+
+    # SHA-256 of the --json certificate; a = 12 is the FAIL case, and the
+    # tower radicand 5/3 has a denominator
+    @pytest.mark.parametrize("a, n, code, digest", [
+        ("3", "2", 0, "0572a7d1b3c5ef5a12efa3994f9be548a5fceaf972ead9a148ed219a2d2f826f"),
+        ("3", "6", 0, "bb94f8c9d61de5a95ecc19df38744b7a0bf58d98998ec4518b08ecbd8dcf352e"),
+        ("17", "2", 0, "9e14e2c08ad70bbe0f2ee3e9c4c74259b9a3556ecead1f60f202864c1e3b4ff5"),
+        ("5", "3", 0, "21532dd39ac19b239b2ec42dc8b72bd60edc25a570fbe7853dbda2599fa0ff69"),
+        ("7", "4", 0, "0918c4a026b766b807768deca9d25ed54fadf29fdd6af14df36f3363262a818a"),
+        ("12", "2", 1, "e523a135d52aec897af2d642e23becf9d8479dc3ede1ae987e2d8aa8a47a1975"),
+        ("5/3", "2", 0, "2ee2d89a0d07dcb1ac42dd83389554b0cc76428416a1b9f7812ca853ee0087b2"),
+    ])
+    def test_certificate_bytes_pinned(self, capsys, tmp_path, a, n, code, digest):
+        path = tmp_path / "cert.json"
+        assert run(["--quiet", "--json", str(path), "verify", "--a", a, "--n", n],
+                   capsys)[0] == code
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestOneFormat:

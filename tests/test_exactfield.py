@@ -280,6 +280,23 @@ class TestTextFormats:
             parse_kelem("1+1*rtA")
 
 
+@pytest.mark.parametrize("x, triple", [
+    (KElem(Fraction(2, 4), Fraction(3, 6)), (1, 1, 2)),
+    (KElem(6, 4) / 2, (3, 2, 1)),
+    (KElem(3, -2), (3, -2, 1)),
+    (KElem(Fraction(3, 4), Fraction(-5, 6)), (9, -10, 12)),
+    (KElem("3/4", "-5/6"), (9, -10, 12)),
+])
+def test_integer_triple_representation(x, triple):
+    """One canonical triple per value; a and b stay Fraction views."""
+    p, q, d = triple
+    assert (x.p, x.q, x.d) == triple
+    y = KElem(Fraction(p, d), Fraction(q, d))
+    assert x == y and hash(x) == hash(y)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert (x.a, x.b) == (Fraction(p, d), Fraction(q, d))
+
+
 def test_embed_helper_on_rationals():
     iv = embed(Fraction(1, 3), 64)
     assert Fraction(1, 3) in iv

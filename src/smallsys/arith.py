@@ -41,7 +41,8 @@ def conjugate_between_forms(m: Isometry, a) -> Isometry:
     d = [root] + [one] * n
     entries = tuple(tuple(d[i] * m.entries[i][j] / d[j] for j in range(n + 1))
                     for i in range(n + 1))
-    return Isometry(entries, QuadForm.standard(1, n))
+    # M preserves F2 = D F1 D, so D M D^{-1} preserves D^{-1} F2 D^{-1} = F1
+    return Isometry._closed(entries, QuadForm.standard(1, n))
 
 
 def tower_value_as_quadratic(x) -> QuadAlgNum:

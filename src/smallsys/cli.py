@@ -31,7 +31,7 @@ from .combin import (
     select_inequivalent,
 )
 from .congr import ZsqrtIdeal, in_principal_congruence, is_integral_matrix
-from .exactfield import KElem, SQRT2, parse_kelem
+from .exactfield import KElem, escalate, parse_kelem
 from .hypgeom import GeodesicHyperplane, dist_hyperplanes, systole_witness
 from .lorentz import (
     QuadForm,
@@ -45,7 +45,6 @@ from .lorentz import (
     translation_length,
 )
 from .polyalg import (
-    PrecisionError,
     QuadAlgNum,
     epsilon_gap,
     min_mahler_above_one,
@@ -144,9 +143,8 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
     if is_standard:
         g2 = block_g2(n)
     else:
-        t = 1
-        while (SQRT2 * t * t - KElem(a)).sign() <= 0:
-            t += 1
+        # the least t >= 1 with sqrt2 t^2 > a = p/q, i.e. 2 q^2 t^4 > p^2
+        t = math.isqrt(math.isqrt(a.numerator ** 2 // (2 * a.denominator ** 2))) + 1
         g2 = param_block(KElem(a), KElem(t), n)
 
     iso1, iso2 = g1.to_isometry(f1), g2.to_isometry(f2)
@@ -263,12 +261,12 @@ def cmd_search(c_text: str, eps: float, height_bound: int, precision: int) -> Ce
                  numeric={"best_length": exc.best_length or float("nan")})
         return cert
     lam = leading_eigenvalue(g)
-    ell = translation_length(g, precision)
-    while ell.lo <= eps <= ell.hi:      # a length near 0 needs more bits
-        precision *= 2
-        if precision > 4096:
-            raise PrecisionError("translation length undecided at 4096 bits")
-        ell = translation_length(g, precision)
+
+    def decided(bits):      # a length near 0 needs more bits
+        ell = translation_length(g, bits)
+        return None if eps in ell else (ell, bits)
+    ell, precision = escalate(decided, precision,
+                              "translation length undecided at 4096 bits")
     cert.add("small_element",
              f"the block at t = {g.parameter().to_text()} has translation "
              f"length below {eps}",

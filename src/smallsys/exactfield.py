@@ -5,8 +5,8 @@ this is safe to use from concurrent tasks.  An element of k is one integer
 triple (p + q sqrt2)/d with d > 0 and gcd(p, q, d) = 1, so field arithmetic
 and sign determination run on ints only, never on floating point; numerical
 evaluation goes through ``RealInterval``, whose endpoints always enclose the
-exact value.  The distinguished real embedding sends sqrt(2) and sqrt(d) to
-their positive roots.
+exact value, and ``escalate`` is the one rule that raises its precision.  The
+distinguished real embedding sends sqrt(2) and sqrt(d) to their positive roots.
 """
 
 from __future__ import annotations
@@ -20,6 +20,22 @@ from mpmath import libmp
 
 class ContextMismatchError(ValueError):
     """Raised when tower elements from different field contexts are mixed."""
+
+
+class PrecisionError(ArithmeticError):
+    """Raised when escalating precision failed to decide a certified value."""
+
+
+def escalate(decide, start: int, message: str):
+    """The first result of decide(prec) that is not None (False counts as
+    decided) for prec = start, 2 start, 4 start, ...  The first call always
+    happens; PrecisionError(message) is raised once prec would pass 4096 bits."""
+    prec = start
+    while (out := decide(prec)) is None:
+        prec *= 2
+        if prec > 4096:
+            raise PrecisionError(message)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +456,6 @@ class KElem:
 
     def embed(self, precision: int = 64) -> RealInterval:
         """Certified enclosure of the value under the distinguished embedding."""
-        if precision < 16:
-            raise ValueError("precision must be at least 16 bits")
         out = RealInterval.exact(self.a, precision)
         if self.q:
             out = out + RealInterval.exact(self.b, precision) * sqrt2_interval(precision)
@@ -612,6 +626,8 @@ class TowerElem:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, KElem)):   # a scalar from k
+            return TowerElem(self.u * other, self.v * other, self.ctx)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -635,6 +651,8 @@ class TowerElem:
         return TowerElem(conj.u / n, conj.v / n, self.ctx)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction, KElem)):
+            return TowerElem(self.u / other, self.v / other, self.ctx)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -703,7 +721,5 @@ def as_tower_coords(x):
 def embed(x, precision: int = 64) -> RealInterval:
     """Certified interval for a Rational, KElem, or TowerElem."""
     if isinstance(x, (int, Fraction)):
-        if precision < 16:
-            raise ValueError("precision must be at least 16 bits")
         return RealInterval.exact(x, precision)
     return x.embed(precision)

@@ -2,6 +2,7 @@
 isometry verification, the one-parameter corner-block subgroup with its
 rational conic parametrization, leading eigenvalues, translation lengths,
 and a search for small ones that reads its parameter off a bound on t^2.
+A translation length has one certified enclosure, which every decision reads.
 
 Forms are diag(c_1, ..., c_n, -sqrt 2) with positive spatial coefficients;
 matrices may have entries in k or in a quadratic tower over it.
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactfield import (KElem, RealInterval, SQRT2, TowerElem, parse_kelem,
-                         sqrt2_interval)
-from .polyalg import PrecisionError, QuadAlgNum
+from .exactfield import (KElem, RealInterval, SQRT2, TowerElem, escalate,
+                         parse_kelem, sqrt2_interval)
+from .polyalg import QuadAlgNum
 
 
 class WrongBranchError(ValueError):
@@ -328,32 +329,25 @@ def param_block(c, t, n: int) -> ABlockElement:
 
 
 def leading_eigenvalue(g: ABlockElement) -> QuadAlgNum:
-    """The eigenvalue > 1 of the corner block: the + root of
-    x^2 - 2 alpha x + 1 (the block determinant is exactly 1)."""
-    det = g.alpha * g.alpha - g.top_right * g.gamma
-    if det != KElem(1):
-        raise AssertionError("corner block determinant is not 1")
+    """The eigenvalue > 1 of the corner block: the + root of x^2 - 2 alpha x + 1
+    (the determinant is 1 by the conic equation, checked on construction)."""
     if (g.alpha - KElem(1)).sign() <= 0:
         raise ValueError("alpha must exceed 1 for a loxodromic block")
     return QuadAlgNum(2 * g.alpha, KElem(1), 1)
 
 
 def translation_length(g: ABlockElement, precision: int = 64) -> RealInterval:
-    """Certified interval for log of the leading eigenvalue = arccosh(alpha)."""
-    lam = leading_eigenvalue(g)
-    via_log = lam.numeric(precision).log()
-    via_acosh = g.alpha.embed(precision).acosh()
-    if not via_log.overlaps(via_acosh):
-        raise AssertionError("log(lambda) and arccosh(alpha) enclosures disagree")
-    lo = max(via_log.lo, via_acosh.lo)
-    hi = min(via_log.hi, via_acosh.hi)
-    return RealInterval(lo, hi, precision)
+    """The one certified enclosure of arccosh(alpha), as log(lambda) clamped at
+    0: lambda's discriminant is exact in k, so near alpha = 1 no bits are lost
+    to cancellation in alpha^2 - 1, as they are in arccosh of alpha's interval."""
+    ell = leading_eigenvalue(g).numeric(precision).log()
+    return RealInterval(max(ell.lo, Fraction(0)), ell.hi, precision)
 
 
 def _length_below(g: ABlockElement, eps: Fraction, precision: int):
-    """None when undecided at this precision, else whether arccosh(alpha) < eps
-    (cosh(eps) is never built, so a huge eps costs nothing)."""
-    length = g.alpha.embed(precision).acosh()
+    """None when undecided at this precision, else whether translation_length
+    < eps (cosh(eps) is never built, so a huge eps costs nothing)."""
+    length = translation_length(g, precision)
     return True if length.hi < eps else False if length.lo > eps else None
 
 
@@ -377,9 +371,9 @@ def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement
     height_bound, then t = u + v sqrt2 (v != 0) by height max(|u|, |v|), u and
     then v ascending.  Nothing is scanned: the length falls strictly as t^2
     grows, so the hits start at _guesses, the first in shell h at -h - h sqrt2,
-    and _length_below confirms each boundary on both sides (undecided at 4096
-    bits raises PrecisionError).  On exhaustion ``best`` is the block at
-    -H - H sqrt2, of least length, or None when it is not loxodromic."""
+    and _length_below confirms each boundary on both sides from 64 bits up
+    (undecided at 4096 bits raises PrecisionError).  On exhaustion ``best`` is the
+    block at -H - H sqrt2, of least length, or None when it is not loxodromic."""
     if eps_target <= 0:
         raise ValueError("eps_target must be positive")
     c, eps, cap = KElem._lift(c), Fraction(eps_target), height_bound + 1
@@ -391,12 +385,10 @@ def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement
             return None
 
     def below(t):
-        prec, g = 64, block(t)
-        while g is not None and (verdict := _length_below(g, eps, prec)) is None:
-            prec *= 2
-            if prec > 4096:
-                raise PrecisionError(f"length at t = {t.to_text()} undecided at 4096 bits")
-        return g is not None and verdict
+        g = block(t)
+        return g is not None and escalate(
+            lambda prec: _length_below(g, eps, prec), 64,
+            f"length at t = {t.to_text()} undecided at 4096 bits")
 
     for n, param in zip(_guesses(c, eps), (KElem, lambda h: KElem(-h, -h))):
         n = min(n, cap)     # below is monotone: step to below(n), not below(n - 1)

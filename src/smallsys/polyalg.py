@@ -20,14 +20,11 @@ from fractions import Fraction
 
 import mpmath
 
-from .exactfield import K_ONE, KElem, RealInterval
+from .exactfield import K_ONE, KElem, RealInterval, escalate
+from .exactfield import PrecisionError  # noqa: F401  the Mahler measure raises it
 
 GRAEFFE_STEPS = 6       # iterates tried before the certified measure decides
 GUARD_TOL = 1e-9        # width of the guard band above the enumeration cap
-
-
-class PrecisionError(ArithmeticError):
-    """Raised when escalating precision failed to decide a certified value."""
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +277,6 @@ class QuadAlgNum:
                 f"branch={'+' if self.branch > 0 else '-'})")
 
 
-def _cluster_roots(zcoeffs, precision):
-    """Roots of an integer polynomial (highest-first input to mpmath), or
-    None when the iteration failed to converge at this precision."""
-    with mpmath.workprec(precision):
-        try:
-            roots, err = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(zcoeffs)],
-                maxsteps=200, extraprec=precision, error=True)
-        except mpmath.libmp.NoConvergence:
-            return None, None
-        return [mpmath.mpc(r) for r in roots], float(err)
-
-
 def _squarefree_part(p: QPoly) -> QPoly:
     d = p.derivative()
     if d.is_zero():
@@ -430,22 +414,24 @@ def _monic_measure_certified(f: QPoly, rel_tol: float):
         lo2, hi2 = _monic_measure_certified(g.monic(), rel_tol / 2)
         return lo1 * lo2, hi1 * hi2
     _, P = f.content_primitive()
-    prec = 64
-    while prec <= 4096:
-        roots, err = _cluster_roots(P.coeffs, prec)
-        if roots is None:
-            prec *= 2
-            continue
-        e = 4 * err + 2.0 ** (1 - prec)
+
+    def measure(prec):      # None when the root solve fails or is too coarse
+        with mpmath.workprec(prec):
+            try:
+                roots, err = mpmath.polyroots(
+                    [mpmath.mpf(c) for c in reversed(P.coeffs)],
+                    maxsteps=200, extraprec=prec, error=True)
+            except mpmath.libmp.NoConvergence:
+                return None
+            roots = [mpmath.mpc(r) for r in roots]
+        e = 4 * float(err) + 2.0 ** (1 - prec)
         lo, hi = 1.0, 1.0
         for r in roots:
             a = abs(r)
             lo *= float(max(1.0, a - e))
             hi *= float(max(1.0, a + e))
-        if hi - lo <= rel_tol * lo:
-            return lo, hi
-        prec *= 2
-    raise PrecisionError("Mahler measure did not converge")
+        return (lo, hi) if hi - lo <= rel_tol * lo else None
+    return escalate(measure, 64, "Mahler measure did not converge")
 
 
 def mahler_measure(p: ZPoly, tol: float) -> float:

@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 from smallsys import cli, lorentz
 from smallsys.cli import main
+from smallsys.exactfield import SQRT2, KElem
 from smallsys.lorentz import block_g1, block_g2, serialize_isometry
 from smallsys.polyalg import PrecisionError
 
@@ -75,8 +78,8 @@ class TestVerify:
         assert "SKIP" in out          # the denominator-7 check is instance-specific
 
     def test_each_matrix_checked_once(self, capsys, monkeypatch):
-        # the entry checks are g1, g2 and the tower conjugate; products and
-        # inverses in the word samples are not checked again
+        # the entry checks are g1 and g2; the tower conjugate D g2 D^-1 and the
+        # products and inverses in the word samples are not checked again
         calls = {"is_isometry": 0, "mat_mul": 0}
         for name in calls:
             def counted(*args, _fn=getattr(lorentz, name), _name=name):
@@ -85,11 +88,31 @@ class TestVerify:
             monkeypatch.setattr(lorentz, name, counted)
         code, _, _ = run(["--quiet", "verify", "--n", "3"], capsys)
         assert code == 0
-        assert calls["is_isometry"] == 3
+        assert calls["is_isometry"] == 2
         assert calls["mat_mul"] <= 18
 
     def test_reproducible_json(self, capsys, tmp_path):
         assert_one_format(["verify"], capsys, tmp_path)
+
+    def test_g2_parameter_matches_linear_walk(self):
+        # g2's parameter for a != 3 is the least t >= 1 with sqrt2 t^2 > a
+        def walk(a):
+            t = 1
+            while SQRT2 * t * t <= KElem(a):
+                t += 1
+            return t
+
+        def t2(a):
+            checks = {c["name"]: c for c in cli.cmd_verify(a, 2, 64).checks}
+            return int(checks["parameter_roundtrip"]["exact_values"]["t2"])
+        for p in range(1, 31):
+            for q in (1, 2, 3):
+                a = Fraction(p, q)
+                if a.denominator == q and a != 3 and not KElem(a).is_square()[0]:
+                    assert t2(a) == walk(a), a
+        a = Fraction(10 ** 13)
+        assert t2(a) == 2659148
+        assert SQRT2 * 2659147 ** 2 < KElem(a) < SQRT2 * 2659148 ** 2
 
     # SHA-256 of the --json certificate; a = 12 is the FAIL case, and the
     # tower radicand 5/3 has a denominator

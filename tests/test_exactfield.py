@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from smallsys import polyalg
 from smallsys.exactfield import (
     SQRT2,
     ContextMismatchError,
     KElem,
+    PrecisionError,
     RealInterval,
     TowerContext,
     embed,
+    escalate,
     parse_kelem,
     sqrt2_interval,
 )
@@ -300,3 +303,39 @@ def test_integer_triple_representation(x, triple):
 def test_embed_helper_on_rationals():
     iv = embed(Fraction(1, 3), 64)
     assert Fraction(1, 3) in iv
+
+
+class TestEscalate:
+    @staticmethod
+    def recorder(results):
+        """decide(prec) that returns results[prec] (None when absent) and
+        records every precision it is called at."""
+        tried = []
+
+        def decide(prec):
+            tried.append(prec)
+            return results.get(prec)
+        return decide, tried
+
+    @pytest.mark.parametrize("verdict", [True, False, (1, 2)])
+    def test_returns_first_decided_result(self, verdict):
+        decide, tried = self.recorder({256: verdict, 512: "later"})
+        assert escalate(decide, 64, "undecided") == verdict
+        assert tried == [64, 128, 256]
+
+    def test_doubles_to_4096_bits_then_raises(self):
+        decide, tried = self.recorder({})
+        with pytest.raises(PrecisionError, match="^still undecided$"):
+            escalate(decide, 64, "still undecided")
+        assert tried == [64, 128, 256, 512, 1024, 2048, 4096]
+
+    def test_one_attempt_above_the_ceiling(self):
+        decide, tried = self.recorder({8192: False})
+        assert escalate(decide, 8192, "undecided") is False
+        decide, tried = self.recorder({})
+        with pytest.raises(PrecisionError):
+            escalate(decide, 8192, "undecided")
+        assert tried == [8192]
+
+    def test_polyalg_name_is_the_same_class(self):
+        assert polyalg.PrecisionError is PrecisionError

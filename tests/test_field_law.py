@@ -3,7 +3,8 @@
 `KElem` stores (p + q sqrt2)/d with d > 0 and gcd(p, q, d) = 1.  These
 properties draw elements with integer and rational coordinates and check,
 with sympy's radicals as the oracle, that the ring and field operations of
-k and of k(sqrt 3), k(sqrt 17) give the exact value; that every result is
+k and of k(sqrt 3), k(sqrt 17) give the exact value, also with one operand a
+scalar from k, which acts as its image in the tower; that every result is
 in canonical form, so equal values reached along different paths compare
 and hash alike; that `sign` agrees with the certified 128-bit embedding;
 and that `parse_kelem` inverts `to_text`.
@@ -25,6 +26,7 @@ coords = st.one_of(
     st.integers(-60, 60),
     st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=10 ** 4))
 kelems = st.builds(KElem, coords, coords)
+scalars = st.one_of(coords, kelems)     # scalars from k: int, Fraction or KElem
 
 
 @st.composite
@@ -34,7 +36,10 @@ def towers(draw, count):
 
 
 def sym(x):
-    """The exact value of a KElem or TowerElem as a sympy radical expression."""
+    """The exact value of a KElem, TowerElem or rational as a sympy radical
+    expression."""
+    if isinstance(x, (int, Fraction)):
+        return sympy.Rational(x.numerator, x.denominator)
     if isinstance(x, KElem):
         return sympy.Rational(x.p, x.d) + sympy.Rational(x.q, x.d) * sympy.sqrt(2)
     return sym(x.u) + sym(x.v) * sympy.sqrt(sym(x.ctx.radicand))
@@ -73,15 +78,18 @@ def test_kelem_operations_match_sympy(x, y):
 
 
 @SETTINGS
-@given(towers(2))
-def test_tower_operations_match_sympy(xs):
+@given(towers(2), scalars)
+def test_tower_operations_match_sympy(xs, s):
     x, y = xs
-    sx, sy = sym(x), sym(y)
+    sx, sy, ss = sym(x), sym(y), sym(s)
     assert same(sym(x + y), sx + sy)
     assert same(sym(x - y), sx - sy)
     assert same(sym(x * y), sx * sy)
+    assert same(sym(x * s), sx * ss) and same(sym(s * x), sx * ss)
     if y:
         assert same(sym(x / y) * sy, sx)
+    if s:
+        assert same(sym(x / s) * ss, sx)
 
 
 # -- ring and field laws -----------------------------------------------------
@@ -101,10 +109,16 @@ def test_kelem_field_laws(x, y, z):
 
 
 @SETTINGS
-@given(towers(3))
-def test_tower_field_laws(xs):
+@given(towers(3), scalars)
+def test_tower_field_laws(xs, s):
     x, y, z = xs
     one = x.ctx.from_k(1)
+    # a scalar from k acts as its image in the tower
+    assert x * s == x * x.ctx.from_k(s) == s * x
+    assert (x * s) * y == x * (s * y) and (x + y) * s == x * s + y * s
+    if s:
+        assert x / s == x / x.ctx.from_k(s)
+        assert (x / s) * s == x
     assert x + y == y + x and x * y == y * x
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
@@ -143,12 +157,15 @@ def test_kelem_results_are_canonical(x, y):
 
 
 @SETTINGS
-@given(towers(2))
-def test_tower_results_are_canonical(xs):
+@given(towers(2), scalars)
+def test_tower_results_are_canonical(xs, s):
     x, y = xs
-    results = [x + y, x - y, x * y, -x, x.tower_conjugate(), x.tower_norm()]
+    results = [x + y, x - y, x * y, -x, x.tower_conjugate(), x.tower_norm(),
+               x * s, s * x]
     if y:
         results += [x / y, y.inverse()]
+    if s:
+        results.append(x / s)
     for r in results:
         for part in kelem_parts(r):
             assert_canonical(part)

@@ -414,6 +414,21 @@ class TestSearchCommand:
         assert "PrecisionError" in capsys.readouterr().err
         assert tried == [128, 256, 512, 1024, 2048, 4096]
 
+    def test_precision_above_ceiling_decides_once(self, capsys, tmp_path, monkeypatch):
+        tried, real = [], cli.translation_length
+
+        def counted(g, bits):
+            tried.append(bits)
+            return real(g, bits)
+        monkeypatch.setattr(cli, "translation_length", counted)
+        path = tmp_path / "search.json"
+        assert cli.main(["--quiet", "--json", str(path), "--precision", "8192",
+                         "search", "--epsilon", "1e-3"]) == 0
+        cert = json.loads(path.read_text())
+        assert cert["verdict"] == "PASS"
+        assert cert["inputs"]["precision"] == "8192"
+        assert tried == [8192]
+
     def test_tiny_epsilon_exhausts_default_height(self, capsys, tmp_path):
         code, raw = self.certificate(["--epsilon", "1e-300"], capsys, tmp_path)
         assert code == 1

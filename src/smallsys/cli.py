@@ -258,7 +258,7 @@ def cmd_search(c_text: str, eps: float, height_bound: int, precision: int) -> Ce
                  f"some block of translation length below {eps} has parameter "
                  f"height at most {height_bound}", False,
                  exact={"best_t": best.parameter().to_text() if best else "none"},
-                 numeric={"best_length": exc.best_length or float("nan")})
+                 numeric={"best_length": float("nan") if best is None else exc.best_length})
         return cert
     lam = leading_eigenvalue(g)
 

@@ -399,7 +399,12 @@ def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement
         if n < cap:
             return block(param(n))
     best = block(KElem(-height_bound, -height_bound))
-    best_len = float(translation_length(best, 64)) if best is not None else None
+
+    def priced(prec):       # the midpoint, once 2^-40 wide relative to the length
+        ell = translation_length(best, prec)
+        return float(ell) if ell.width() * 2 ** 40 < ell.lo else None
+    best_len = None if best is None else escalate(
+        priced, 64, f"length at height {height_bound} undecided at 4096 bits")
     raise SearchExhaustedError(
         f"no parameter of height <= {height_bound} reaches length < {eps_target}"
         + (f"; smallest length found {best_len:.6g}" if best_len is not None else ""),

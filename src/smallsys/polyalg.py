@@ -7,14 +7,14 @@ k, its characteristic polynomial over Q is the k/Q norm of its
 characteristic polynomial over k, and that is a power of the minimal
 polynomial (Cohen, A Course in Computational Algebraic Number Theory,
 4.3), so the minimal polynomial is its squarefree part.  The Mahler
-enumeration decides its box on integers (Kronecker test, then Graeffe and
-Landau bounds against the exact cap); certified root finding serves the
-measures themselves and the few polynomials those bounds leave undecided.
+enumeration walks, on integers, the binomial box cut by the power-sum
+bound |s_k| <= d - 1 + mu^k, and decides each candidate there (Kronecker
+test, then Graeffe and Landau bounds against the exact cap); certified root
+finding serves the measures and the few polynomials left undecided.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -474,64 +474,98 @@ def _graeffe_verdict(p: ZPoly, powers) -> bool | None:
     return None
 
 
-def _bounded_verdicts(D: int, mu: float):
-    """enumerate_bounded's polynomials mapped to whether their measure is one."""
-    if D < 1:
-        raise ValueError("D must be at least 1")
-    if mu < 1:
-        raise ValueError("mu must be at least 1")
+def _candidates(d: int, num: int, den: int):
+    """Monic integer p of degree d with p(0) != 0, one per mirror pair, whose
+    c_k (coefficient of x^(d-k)) meet |c_k| <= binom(d, k) mu and the power-sum
+    bound |s_k| <= d - 1 + mu^k for mu = num/den: by Newton's identity
+    k c_k = -(s_k + sum_{i<k} c_i s_{k-i}) with integers s_1..s_{k-1}."""
+    sums = [d - 1 + num ** k // den ** k for k in range(d + 1)]
+    binoms = [math.comb(d, k) * num // den for k in range(d + 1)]
+    c, s = [1] + [0] * d, [d] + [0] * d
+
+    def extend(k):
+        t = sum(c[i] * s[k - i] for i in range(1, k))
+        lo = max(-binoms[k] if k > 1 else 0, -((sums[k] + t) // k))
+        for ck in range(lo, min(binoms[k], (sums[k] - t) // k) + 1):
+            c[k], s[k] = ck, -k * ck - t
+            if k < d:
+                yield from extend(k + 1)
+            # c_1 >= 0; at c_1 = 0 the first nonzero odd c_k must be positive
+            elif ck and (c[1] or next((x for x in c[3::2] if x), 1) > 0):
+                yield ZPoly(c[::-1])
+    return extend(1)
+
+
+def _class_measure(p: ZPoly, memo: dict) -> float:
+    """mahler_measure to 1e-10 of monic p with p(0) != 0, computed once per
+    class under x -> -x and reversal, on the class's least member."""
+    key = min(p, _mirror(p))
+    if abs(p.coeffs[0]) == 1:
+        rev = ZPoly([p.coeffs[0] * c for c in reversed(p.coeffs)])
+        key = min(key, rev, _mirror(rev))
+    if key not in memo:
+        memo[key] = mahler_measure(key, 1e-10)
+    return memo[key]
+
+
+def _accepted(d: int, mu: float, memo: dict):
+    """(p, measure one?) for the candidates of degree d with measure <= mu."""
     m = Fraction(mu)
     powers = [(m.numerator ** (1 << k), m.denominator ** (1 << k))
               for k in range(GRAEFFE_STEPS + 1)]
-    out = {}
+    for poly in _candidates(d, m.numerator, m.denominator):
+        one = is_measure_one(poly)
+        verdict = one or _graeffe_verdict(poly, powers)
+        if verdict is None:
+            verdict = _class_measure(poly, memo) <= mu + GUARD_TOL
+        if verdict:
+            yield poly, one
+
+
+def _bounded_verdicts(D: int, mu: float):
+    """enumerate_bounded's polynomials mapped to whether their measure is one."""
+    if D < 1 or mu < 1:
+        raise ValueError("D and mu must be at least 1")
+    out, memo = {ZPoly([0] * j + [1]): True for j in range(1, D + 1)}, {}
     for d in range(1, D + 1):
-        ranges = []
-        for j in range(d):
-            bound = math.floor(math.comb(d, d - j) * mu + 1e-12)
-            ranges.append(range(-bound, bound + 1))
-        for tail in itertools.product(*ranges):
-            poly = ZPoly(list(tail) + [1])
-            one = is_measure_one(poly)
-            verdict = one or _graeffe_verdict(poly, powers)
-            if verdict is None:
-                verdict = (mahler_measure(poly, GUARD_TOL / 4)
-                           <= mu + GUARD_TOL)
-            if verdict:
-                out[poly] = one
-    out |= {_mirror(p): one for p, one in out.items()}
+        for poly, one in _accepted(d, mu, memo):
+            for j in range(D - d + 1):      # x^j p has the measure of p
+                shifted = ZPoly([0] * j + list(poly.coeffs))
+                out[shifted] = out[_mirror(shifted)] = one
     return out
 
 
 def enumerate_bounded(D: int, mu: float):
     """All monic integer polynomials of degree 1..D with Mahler measure
     <= mu, possibly including a guard band of measures in
-    (mu, mu + GUARD_TOL].
-
-    Coefficient boxes come from |a_{d-i}| <= binom(d, i) * mu.  Each box
-    polynomial is decided on integers: measure one by the Kronecker test,
-    otherwise by comparing Graeffe coefficient bounds and Landau's bound
-    against the exact rational mu.  Only polynomials whose measure lies too
-    close to mu for GRAEFFE_STEPS iterates go to the certified measure.
-    """
+    (mu, mu + GUARD_TOL].  The walk covers one of each mirror pair with
+    p(0) != 0 in the box |a_{d-i}| <= binom(d, i) mu cut by the power-sum
+    bound |s_k| <= d - 1 + mu^k; mirrors and x^j p complete the list.  Each
+    is decided on integers (Kronecker test, then Graeffe and Landau bounds
+    against the exact rational mu) unless GRAEFFE_STEPS iterates leave it
+    to the certified measure."""
     return sorted(_bounded_verdicts(D, mu))
 
 
 def min_mahler_above_one(D: int):
     """Minimum Mahler measure strictly above 1 among monic integer
-    polynomials of degree <= D, with its witness; ties resolved by smallest
-    (degree, coefficient list).  Measure one is excluded by the exact
-    Kronecker test.  x - 2 guarantees the search is nonempty."""
+    polynomials of degree <= D, with its witness; ties (within 1e-9) resolved
+    by smallest (degree, coefficient list).  Each degree is searched up to
+    the least measure so far plus the tie band and the measure's error."""
     if D < 1:
         raise ValueError("D must be at least 1")
+    memo = {}
     for cap in (1.4, 1.7, 2.0001):
-        measured = [(mahler_measure(poly, 1e-10), poly)
-                    for poly, one in _bounded_verdicts(D, cap).items()
-                    if not one]
-        if not measured:
-            continue
-        best = min(m for m, _ in measured)
-        front = [poly for m, poly in measured if m <= best + 1e-9]
-        return best, min(front)
+        measured = []
+        for d in range(1, D + 1):
+            for poly, one in _accepted(d, cap + 1e-9 + 1e-10, memo):
+                if not one:
+                    value = _class_measure(poly, memo)
+                    cap = min(cap, value)
+                    measured += [(value, poly), (value, _mirror(poly))]
+        if measured:
+            best = min(m for m, _ in measured)
+            return best, min(p for m, p in measured if m <= best + 1e-9)
     raise AssertionError("unreachable: x - 2 has measure 2")
 
 

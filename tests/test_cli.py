@@ -194,6 +194,17 @@ class TestMahler:
         assert check["exact_values"]["witness"] == "[-1, -1, 0, 1]"
         assert check["numeric_values"]["measure"].startswith("1.32471795")
 
+    # at the first cap, 1.4, the binomial box held 574,107 polynomials at
+    # D = 5 and 92 million at D = 6; power-sum pruning walks a few hundred
+    @pytest.mark.parametrize("D", ["5", "6"])
+    def test_degrees_past_the_box(self, capsys, tmp_path, D):
+        path = tmp_path / "m.json"
+        code, _, _ = run(["--quiet", "--json", str(path), "mahler", "--D", D], capsys)
+        assert code == 0
+        check = json.loads(path.read_text())["checks"][0]
+        assert check["exact_values"]["witness"] == "[-1, -1, 0, 1]"
+        assert check["numeric_values"]["measure"].startswith("1.32471795")
+
     def test_bad_degree(self, capsys):
         code, _, _ = run(["mahler", "--D", "0"], capsys)
         assert code == 2

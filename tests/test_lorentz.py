@@ -429,6 +429,20 @@ class TestSearchCommand:
         assert cert["inputs"]["precision"] == "8192"
         assert tried == [8192]
 
+    def test_exhausted_best_length_is_precise(self, capsys, tmp_path):
+        # at 64 bits this length's enclosure is [0, 1.65e-10], whose midpoint
+        # 8.2e-11 is noise; the length is priced until 2^-40 wide relative
+        H = 10 ** 12
+        code, raw = self.certificate(["--epsilon", "1e-20", "--height-bound", str(H)],
+                                     capsys, tmp_path)
+        assert code == 1
+        got = float(json.loads(raw)["checks"][0]["numeric_values"]["best_length"])
+        alpha = param_block(KElem(1), KElem(-H, -H), 2).alpha
+        with mpmath.workprec(400):
+            want = mpmath.acosh((alpha.p + alpha.q * mpmath.sqrt(2)) / alpha.d)
+        assert abs(got - want) <= 1e-9 * want
+        assert float(want) == pytest.approx(6.966e-13, rel=1e-3)
+
     def test_tiny_epsilon_exhausts_default_height(self, capsys, tmp_path):
         code, raw = self.certificate(["--epsilon", "1e-300"], capsys, tmp_path)
         assert code == 1

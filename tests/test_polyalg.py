@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallsys import polyalg
 from smallsys.exactfield import SQRT2, KElem
@@ -336,6 +339,153 @@ class TestMinMahler:
 
     def test_epsilon_gap(self):
         assert epsilon_gap(4) == pytest.approx(math.log(PLASTIC), abs=1e-5)
+
+
+@functools.lru_cache(maxsize=None)
+def box_verdicts(D, mu):
+    """The binomial-box walk that power-sum pruning replaced, kept as its
+    oracle: every monic polynomial with |a_{d-i}| <= binom(d, i) mu, for
+    d = 1..D, goes through the verdict chain (Kronecker test, Graeffe and
+    Landau bounds, certified measure with its guard band); mirrors close
+    the map."""
+    m = Fraction(mu)
+    powers = [(m.numerator ** (1 << k), m.denominator ** (1 << k))
+              for k in range(polyalg.GRAEFFE_STEPS + 1)]
+    out = {}
+    for d in range(1, D + 1):
+        ranges = []
+        for j in range(d):
+            bound = math.floor(math.comb(d, d - j) * mu + 1e-12)
+            ranges.append(range(-bound, bound + 1))
+        for tail in itertools.product(*ranges):
+            poly = ZPoly(list(tail) + [1])
+            one = is_measure_one(poly)
+            verdict = one or polyalg._graeffe_verdict(poly, powers)
+            if verdict is None:
+                verdict = (mahler_measure(poly, polyalg.GUARD_TOL / 4)
+                           <= mu + polyalg.GUARD_TOL)
+            if verdict:
+                out[poly] = one
+    out |= {polyalg._mirror(p): one for p, one in out.items()}
+    return out
+
+
+def box_min_mahler(D):
+    """min_mahler_above_one over box_verdicts: every non-one polynomial is
+    measured, and the least (degree, coefficients) within 1e-9 of the least
+    measure wins.  The first cap is 1.3248 rather than 1.4: from D = 3 on the
+    plastic number 1.32472 lies below it, so the result is the same and the
+    D = 5 box stays small."""
+    for cap in (1.3248, 1.7, 2.0001):
+        measured = [(mahler_measure(poly, 1e-10), poly)
+                    for poly, one in box_verdicts(D, cap).items() if not one]
+        if measured:
+            best = min(m for m, _ in measured)
+            return best, min(p for m, p in measured if m <= best + 1e-9)
+    raise AssertionError("x - 2 has measure 2")
+
+
+MUS = (1.0, 1.3248, 1.4, 1.7, 2.0001)
+
+
+class TestPowerSumEnumeration:
+    # the box at D = 5 costs 3.5 s at mu = 1.0 and 8 s at 1.3248, and 12 to
+    # 85 s at the larger mu, which were compared once, outside this suite
+    @pytest.mark.parametrize("D, mu", [(D, mu) for D in (1, 2, 3, 4) for mu in MUS]
+                             + [(5, 1.0), (5, 1.3248)])
+    def test_verdicts_match_box(self, D, mu):
+        assert polyalg._bounded_verdicts(D, mu) == box_verdicts(D, mu)
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+    def test_min_mahler_matches_box(self, D):
+        value, witness = min_mahler_above_one(D)
+        want_value, want_witness = box_min_mahler(D)
+        assert witness == want_witness
+        # each side is certified to 1e-10; the class representative measured
+        # here may differ from the box's least float in the last bit
+        assert value == pytest.approx(want_value, abs=2e-10)
+
+    def test_far_fewer_candidates_than_box(self):
+        m = Fraction(1.4)
+        walked = sum(len(list(polyalg._candidates(d, m.numerator, m.denominator)))
+                     for d in range(1, 5))
+        box = sum(math.prod(2 * math.floor(math.comb(d, j) * 1.4 + 1e-12) + 1
+                            for j in range(1, d + 1)) for d in range(1, 5))
+        assert box == 6432
+        assert walked <= 100
+
+    def test_candidates_are_mirror_representatives(self):
+        m = Fraction(1.7)
+        for d in range(1, 6):
+            cands = list(polyalg._candidates(d, m.numerator, m.denominator))
+            assert len(set(cands)) == len(cands)
+            assert all(p.coeffs[0] != 0 and p.degree() == d and p.is_monic()
+                       for p in cands)
+            assert all(polyalg._mirror(p) == p or polyalg._mirror(p) not in cands
+                       for p in cands)
+
+    def test_measure_once_per_class(self, monkeypatch):
+        real, seen = polyalg.mahler_measure, []
+
+        def counted(p, tol):
+            seen.append(p)
+            return real(p, tol)
+        monkeypatch.setattr(polyalg, "mahler_measure", counted)
+        assert min_mahler_above_one(4)[1] == ZPoly([-1, -1, 0, 1])
+        assert len(seen) == len(set(seen))
+        for p in seen:      # each measured polynomial is the least of its class
+            members = [p, polyalg._mirror(p)]
+            if abs(p.coeffs[0]) == 1:
+                rev = ZPoly([p.coeffs[0] * c for c in reversed(p.coeffs)])
+                members += [rev, polyalg._mirror(rev)]
+            assert p == min(members)
+
+
+def sympy_measure(sympy, poly):
+    """M(poly) from sympy's numerical roots of its squarefree factors."""
+    x = sympy.symbols("x")
+    _, factors = sympy.sqf_list(poly.as_expr(), x)
+    value = mpmath.mpf(1)
+    for f, mult in factors:
+        roots = sympy.Poly(f, x).nroots(n=30)
+        value *= mpmath.fprod(max(1, abs(complex(r))) for r in roots) ** mult
+    return value
+
+
+@st.composite
+def measure_products(draw):
+    """x^j times cyclotomic polynomials times at most one of x^3 - x - 1 and
+    x^2 - x - 1, of degree 1..6, as a sympy polynomial."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    atoms = [x] + [sympy.cyclotomic_poly(n, x) for n in
+                   (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)]
+    extra = draw(st.sampled_from([None, x ** 3 - x - 1, x ** 2 - x - 1]))
+    poly = sympy.Poly(extra if extra is not None else 1, x)
+    for atom in draw(st.lists(st.sampled_from(atoms), max_size=6)):
+        if poly.degree() + sympy.degree(atom, x) <= 6:
+            poly *= sympy.Poly(atom, x)
+    if poly.degree() < 1:
+        poly *= sympy.Poly(x - 1, x)
+    return poly
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated(D, mu):
+    return frozenset(enumerate_bounded(D, mu))
+
+
+@settings(max_examples=60, deadline=None)
+@given(measure_products(), st.sampled_from(MUS[:4]))
+def test_pruning_keeps_every_product_below_mu(poly, mu):
+    sympy = pytest.importorskip("sympy")
+    measure = sympy_measure(sympy, poly)
+    zpoly = ZPoly([int(c) for c in reversed(poly.all_coeffs())])
+    listed = zpoly in enumerated(poly.degree(), mu)
+    if measure <= mu:
+        assert listed
+    elif measure > mu + 2 * polyalg.GUARD_TOL:
+        assert not listed
 
 
 class TestPolyBasics:

@@ -63,7 +63,8 @@ def tower_value_as_quadratic(x) -> QuadAlgNum:
 class GroupSample:
     """Finitely many verified isometries of one form, sampled over reduced
     words up to a fixed length.  `walk` evaluates each word as its parent
-    word times one letter, so every sampled element costs one product."""
+    word times one letter, so every sampled element costs one product, and
+    that product skips the exact-zero entries of sparse block isometries."""
 
     __slots__ = ("generators", "word_length")
 
@@ -144,11 +145,15 @@ def trace_field_sample(sample: GroupSample) -> FieldDescriptor:
 
 def integrality_scan(sample: GroupSample):
     """All sampled words whose adjoint trace is not an algebraic integer,
-    as (word_text, trace, monic minimal polynomial) triples."""
+    as (word_text, trace, monic minimal polynomial) triples.  Each distinct
+    trace gets one minimal polynomial; a word and its inverse share one."""
     out = []
+    minpolys = {}
     for word, m in sample.walk():
         tr = adjoint_trace(m)
-        mp = minpoly_over_Q(tower_value_as_quadratic(tr))
+        mp = minpolys.get(tr)
+        if mp is None:
+            mp = minpolys[tr] = minpoly_over_Q(tower_value_as_quadratic(tr))
         if not mp.is_integral():
             out.append((word_to_text(word), tr, mp))
     return out

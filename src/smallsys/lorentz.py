@@ -114,11 +114,16 @@ def mat_mul(A, B):
 
 
 def sum_prod(row, col):
+    """sum_i row[i] * col[i], exact, without the terms that have an
+    exact-zero factor.  When every term has one, row[0] * col[0] is the zero
+    of the type the full sum would have.  A term type shared by the whole
+    sum, as rows and columns of one matrix share it, is kept either way."""
     total = None
     for a, b in zip(row, col):
-        term = a * b
-        total = term if total is None else total + term
-    return total
+        if a and b:
+            term = a * b
+            total = term if total is None else total + term
+    return row[0] * col[0] if total is None else total
 
 
 def mat_vec(A, v):
@@ -132,7 +137,8 @@ def mat_identity(size, one=None):
 
 
 def is_isometry(entries, form: QuadForm) -> bool:
-    """Exact entrywise check M^T F M = F."""
+    """Exact entrywise check M^T F M = F; terms with a zero entry are
+    skipped, and an empty sum is zero."""
     size = form.n + 1
     if len(entries) != size or any(len(row) != size for row in entries):
         raise ValueError("dimension mismatch between matrix and form")
@@ -141,13 +147,14 @@ def is_isometry(entries, form: QuadForm) -> bool:
         for j in range(i, size):
             val = None
             for r in range(size):
-                term = entries[r][i] * entries[r][j] * diag[r]
-                val = term if val is None else val + term
-            want = diag[i] if i == j else None
-            if want is None:
+                x, y = entries[r][i], entries[r][j]
+                if x and y:
+                    term = x * y * diag[r]
+                    val = term if val is None else val + term
+            if i != j:
                 if val:
                     return False
-            elif val != want:
+            elif val is None or val != diag[i]:
                 return False
     return True
 

@@ -16,7 +16,7 @@ from smallsys.arith import (
     word_to_text,
 )
 from smallsys.exactfield import KElem, as_tower_coords
-from smallsys.lorentz import Isometry, QuadForm, block_g1, block_g2, mat_mul, param_block
+from smallsys.lorentz import Isometry, QuadForm, block_g1, block_g2, param_block
 from smallsys.polyalg import QuadAlgNum, is_algebraic_integer
 
 F1 = QuadForm.standard(1, 2)
@@ -100,9 +100,28 @@ class TestWalk:
         return tuple(tuple(m.entries[j][i] * diag[j] / diag[i] for j in range(size))
                      for i in range(size))
 
+    @staticmethod
+    def dense_product(x, y):
+        # the plain triple loop, every term kept, summed left to right
+        size = len(x)
+        out = []
+        for i in range(size):
+            row = []
+            for j in range(size):
+                total = x[i][0] * y[0][j]
+                for r in range(1, size):
+                    total = total + x[i][r] * y[r][j]
+                row.append(total)
+            out.append(tuple(row))
+        return tuple(out)
+
     @pytest.mark.parametrize("length", [1, 2, 3])
-    @pytest.mark.parametrize("gens", [[g1_iso()], [g1_iso(), g2_conj()]],
-                             ids=["one", "two"])
+    @pytest.mark.parametrize("gens", [
+        [g1_iso()], [g1_iso(), g2_conj()], [g1_iso(6)], [g1_iso(6), g2_conj(6)],
+        # KElem entries against k(sqrt 17) entries, g2's parameter at a = 17
+        [g1_iso(), conjugate_between_forms(
+            param_block(KElem(17), KElem(4), 2).to_isometry(), 17)],
+    ], ids=["one", "two", "one_n6", "two_n6", "mixed_a17"])
     def test_matches_independent_enumeration(self, gens, length):
         letters = [ltr for i in range(1, len(gens) + 1) for ltr in (i, -i)]
         expected = [w for size in range(1, length + 1)
@@ -115,8 +134,10 @@ class TestWalk:
                     else self.dense_inverse(gens[-ltr - 1]) for ltr in w]
             dense = mats[0]
             for nxt in mats[1:]:
-                dense = mat_mul(dense, nxt)
+                dense = self.dense_product(dense, nxt)
             assert m.entries == dense
+            assert [[type(x) for x in row] for row in m.entries] == \
+                [[type(x) for x in row] for row in dense]
 
 
 class TestConjugateBetweenForms:

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from smallsys import cli, lorentz
+from smallsys import arith, cli, lorentz
+from smallsys.arith import (GroupSample, adjoint_trace, conjugate_between_forms,
+                            integrality_scan)
 from smallsys.cli import main
 from smallsys.exactfield import SQRT2, KElem
 from smallsys.lorentz import block_g1, block_g2, serialize_isometry
@@ -91,6 +93,32 @@ class TestVerify:
         assert calls["is_isometry"] == 2
         assert calls["mat_mul"] <= 18
 
+    def test_products_skip_zero_entries(self, capsys, monkeypatch):
+        # the samples' words are the identity outside one 2x2 block; with
+        # every term multiplied out, verify --n 6 runs 20,497 KElem multiplies
+        calls = [0]
+        def counted(x, y, _fn=KElem.__mul__):
+            calls[0] += 1
+            return _fn(x, y)
+        monkeypatch.setattr(KElem, "__mul__", counted)
+        monkeypatch.setattr(KElem, "__rmul__", counted)
+        assert run(["--quiet", "verify", "--n", "6"], capsys)[0] == 0
+        assert calls[0] <= 6000
+
+    def test_one_minpoly_per_distinct_trace(self, monkeypatch):
+        # a word and its inverse have the same adjoint trace
+        sample = GroupSample([block_g1(2).to_isometry(),
+                              conjugate_between_forms(block_g2(2).to_isometry(), 3)], 2)
+        traces = [adjoint_trace(m) for _, m in sample.walk()]
+        calls = []
+        def counted(x, _fn=arith.minpoly_over_Q):
+            calls.append(x)
+            return _fn(x)
+        monkeypatch.setattr(arith, "minpoly_over_Q", counted)
+        integrality_scan(sample)
+        assert len(traces) == 16
+        assert len(calls) == len(set(traces)) == 6
+
     def test_reproducible_json(self, capsys, tmp_path):
         assert_one_format(["verify"], capsys, tmp_path)
 
@@ -119,6 +147,7 @@ class TestVerify:
     @pytest.mark.parametrize("a, n, code, digest", [
         ("3", "2", 0, "0572a7d1b3c5ef5a12efa3994f9be548a5fceaf972ead9a148ed219a2d2f826f"),
         ("3", "6", 0, "bb94f8c9d61de5a95ecc19df38744b7a0bf58d98998ec4518b08ecbd8dcf352e"),
+        ("3", "10", 0, "7d5a7ca07300d61616091baf52d37ef7abb9bb7231b5b77b94d4dfe8c30d440d"),
         ("17", "2", 0, "9e14e2c08ad70bbe0f2ee3e9c4c74259b9a3556ecead1f60f202864c1e3b4ff5"),
         ("5", "3", 0, "21532dd39ac19b239b2ec42dc8b72bd60edc25a570fbe7853dbda2599fa0ff69"),
         ("7", "4", 0, "0918c4a026b766b807768deca9d25ed54fadf29fdd6af14df36f3363262a818a"),

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallsys import cli, lorentz
 from smallsys.exactfield import KElem, RealInterval, SQRT2, TowerContext, parse_kelem
@@ -27,6 +29,7 @@ from smallsys.lorentz import (
     parse_isometry,
     serialize_isometry,
     similarity_discriminant_obstruction,
+    sum_prod,
     translation_length,
 )
 from smallsys.polyalg import PrecisionError
@@ -168,6 +171,37 @@ class TestIsometryChecks:
         with pytest.raises(ValueError):
             is_isometry(G1_ENTRIES, QuadForm.standard(1, 3))
 
+    def test_zero_column_fails(self):
+        # M^T F M has an empty sum on the diagonal, which is zero, not F_11
+        bad = [list(r) for r in G1_ENTRIES]
+        for r in bad:
+            r[1] = KElem(0)
+        assert not is_isometry(bad, F1)
+        assert not is_isometry([[KElem(0)] * 3] * 3, F1)
+
+    def test_agrees_with_dense_check(self):
+        # M^T F M = F with every term kept, against sparse block isometries
+        # and copies with one entry set to zero or moved off zero
+        def dense(m, form):
+            diag = form.diagonal()
+            size = len(diag)
+            return all(
+                sum((m[r][i] * m[r][j] * diag[r] for r in range(size)), KElem(0))
+                == (diag[i] if i == j else KElem(0))
+                for i in range(size) for j in range(size))
+        rng = random.Random(131)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            c = KElem(rng.choice([1, 2, 3]))
+            t = KElem(rng.randint(2, 9), rng.randint(0, 3))
+            m = [list(r) for r in param_block(c, t, n).to_entries()]
+            form = QuadForm.standard(c, n)
+            assert is_isometry(m, form) and dense(m, form)
+            i, j = rng.randrange(n + 1), rng.randrange(n + 1)
+            m[i][j] = KElem(0) if m[i][j] else KElem(rng.randint(1, 3), rng.randint(0, 2))
+            assert not dense(m, form)
+            assert not is_isometry(m, form)
+
     def test_isometry_class_verifies(self):
         iso = Isometry(G1_ENTRIES, F1)
         assert iso.sheet_preserving
@@ -175,6 +209,58 @@ class TestIsometryChecks:
         assert (iso * inv).entries == mat_identity(3)
         with pytest.raises(ValueError):
             Isometry(((KElem(2),),), QuadForm.standard(1, 1))
+
+
+TOWER17 = TowerContext.from_rational(17)
+_coords = st.one_of(st.integers(-30, 30),
+                    st.fractions(min_value=-100, max_value=100, max_denominator=50))
+_FACTORS = {
+    "int": st.integers(-9, 9),
+    "k": st.builds(KElem, _coords, _coords),
+    "tower": st.builds(TOWER17.elem, st.builds(KElem, _coords, _coords),
+                       st.builds(KElem, _coords, _coords)),
+}
+_ZEROS = {"int": 0, "k": KElem(0), "tower": TOWER17.elem(0)}
+
+
+def dense_sum_prod(row, col):
+    """Every term kept, summed left to right."""
+    total = row[0] * col[0]
+    for a, b in zip(row[1:], col[1:]):
+        total = total + a * b
+    return total
+
+
+class TestSumProd:
+    # rows and columns of one kind each; an int row is what Isometry.trace
+    # passes, a k row against a tower column is a KElem matrix times a tower one
+    @pytest.mark.parametrize("every_term_zero", [False, True], ids=["some", "all"])
+    @pytest.mark.parametrize("row_kind, col_kind", [
+        ("k", "k"), ("tower", "tower"), ("k", "tower"), ("tower", "k"),
+        ("int", "k"), ("int", "tower")])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_sum(self, row_kind, col_kind, every_term_zero, data):
+        size = data.draw(st.integers(1, 8))
+        row, col = [], []
+        for _ in range(size):
+            a = data.draw(_FACTORS[row_kind])
+            b = data.draw(_FACTORS[col_kind])
+            if every_term_zero:
+                zero_side = data.draw(st.sampled_from(["row", "col"]))
+            else:
+                zero_side = data.draw(st.sampled_from(["row", "col", None, None]))
+            if zero_side == "row":
+                a = _ZEROS[row_kind]
+            elif zero_side == "col":
+                b = _ZEROS[col_kind]
+            row.append(a)
+            col.append(b)
+        got, want = sum_prod(row, col), dense_sum_prod(row, col)
+        assert got == want
+        assert type(got) is type(want)
+        if every_term_zero:
+            assert not got
 
 
 class TestParamBlock:

@@ -13,7 +13,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactfield import KElem, TowerContext, as_tower_coords
+from .exactfield import K_ONE, KElem, TowerContext, TowerElem, as_tower_coords
 from .lorentz import Isometry, QuadForm, sum_prod
 from .polyalg import QuadAlgNum, minpoly_over_Q
 
@@ -35,10 +35,7 @@ def conjugate_between_forms(m: Isometry, a) -> Isometry:
     n = m.form.n
     if m.form != QuadForm.standard(KElem(a), n):
         raise ValueError("matrix is not an isometry of diag(a, 1, ..., 1, -rt2)")
-    ctx = TowerContext.from_rational(a)
-    root = ctx.sqrt_gen()
-    one = ctx.from_k(1)
-    d = [root] + [one] * n
+    d = [TowerContext.from_rational(a).sqrt_gen()] + [K_ONE] * n
     entries = tuple(tuple(d[i] * m.entries[i][j] / d[j] for j in range(n + 1))
                     for i in range(n + 1))
     # M preserves F2 = D F1 D, so D M D^{-1} preserves D^{-1} F2 D^{-1} = F1
@@ -47,13 +44,10 @@ def conjugate_between_forms(m: Isometry, a) -> Isometry:
 
 def tower_value_as_quadratic(x) -> QuadAlgNum:
     """View u + v*sqrt(a) (u, v in k) as the chosen root of
-    t^2 - 2u t + (u^2 - a v^2)."""
-    u, v = as_tower_coords(x)
-    if not v:
-        return QuadAlgNum.from_kelem(u)
-    a = x.ctx.radicand
-    branch = v.sign()
-    return QuadAlgNum(2 * u, u * u - a * v * v, branch)
+    t^2 - 2u t + (u^2 - a v^2); a value of k is its own root."""
+    if not isinstance(x, TowerElem):
+        return QuadAlgNum.from_kelem(x)
+    return QuadAlgNum(2 * x.u, x.tower_norm(), x.v.sign())
 
 
 # ---------------------------------------------------------------------------

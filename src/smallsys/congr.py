@@ -17,9 +17,7 @@ def _is_integral_kelem(x: KElem) -> bool:
 def _as_kelem(x) -> KElem:
     """Entries of congruence-tested matrices must lie in k."""
     if isinstance(x, TowerElem):
-        if not x.in_k():
-            raise ValueError(f"entry {x} lies outside k")
-        return x.u
+        raise ValueError(f"entry {x} lies outside k")
     return KElem._lift(x)
 
 

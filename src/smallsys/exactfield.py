@@ -1,9 +1,12 @@
 """Exact arithmetic in Q, k = Q(sqrt 2), and quadratic towers k(sqrt d).
 
 Every value is immutable and every operation is a pure function, so all of
-this is safe to use from concurrent tasks.  An element of k is one integer
-triple (p + q sqrt2)/d with d > 0 and gcd(p, q, d) = 1, so field arithmetic
-and sign determination run on ints only, never on floating point; numerical
+this is safe to use from concurrent tasks.  Every value has one form.  An
+element of k is one integer triple (p + q sqrt2)/d with d > 0 and
+gcd(p, q, d) = 1, so field arithmetic and sign determination run on ints
+only, never on floating point; a tower element u + v sqrt(d) with v = 0 is
+the KElem u, and a TowerElem always has v != 0, so equal values compare and
+hash alike and a factor from k costs two multiplies, not five; numerical
 evaluation goes through ``RealInterval``, whose endpoints always enclose the
 exact value, and ``escalate`` is the one rule that raises its precision.  The
 distinguished real embedding sends sqrt(2) and sqrt(d) to their positive roots.
@@ -230,17 +233,6 @@ class RealInterval:
                             _libmp_dir(libmp.mpf_sinh, self.hi, self.precision, True),
                             self.precision)
 
-    def acosh(self) -> "RealInterval":
-        """Inverse cosh; the represented value is assumed to be >= 1, so the
-        lower endpoint is clamped to 1 before the composition log(x+sqrt(x^2-1))."""
-        lo = max(self.lo, Fraction(1))
-        if self.hi < 1:
-            raise ValueError("acosh needs an interval meeting [1, oo)")
-        x = RealInterval(lo, self.hi, self.precision)
-        out = (x + (x * x - 1).sqrt()).log()
-        return RealInterval(max(out.lo, Fraction(0)), max(out.hi, Fraction(0)),
-                            self.precision)
-
     def acos(self) -> "RealInterval":
         lo = max(self.lo, Fraction(-1))
         hi = min(self.hi, Fraction(1))
@@ -372,7 +364,8 @@ class KElem:
         return self.p == o.p and self.q == o.q and self.d == o.d
 
     def __hash__(self):
-        return hash((self.p, self.q, self.d))
+        # a rational value hashes as the int or Fraction it equals
+        return hash((self.p, self.q, self.d)) if self.q else hash(self.a)
 
     def __bool__(self):
         return self.p != 0 or self.q != 0
@@ -535,11 +528,12 @@ def parse_kelem(text: str) -> KElem:
 class TowerContext:
     """A fixed quadratic extension k(sqrt d), d in k positive and non-square.
 
-    Elements from different contexts must not be mixed; arithmetic checks
-    this and raises ContextMismatchError, while equality across contexts is
-    simply False.  The standard instantiation is
-    ``TowerContext.from_rational(a)`` for the field k(sqrt a) with a a
-    positive rational that is not a square in k.
+    Elements outside k from different contexts must not be mixed; arithmetic
+    checks this and raises ContextMismatchError, while equality across
+    contexts is simply False.  A value of k is a KElem in every tower, so it
+    combines with, and equals its value in, any of them.  The standard
+    instantiation is ``TowerContext.from_rational(a)`` for the field
+    k(sqrt a) with a a positive rational that is not a square in k.
     """
 
     __slots__ = ("radicand",)
@@ -572,131 +566,114 @@ class TowerContext:
     def __repr__(self):
         return f"TowerContext(radicand={self.radicand!r})"
 
-    def elem(self, u, v=0) -> "TowerElem":
-        return TowerElem(KElem._lift(u), KElem._lift(v), self)
-
-    def from_k(self, x) -> "TowerElem":
-        return self.elem(KElem._lift(x), K_ZERO)
+    def elem(self, u, v=0):
+        """The value u + v*sqrt(d) in its one form: the KElem u when v = 0,
+        else a TowerElem of this tower."""
+        return _tower(KElem._lift(u), KElem._lift(v), self)
 
     def sqrt_gen(self) -> "TowerElem":
         return self.elem(K_ZERO, K_ONE)
 
 
+_SCALARS = (int, Fraction, KElem)
+
+
 class TowerElem:
-    """An element u + v*sqrt(d) of a quadratic tower over k."""
+    """An element u + v*sqrt(d) of a quadratic tower over k with v != 0.
+
+    A value with no sqrt(d) part is the KElem u, so every value of the tower
+    has one form: equal values compare and hash alike, a TowerElem is never
+    zero and never equals a value of k.  Every operation returns its result
+    in that form; elements are made by ``TowerContext.elem``.
+    """
 
     __slots__ = ("u", "v", "ctx")
-
-    def __init__(self, u: KElem, v: KElem, ctx: TowerContext):
-        object.__setattr__(self, "u", KElem._lift(u))
-        object.__setattr__(self, "v", KElem._lift(v))
-        object.__setattr__(self, "ctx", ctx)
 
     def __setattr__(self, *_):
         raise AttributeError("TowerElem is immutable")
 
-    def _lift(self, x) -> "TowerElem":
-        if isinstance(x, TowerElem):
-            if x.ctx is not self.ctx and x.ctx != self.ctx:
-                raise ContextMismatchError(
-                    f"mixing towers k(sqrt({x.ctx.radicand})) and k(sqrt({self.ctx.radicand}))")
-            return x
-        if isinstance(x, (int, Fraction, KElem)):
-            return self.ctx.from_k(x)
-        return NotImplemented
+    def _check(self, o: "TowerElem"):
+        if o.ctx is not self.ctx and o.ctx != self.ctx:
+            raise ContextMismatchError(
+                f"mixing towers k(sqrt({o.ctx.radicand})) and k(sqrt({self.ctx.radicand}))")
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        if isinstance(other, _SCALARS):
+            return _tower(self.u + other, self.v, self.ctx)
+        if not isinstance(other, TowerElem):
             return NotImplemented
-        return TowerElem(self.u + o.u, self.v + o.v, self.ctx)
+        self._check(other)
+        return _tower(self.u + other.u, self.v + other.v, self.ctx)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElem(-self.u, -self.v, self.ctx)
+        return _tower(-self.u, -self.v, self.ctx)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        if not isinstance(other, (TowerElem,) + _SCALARS):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, KElem)):   # a scalar from k
-            return TowerElem(self.u * other, self.v * other, self.ctx)
-        o = self._lift(other)
-        if o is NotImplemented:
+        if isinstance(other, _SCALARS):
+            return _tower(self.u * other, self.v * other, self.ctx)
+        if not isinstance(other, TowerElem):
             return NotImplemented
+        self._check(other)
         d = self.ctx.radicand
-        return TowerElem(self.u * o.u + d * self.v * o.v,
-                         self.u * o.v + self.v * o.u, self.ctx)
+        return _tower(self.u * other.u + d * self.v * other.v,
+                      self.u * other.v + self.v * other.u, self.ctx)
 
     __rmul__ = __mul__
 
     def tower_conjugate(self) -> "TowerElem":
-        return TowerElem(self.u, -self.v, self.ctx)
+        return _tower(self.u, -self.v, self.ctx)
 
     def tower_norm(self) -> KElem:
         return self.u * self.u - self.ctx.radicand * self.v * self.v
 
     def inverse(self) -> "TowerElem":
+        """conj / norm; the norm is nonzero because v != 0 and d is not a
+        square in k."""
         n = self.tower_norm()
-        if not n:
-            raise ZeroDivisionError("division by zero in tower")
-        conj = self.tower_conjugate()
-        return TowerElem(conj.u / n, conj.v / n, self.ctx)
+        return _tower(self.u / n, -self.v / n, self.ctx)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, KElem)):
-            return TowerElem(self.u / other, self.v / other, self.ctx)
-        o = self._lift(other)
-        if o is NotImplemented:
+        if isinstance(other, _SCALARS):
+            return _tower(self.u / other, self.v / other, self.ctx)
+        if not isinstance(other, TowerElem):
             return NotImplemented
-        return self * o.inverse()
+        self._check(other)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return self.inverse() * other
 
     def __eq__(self, other):
-        if isinstance(other, TowerElem) and other.ctx is not self.ctx \
-                and other.ctx != self.ctx:
-            return False
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.u == o.u and self.v == o.v
+        if isinstance(other, TowerElem):
+            return self.ctx == other.ctx and self.u == other.u and self.v == other.v
+        return False if isinstance(other, _SCALARS) else NotImplemented
 
     def __hash__(self):
         return hash((self.u, self.v, self.ctx))
 
-    def __bool__(self):
-        return bool(self.u) or bool(self.v)
-
-    def in_k(self) -> bool:
-        return not self.v
-
     def sign(self) -> int:
         """Exact sign, with sqrt(d) -> positive root (same logic as KElem)."""
         su, sv = self.u.sign(), self.v.sign()
-        if sv == 0:
-            return su
-        if su == 0:
+        if su == sv or not su:
             return sv
-        if su == sv:
-            return su
         cmp = (self.u * self.u - self.ctx.radicand * self.v * self.v).sign()
         return cmp if su > 0 else -cmp   # cmp != 0: d is not a square in k
 
     def embed(self, precision: int = 64) -> RealInterval:
-        out = self.u.embed(precision)
-        if self.v:
-            root = self.ctx.radicand.embed(precision).sqrt()
-            out = out + self.v.embed(precision) * root
-        return out
+        root = self.ctx.radicand.embed(precision).sqrt()
+        return self.u.embed(precision) + self.v.embed(precision) * root
 
     def __float__(self):
         return float(self.embed(64))
@@ -709,6 +686,20 @@ class TowerElem:
 
     def __str__(self):
         return self.to_text()
+
+
+_set_u, _set_v, _set_ctx = TowerElem.u.__set__, TowerElem.v.__set__, TowerElem.ctx.__set__
+
+
+def _tower(u: KElem, v: KElem, ctx: TowerContext):
+    """u + v*sqrt(d) in its one form: u itself when v = 0."""
+    if not v:
+        return u
+    x = object.__new__(TowerElem)
+    _set_u(x, u)
+    _set_v(x, v)
+    _set_ctx(x, ctx)
+    return x
 
 
 def as_tower_coords(x):

@@ -76,7 +76,9 @@ def dist_hyperplanes(h1: GeodesicHyperplane, h2: GeodesicHyperplane,
     distance arccosh(sqrt q) or angle arccos(sqrt q) as certified intervals.
 
     Normals stay unnormalized so q is computed in the coefficient field
-    without square roots.
+    without square roots.  The distance is log(sqrt q + sqrt(q - 1)) clamped
+    below at 0, with q - 1 exact in the field, so no bits are lost to
+    cancellation near q = 1.
     """
     if h1.form != h2.form:
         raise ValueError("hyperplanes of different forms")
@@ -87,7 +89,9 @@ def dist_hyperplanes(h1: GeodesicHyperplane, h2: GeodesicHyperplane,
     s = (q - 1).sign()
     root = embed(q, precision).sqrt()
     if s > 0:
-        return HyperplaneRelation("disjoint", q, distance=root.acosh())
+        dist = (root + embed(q - 1, precision).sqrt()).log()
+        return HyperplaneRelation("disjoint", q, distance=RealInterval(
+            max(dist.lo, 0), dist.hi, precision))
     if s == 0:
         # |B| = 1 with proportional normals is the same hyperplane (angle 0),
         # otherwise the pair is asymptotic

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactfield import (KElem, RealInterval, SQRT2, TowerElem, escalate,
-                         parse_kelem, sqrt2_interval)
+from .exactfield import (K_ONE, K_ZERO, KElem, RealInterval, SQRT2, TowerElem,
+                         escalate, parse_kelem, sqrt2_interval)
 from .polyalg import QuadAlgNum
 
 
@@ -115,9 +115,9 @@ def mat_mul(A, B):
 
 def sum_prod(row, col):
     """sum_i row[i] * col[i], exact, without the terms that have an
-    exact-zero factor.  When every term has one, row[0] * col[0] is the zero
-    of the type the full sum would have.  A term type shared by the whole
-    sum, as rows and columns of one matrix share it, is kept either way."""
+    exact-zero factor; when every term has one, the sum is the exact zero
+    row[0] * col[0].  Every value has one form, so skipping terms changes
+    no result."""
     total = None
     for a, b in zip(row, col):
         if a and b:
@@ -130,10 +130,9 @@ def mat_vec(A, v):
     return tuple(sum_prod(row, v) for row in A)
 
 
-def mat_identity(size, one=None):
-    one = KElem(1) if one is None else one
-    zero = one - one
-    return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
+def mat_identity(size):
+    return tuple(tuple(K_ONE if i == j else K_ZERO for j in range(size))
+                 for i in range(size))
 
 
 def is_isometry(entries, form: QuadForm) -> bool:

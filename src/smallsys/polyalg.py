@@ -15,6 +15,7 @@ finding serves the measures and the few polynomials left undecided.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -380,25 +381,46 @@ def _graeffe(c):
     return tuple(-v for v in prod[::2]) if d % 2 else tuple(prod[::2])
 
 
+def _graeffe_walk(p: ZPoly, powers):
+    """(M(p) = 1, M(p) <= mu) for monic p, both read off one walk over the
+    Graeffe iterates p_k.  The first is Kronecker's exact test: the iterates
+    stay within |c_j| <= binom(d, j) and so repeat exactly when every root is
+    zero or a root of unity.  The second compares the first len(powers)
+    iterates, ``powers`` holding mu^(2^k) >= 1 as (numerator, denominator),
+    with max_j |c_j(p_k)| / binom(d, j) <= M(p)^(2^k) <= ||p_k||_2 (Landau);
+    it is None when they leave it open, and True when the first is."""
+    _, q = p.shift_out_zero_roots()
+    d, coeffs = q.degree(), q.coeffs
+    binoms = [math.comb(d, j) for j in range(d + 1)]
+    one = verdict = None
+    seen = set()
+    for k in itertools.count():
+        if one is None:
+            if any(abs(c) > b for c, b in zip(coeffs, binoms)):
+                one = False
+            elif coeffs in seen:
+                return True, True
+            else:
+                seen.add(coeffs)
+        if verdict is None and k < len(powers):
+            num, den = powers[k]
+            if any(abs(c) * den > b * num for c, b in zip(coeffs, binoms)):
+                verdict = False
+            elif sum(c * c for c in coeffs) * den * den <= num * num:
+                verdict = True
+        if one is False and (verdict is not None or k + 1 >= len(powers)):
+            return False, verdict
+        coeffs = _graeffe(coeffs)
+
+
 def is_measure_one(p: ZPoly) -> bool:
     """Exact Kronecker test: a monic integer polynomial has Mahler measure 1
     iff its Graeffe iterates stay within the binomial coefficient bounds and
-    eventually repeat (all roots then being zero or roots of unity)."""
+    eventually repeat (all roots then being zero or roots of unity).  It is
+    the first verdict of the Graeffe walk that the Mahler enumeration runs."""
     if not p.is_monic():
         raise ValueError("measure-one test expects a monic polynomial")
-    _, q = p.shift_out_zero_roots()
-    d, coeffs = q.degree(), q.coeffs
-    if d == 0:
-        return True
-    bounds = [math.comb(d, j) for j in range(d + 1)]
-    seen = set()
-    while True:
-        if any(abs(c) > b for c, b in zip(coeffs, bounds)):
-            return False
-        if coeffs in seen:
-            return True
-        seen.add(coeffs)
-        coeffs = _graeffe(coeffs)
+    return _graeffe_walk(p, ())[0]
 
 
 def _monic_measure_certified(f: QPoly, rel_tol: float):
@@ -457,23 +479,6 @@ def _mirror(p: ZPoly) -> ZPoly:
     return ZPoly([c if (d - i) % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
 
 
-def _graeffe_verdict(p: ZPoly, powers) -> bool | None:
-    """Whether M(p) <= mu for monic p, or None when the first GRAEFFE_STEPS
-    iterates p_k leave it open; ``powers`` holds mu^(2^k) as (numerator,
-    denominator).  max_j |c_j(p_k)| / binom(d, j) <= M(p)^(2^k) <= ||p_k||_2,
-    the second by Landau's inequality."""
-    _, q = p.shift_out_zero_roots()
-    d, coeffs = q.degree(), q.coeffs
-    binoms = [math.comb(d, j) for j in range(d + 1)]
-    for num, den in powers:
-        if any(abs(c) * den > b * num for c, b in zip(coeffs, binoms)):
-            return False
-        if sum(c * c for c in coeffs) * den * den <= num * num:
-            return True
-        coeffs = _graeffe(coeffs)
-    return None
-
-
 def _candidates(d: int, num: int, den: int):
     """Monic integer p of degree d with p(0) != 0, one per mirror pair, whose
     c_k (coefficient of x^(d-k)) meet |c_k| <= binom(d, k) mu and the power-sum
@@ -514,8 +519,7 @@ def _accepted(d: int, mu: float, memo: dict):
     powers = [(m.numerator ** (1 << k), m.denominator ** (1 << k))
               for k in range(GRAEFFE_STEPS + 1)]
     for poly in _candidates(d, m.numerator, m.denominator):
-        one = is_measure_one(poly)
-        verdict = one or _graeffe_verdict(poly, powers)
+        one, verdict = _graeffe_walk(poly, powers)
         if verdict is None:
             verdict = _class_measure(poly, memo) <= mu + GUARD_TOL
         if verdict:

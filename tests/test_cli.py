@@ -12,7 +12,7 @@ from smallsys import arith, cli, lorentz
 from smallsys.arith import (GroupSample, adjoint_trace, conjugate_between_forms,
                             integrality_scan)
 from smallsys.cli import main
-from smallsys.exactfield import SQRT2, KElem
+from smallsys.exactfield import SQRT2, KElem, TowerElem
 from smallsys.lorentz import block_g1, block_g2, serialize_isometry
 from smallsys.polyalg import PrecisionError
 
@@ -105,6 +105,22 @@ class TestVerify:
         assert run(["--quiet", "verify", "--n", "6"], capsys)[0] == 0
         assert calls[0] <= 6000
 
+    def test_values_of_k_take_the_scalar_path(self, capsys, monkeypatch):
+        # a tower entry with no sqrt(a) part is a KElem, so a product with it
+        # costs two KElem multiplies, not the five of a tower product; with
+        # two forms per value, verify --n 10 ran 9,209 KElem and 2,234
+        # TowerElem multiplies
+        calls = {KElem: 0, TowerElem: 0}
+        for cls in calls:
+            def counted(x, y, _fn=cls.__mul__, _cls=cls):
+                calls[_cls] += 1
+                return _fn(x, y)
+            monkeypatch.setattr(cls, "__mul__", counted)
+            monkeypatch.setattr(cls, "__rmul__", counted)
+        assert run(["--quiet", "verify", "--a", "3", "--n", "10"], capsys)[0] == 0
+        assert calls[KElem] <= 5500
+        assert calls[TowerElem] <= 400
+
     def test_one_minpoly_per_distinct_trace(self, monkeypatch):
         # a word and its inverse have the same adjoint trace
         sample = GroupSample([block_g1(2).to_isometry(),
@@ -153,6 +169,8 @@ class TestVerify:
         ("7", "4", 0, "0918c4a026b766b807768deca9d25ed54fadf29fdd6af14df36f3363262a818a"),
         ("12", "2", 1, "e523a135d52aec897af2d642e23becf9d8479dc3ede1ae987e2d8aa8a47a1975"),
         ("5/3", "2", 0, "2ee2d89a0d07dcb1ac42dd83389554b0cc76428416a1b9f7812ca853ee0087b2"),
+        ("17", "10", 0, "37aed4df9f804afaaf98a88e2279b4ceee7fb5dd571f22b17bc03cbcfb80bfae"),
+        ("5/3", "6", 0, "0235cc216270dcc3931f704dc76194592c94f0c406f5630f62d75e8edca9e927"),
     ])
     def test_certificate_bytes_pinned(self, capsys, tmp_path, a, n, code, digest):
         path = tmp_path / "cert.json"

@@ -175,12 +175,6 @@ class TestRealInterval:
         ln2 = Fraction("0.69314718055994530941723212145817656807")
         assert iv.lo < ln2 < iv.hi
 
-    def test_acosh_matches_log_form(self):
-        x = RealInterval.exact(Fraction(5828427, 1000000), 64)
-        got = x.acosh()
-        assert got.lo < Fraction("2.4484524") < got.hi or got.width() < Fraction(1, 10**5)
-        assert float(got) == pytest.approx(math.acosh(5.828427), rel=1e-9)
-
     def test_cosh_through_zero(self):
         iv = RealInterval(-1, 2, 64).cosh()
         assert iv.lo == 1
@@ -222,7 +216,6 @@ class TestTower:
         c3 = TowerContext.from_rational(3)
         c5 = TowerContext.from_rational(5)
         assert c3.sqrt_gen() != c5.sqrt_gen()
-        assert not (c3.from_k(1) == c5.from_k(1))
         assert len({c3.sqrt_gen(), c5.sqrt_gen(), c3.sqrt_gen()}) == 2
         with pytest.raises(ContextMismatchError):
             c3.sqrt_gen() * c5.sqrt_gen()
@@ -236,11 +229,12 @@ class TestTower:
             z = ctx.elem(rand_kelem(rng, 9), rand_kelem(rng, 9))
             assert (x + y) * z == x * z + y * z
             if x:
-                assert x * (1 / x) == ctx.from_k(1)
+                assert x * (1 / x) == KElem(1)
 
     def test_sqrt_gen_squares_to_radicand(self):
         ctx = TowerContext.from_rational(3)
-        assert ctx.sqrt_gen() * ctx.sqrt_gen() == ctx.from_k(3)
+        square = ctx.sqrt_gen() * ctx.sqrt_gen()
+        assert square == KElem(3) and type(square) is KElem
 
     def test_sign_and_embed(self):
         ctx = TowerContext.from_rational(3)
@@ -255,7 +249,7 @@ class TestTower:
     def test_division(self):
         ctx = TowerContext.from_rational(3)
         g = ctx.sqrt_gen()
-        assert (1 / g) * g == ctx.from_k(1)
+        assert (1 / g) * g == KElem(1)
         assert 1 / g == ctx.elem(0, Fraction(1, 3))
 
 

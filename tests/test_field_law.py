@@ -6,18 +6,22 @@ with sympy's radicals as the oracle, that the ring and field operations of
 k and of k(sqrt 3), k(sqrt 17) give the exact value, also with one operand a
 scalar from k, which acts as its image in the tower; that every result is
 in canonical form, so equal values reached along different paths compare
-and hash alike; that `sign` agrees with the certified 128-bit embedding;
-and that `parse_kelem` inverts `to_text`.
+and hash alike; that every value of a tower has one form, a `KElem` when
+its sqrt(d) part is zero, so equal values hash alike across int, Fraction,
+`KElem` and `TowerElem`; that `sign` agrees with the certified 128-bit
+embedding; and that `parse_kelem` inverts `to_text`.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smallsys.exactfield import KElem, TowerContext, parse_kelem
+from smallsys.exactfield import (ContextMismatchError, KElem, TowerContext, TowerElem,
+                                 parse_kelem)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 CONTEXTS = {a: TowerContext.from_rational(a) for a in (3, 17)}
@@ -31,8 +35,9 @@ scalars = st.one_of(coords, kelems)     # scalars from k: int, Fraction or KElem
 
 @st.composite
 def towers(draw, count):
+    """(context, elements): a drawn v = 0 gives a KElem, which has no context."""
     ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
-    return [ctx.elem(draw(kelems), draw(kelems)) for _ in range(count)]
+    return ctx, [ctx.elem(draw(kelems), draw(kelems)) for _ in range(count)]
 
 
 def sym(x):
@@ -80,7 +85,7 @@ def test_kelem_operations_match_sympy(x, y):
 @SETTINGS
 @given(towers(2), scalars)
 def test_tower_operations_match_sympy(xs, s):
-    x, y = xs
+    _, (x, y) = xs
     sx, sy, ss = sym(x), sym(y), sym(s)
     assert same(sym(x + y), sx + sy)
     assert same(sym(x - y), sx - sy)
@@ -111,22 +116,21 @@ def test_kelem_field_laws(x, y, z):
 @SETTINGS
 @given(towers(3), scalars)
 def test_tower_field_laws(xs, s):
-    x, y, z = xs
-    one = x.ctx.from_k(1)
-    # a scalar from k acts as its image in the tower
-    assert x * s == x * x.ctx.from_k(s) == s * x
+    ctx, (x, y, z) = xs
+    # a scalar from k is the same value in the tower
+    assert x * s == x * ctx.elem(s) == s * x
     assert (x * s) * y == x * (s * y) and (x + y) * s == x * s + y * s
     if s:
-        assert x / s == x / x.ctx.from_k(s)
+        assert x / s == x / ctx.elem(s)
         assert (x / s) * s == x
     assert x + y == y + x and x * y == y * x
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
-    assert x - x == x.ctx.from_k(0)
+    assert x - x == KElem(0) and type(x - x) is KElem
     if x:
-        assert x * x.inverse() == one
-        assert x / x == one
+        assert x * x.inverse() == KElem(1)
+        assert x / x == KElem(1)
 
 
 # -- canonical form ------------------------------------------------------------
@@ -159,9 +163,10 @@ def test_kelem_results_are_canonical(x, y):
 @SETTINGS
 @given(towers(2), scalars)
 def test_tower_results_are_canonical(xs, s):
-    x, y = xs
-    results = [x + y, x - y, x * y, -x, x.tower_conjugate(), x.tower_norm(),
-               x * s, s * x]
+    _, (x, y) = xs
+    results = [x + y, x - y, x * y, -x, x * s, s * x]
+    if isinstance(x, TowerElem):
+        results += [x.tower_conjugate(), x.tower_norm()]
     if y:
         results += [x / y, y.inverse()]
     if s:
@@ -172,6 +177,69 @@ def test_tower_results_are_canonical(xs, s):
     if y:
         assert (x * y) / y == x
         assert hash((x * y) / y) == hash(x)
+
+
+# -- one form per value ----------------------------------------------------------
+
+# small coordinates, so that equal values in different forms are drawn often
+small = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=2))
+small_kelems = st.builds(KElem, small, small)
+forms = st.one_of(small, small_kelems, st.builds(
+    TowerContext.elem, st.sampled_from(list(CONTEXTS.values())), small_kelems,
+    small_kelems))
+
+
+def tower_coords(x):
+    """(u, v) with x = u + v sqrt(d), read off the representation."""
+    return (x.u, x.v) if isinstance(x, TowerElem) else (KElem._lift(x), KElem(0))
+
+
+@SETTINGS
+@given(forms, forms)
+@example(KElem(7, 4), CONTEXTS[3].elem(KElem(7, 4)))
+@example(7, CONTEXTS[3].elem(7))
+def test_one_form_per_value(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+    assert (x == y) == (y == x)
+    ctxs = {z.ctx for z in (x, y) if isinstance(z, TowerElem)}
+    if len(ctxs) > 1:
+        assert x != y
+        with pytest.raises(ContextMismatchError):
+            x * y
+        return
+    if not ctxs:
+        return
+    (ctx,) = ctxs
+    d = ctx.radicand
+    (u1, v1), (u2, v2) = tower_coords(x), tower_coords(y)
+    want = {"+": (u1 + u2, v1 + v2), "-": (u1 - u2, v1 - v2),
+            "*": (u1 * u2 + d * v1 * v2, u1 * v2 + v1 * u2)}
+    got = {"+": x + y, "-": x - y, "*": x * y}
+    if y:
+        n = u2 * u2 - d * v2 * v2
+        want["/"] = (u1 * u2 / n - d * v1 * v2 / n, v1 * u2 / n - u1 * v2 / n)
+        got["/"] = x / y
+    if isinstance(x, TowerElem):
+        n = u1 * u1 - d * v1 * v1
+        want["inverse"], got["inverse"] = (u1 / n, -v1 / n), x.inverse()
+        want["conjugate"], got["conjugate"] = (u1, -v1), x.tower_conjugate()
+        want["neg"], got["neg"] = (-u1, -v1), -x
+    for op, (u, v) in want.items():
+        r = got[op]
+        assert (type(r) is KElem) == (v == 0), op
+        assert tower_coords(r) == (u, v), op
+        if v:
+            assert r.ctx == ctx and r.v
+
+
+@SETTINGS
+@given(kelems, st.sampled_from(sorted(CONTEXTS)))
+def test_values_of_k_stay_kelems(u, a):
+    ctx = CONTEXTS[a]
+    assert ctx.elem(u, 0) is u and ctx.elem(u) is u
+    square = ctx.sqrt_gen() * ctx.sqrt_gen()
+    assert type(square) is KElem and square == a
 
 
 # -- sign and order ------------------------------------------------------------
@@ -196,7 +264,7 @@ def test_sign_near_zero(q, shift, s):
 @SETTINGS
 @given(towers(1))
 def test_tower_sign_agrees_with_embedding(xs):
-    (x,) = xs
+    _, (x,) = xs
     assert x.embed(128).sign() in (x.sign(), None)
     assert x.sign() == sympy.sign(sym(x))
 

@@ -1,6 +1,8 @@
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from smallsys.exactfield import KElem, SQRT2
@@ -84,6 +86,22 @@ class TestHyperplanes:
             assert rel.cosh_sq == g.alpha * g.alpha
             ell = translation_length(g)
             assert rel.distance.overlaps(ell)
+
+    def test_distance_near_alpha_one_is_narrow(self):
+        # at t = 1682, alpha - 1 is about 1e-6: arccosh of sqrt(q)'s enclosure
+        # was 1.9e-16 wide at 64 bits and 1.0e-35 at 128, log(sqrt q +
+        # sqrt(q - 1)) with q - 1 exact is 1.09e-16 and 5.9e-36
+        g = param_block(KElem(1), KElem(1682), 2)
+        h = GeodesicHyperplane.coordinate(g.form())
+        with mpmath.workprec(256):
+            man, exp = mpmath.acosh((g.alpha.p + g.alpha.q * mpmath.sqrt(2))
+                                    / g.alpha.d).man_exp      # positive
+        want = Fraction(man) * Fraction(2) ** exp
+        for precision, width in ((64, 1.2e-16), (128, 6.5e-36)):
+            dist = dist_hyperplanes(h, h.image(g.to_isometry()), precision).distance
+            assert dist.lo <= want <= dist.hi
+            assert dist.width() < width
+        assert float(dist) == pytest.approx(9.998769147576284e-4, rel=1e-12)
 
     def test_intersecting_pair(self):
         h1 = GeodesicHyperplane.coordinate(F1)

@@ -4,17 +4,20 @@ Every `RealInterval` function promises an interval that contains the exact
 value.  These properties draw rational endpoints, build intervals at 64 and
 128 bits, and check that the result contains mpmath's 256-bit value at both
 endpoints and the midpoint of the input; `KElem.embed` must contain
-a + b sqrt2 the same way.  The oracle's own error, about 2^-256 relative,
-is allowed for.
+a + b sqrt2 the same way, and the distance between {x1 = 0} and its image
+under a corner block must contain arccosh(alpha).  The oracle's own error,
+about 2^-256 relative, is allowed for.
 """
 
 from fractions import Fraction
 
 import mpmath
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smallsys.exactfield import KElem, RealInterval
+from smallsys.exactfield import SQRT2, KElem, RealInterval
+from smallsys.hypgeom import GeodesicHyperplane, dist_hyperplanes
+from smallsys.lorentz import param_block
 
 SETTINGS = settings(max_examples=40, deadline=None)
 PRECISIONS = st.sampled_from([64, 128])
@@ -64,9 +67,18 @@ def test_cosh_encloses(x, y, precision):
 
 
 @SETTINGS
-@given(rationals(1, 1000), rationals(1, 1000), PRECISIONS)
-def test_acosh_encloses(x, y, precision):
-    check("acosh", mpmath.acosh, x, y, precision)
+@given(st.sampled_from([KElem(1), KElem(3), KElem(Fraction(5, 3))]),
+       st.integers(-5000, 5000), st.integers(-50, 50), PRECISIONS)
+def test_hyperplane_distance_encloses(c, a, b, precision):
+    t = KElem(a, b)
+    assume((SQRT2 * t * t - c).sign() > 0)
+    g = param_block(c, t, 2)
+    h = GeodesicHyperplane.coordinate(g.form())
+    rel = dist_hyperplanes(h, h.image(g.to_isometry()), precision)
+    assert rel.kind == "disjoint" and rel.distance.lo >= 0
+    with mpmath.workprec(256):
+        alpha = (mpmath.mpf(g.alpha.p) + g.alpha.q * mpmath.sqrt(2)) / g.alpha.d
+        assert_encloses(rel.distance, mpmath.acosh(alpha))
 
 
 @SETTINGS

@@ -567,13 +567,14 @@ class TestTowerConjugation:
         root = ctx.sqrt_gen()
         g2 = block_g2(3).to_entries()
         size = len(g2)
-        d = [root if i == 0 else ctx.from_k(1) for i in range(size)]
+        d = [root if i == 0 else KElem(1) for i in range(size)]
         conj = tuple(tuple(d[i] * g2[i][j] / d[j] for j in range(size))
                      for i in range(size))
         unit = QuadForm.standard(1, 3)
         assert is_isometry(conj, unit)
         assert in_O_prime(conj, unit)
-        assert conj[0][0] == ctx.from_k(KElem(Fraction(11, 7), Fraction(6, 7)))
+        assert conj[0][0] == KElem(Fraction(11, 7), Fraction(6, 7))
+        assert type(conj[0][0]) is KElem            # entries in k keep their form
         assert conj[0][size - 1].u == KElem(0)       # off-corner entries pick up sqrt3
         assert conj[0][size - 1].v != KElem(0)
 

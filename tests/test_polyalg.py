@@ -341,31 +341,73 @@ class TestMinMahler:
         assert epsilon_gap(4) == pytest.approx(math.log(PLASTIC), abs=1e-5)
 
 
-@functools.lru_cache(maxsize=None)
-def box_verdicts(D, mu):
-    """The binomial-box walk that power-sum pruning replaced, kept as its
-    oracle: every monic polynomial with |a_{d-i}| <= binom(d, i) mu, for
-    d = 1..D, goes through the verdict chain (Kronecker test, Graeffe and
-    Landau bounds, certified measure with its guard band); mirrors close
-    the map."""
+def reference_measure_one(p):
+    """Kronecker's test as its own walk, the reference for the Graeffe walk:
+    measure 1 iff the iterates stay within the binomial bounds and repeat."""
+    _, q = p.shift_out_zero_roots()
+    d, coeffs = q.degree(), q.coeffs
+    if d == 0:
+        return True
+    bounds = [math.comb(d, j) for j in range(d + 1)]
+    seen = set()
+    while True:
+        if any(abs(c) > b for c, b in zip(coeffs, bounds)):
+            return False
+        if coeffs in seen:
+            return True
+        seen.add(coeffs)
+        coeffs = polyalg._graeffe(coeffs)
+
+
+def reference_graeffe_verdict(p, powers):
+    """Whether M(p) <= mu from the first len(powers) iterates by the
+    binomial lower bound and Landau's upper bound, or None when open, as its
+    own walk: the reference for the Graeffe walk."""
+    _, q = p.shift_out_zero_roots()
+    d, coeffs = q.degree(), q.coeffs
+    binoms = [math.comb(d, j) for j in range(d + 1)]
+    for num, den in powers:
+        if any(abs(c) * den > b * num for c, b in zip(coeffs, binoms)):
+            return False
+        if sum(c * c for c in coeffs) * den * den <= num * num:
+            return True
+        coeffs = polyalg._graeffe(coeffs)
+    return None
+
+
+def graeffe_powers(mu):
     m = Fraction(mu)
-    powers = [(m.numerator ** (1 << k), m.denominator ** (1 << k))
-              for k in range(polyalg.GRAEFFE_STEPS + 1)]
-    out = {}
+    return [(m.numerator ** (1 << k), m.denominator ** (1 << k))
+            for k in range(polyalg.GRAEFFE_STEPS + 1)]
+
+
+def box(D, mu):
+    """Every monic polynomial with |a_{d-i}| <= binom(d, i) mu, d = 1..D."""
     for d in range(1, D + 1):
         ranges = []
         for j in range(d):
             bound = math.floor(math.comb(d, d - j) * mu + 1e-12)
             ranges.append(range(-bound, bound + 1))
         for tail in itertools.product(*ranges):
-            poly = ZPoly(list(tail) + [1])
-            one = is_measure_one(poly)
-            verdict = one or polyalg._graeffe_verdict(poly, powers)
-            if verdict is None:
-                verdict = (mahler_measure(poly, polyalg.GUARD_TOL / 4)
-                           <= mu + polyalg.GUARD_TOL)
-            if verdict:
-                out[poly] = one
+            yield ZPoly(list(tail) + [1])
+
+
+@functools.lru_cache(maxsize=None)
+def box_verdicts(D, mu):
+    """The binomial-box walk that power-sum pruning replaced, kept as its
+    oracle: every box polynomial goes through the reference verdict chain
+    (Kronecker test, Graeffe and Landau bounds, certified measure with its
+    guard band); mirrors close the map."""
+    powers = graeffe_powers(mu)
+    out = {}
+    for poly in box(D, mu):
+        one = reference_measure_one(poly)
+        verdict = one or reference_graeffe_verdict(poly, powers)
+        if verdict is None:
+            verdict = (mahler_measure(poly, polyalg.GUARD_TOL / 4)
+                       <= mu + polyalg.GUARD_TOL)
+        if verdict:
+            out[poly] = one
     out |= {polyalg._mirror(p): one for p, one in out.items()}
     return out
 
@@ -395,6 +437,16 @@ class TestPowerSumEnumeration:
                              + [(5, 1.0), (5, 1.3248)])
     def test_verdicts_match_box(self, D, mu):
         assert polyalg._bounded_verdicts(D, mu) == box_verdicts(D, mu)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_graeffe_walk_matches_reference(self, mu):
+        # one walk gives both verdicts the two separate walks gave
+        powers = graeffe_powers(mu)
+        for poly in box(4, mu):
+            one = reference_measure_one(poly)
+            want = (one, one or reference_graeffe_verdict(poly, powers))
+            assert polyalg._graeffe_walk(poly, powers) == want, poly
+            assert is_measure_one(poly) == one
 
     @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
     def test_min_mahler_matches_box(self, D):

@@ -568,8 +568,12 @@ class TowerContext:
 
     def elem(self, u, v=0):
         """The value u + v*sqrt(d) in its one form: the KElem u when v = 0,
-        else a TowerElem of this tower."""
-        return _tower(KElem._lift(u), KElem._lift(v), self)
+        else a TowerElem of this tower.  u and v are int, Fraction or KElem;
+        anything else raises TypeError."""
+        u, v = KElem._lift(u), KElem._lift(v)
+        if u is NotImplemented or v is NotImplemented:
+            raise TypeError("tower coordinates must be int, Fraction or KElem")
+        return _tower(u, v, self)
 
     def sqrt_gen(self) -> "TowerElem":
         return self.elem(K_ZERO, K_ONE)

@@ -296,6 +296,17 @@ class TestBracelets:
         code, _, _ = run(["bracelets", "--length", "4", "--m", "2"], capsys)
         assert code == 2
 
+    # SHA-256 of the --json certificate, past the filtering reference's reach
+    @pytest.mark.parametrize("argv, digest", [
+        (["--length", "22"], "3a1a99e03dba5c6ba835397f25ae6ce2ea5a8e80a10dfd5bafc018d0a336809c"),
+        (["--length", "24"], "b1af477ed2f940e44e9d1c59947fc72661cb02e25d7d42547f2089f9ee4f909e"),
+        (["--m", "14"], "9c95482913e4bd5eaf596b5235ce8baa80c8fbfe1c0e6104801b40793147850c"),
+    ], ids=["length22", "length24", "m14"])
+    def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        path = tmp_path / "cert.json"
+        assert run(["--quiet", "--json", str(path), "bracelets"] + argv, capsys)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 class TestCongruence:
     def test_g1_membership(self, capsys, tmp_path):

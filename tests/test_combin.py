@@ -4,6 +4,8 @@ import random
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallsys import cli
 from smallsys.combin import (
@@ -73,6 +75,26 @@ def reference_select(m):
     return [CyclicBinarySeq(w) for w in itertools.islice(canonical, m)]
 
 
+def reference_burnside_count(L):
+    """burnside_count with the rotation term summed over all L rotations."""
+    total = 0
+    for j in range(L):
+        g = math.gcd(j, L)
+        if g % 2 == 0:
+            total += math.comb(g, g // 2)
+    pairs_vertex = (L - 2) // 2
+    vertex_fixed = 0
+    for ones_fixed in (0, 1, 2):
+        need = L // 2 - ones_fixed
+        if need % 2 == 0 and 0 <= need // 2 <= pairs_vertex:
+            ways = 1 if ones_fixed in (0, 2) else 2
+            vertex_fixed += ways * math.comb(pairs_vertex, need // 2)
+    total += (L // 2) * vertex_fixed
+    if (L // 2) % 2 == 0:
+        total += (L // 2) * math.comb(L // 2, L // 4)
+    return total // (2 * L)
+
+
 class TestCanonicalForm:
     def test_alternating_fixed(self):
         assert str(canonical_form(CyclicBinarySeq("1212"))) == "1212"
@@ -119,6 +141,16 @@ class TestEnumeration:
         for length in range(2, 21, 2):
             assert enumerate_balanced_bracelets(length) == reference_bracelets(length)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9).flatmap(
+        lambda half: st.permutations("1" * half + "2" * half)))
+    def test_orbit_of_a_random_word_is_enumerated(self, letters):
+        seq = CyclicBinarySeq("".join(letters))
+        words = enumerate_balanced_bracelets(len(seq))
+        assert canonical_form(seq) in words
+        assert all(canonical_form(w) == w for w in words)
+        assert all(u < w for u, w in zip(words, words[1:]))
+
     @pytest.mark.parametrize("length", [22, 24])
     def test_count_beyond_reference(self, length):
         assert len(enumerate_balanced_bracelets(length)) == burnside_count(length)
@@ -146,6 +178,10 @@ class TestBurnside:
         with pytest.raises(ValueError):
             burnside_count(7)
 
+    def test_rotation_term_matches_the_loop_over_rotations(self):
+        for length in range(2, 301, 2):
+            assert burnside_count(length) == reference_burnside_count(length), length
+
 
 class TestSelectInequivalent:
     def test_m1(self):
@@ -172,6 +208,13 @@ class TestSelectInequivalent:
     def test_matches_reference_scan(self):
         for m in range(1, 13):
             assert select_inequivalent(m) == reference_select(m)
+
+    def test_closed_form(self):
+        for m in range(1, 15):
+            h = 2 ** (m - 1)
+            expected = ["1" * h + "2" * h] + [
+                "1" * (h - 1) + "2" * j + "1" + "2" * (h - j) for j in range(1, m)]
+            assert [s.word for s in select_inequivalent(m)] == expected, m
 
     def test_long_words_need_no_recursion(self):
         sel = select_inequivalent(14)

@@ -252,6 +252,14 @@ class TestTower:
         assert (1 / g) * g == KElem(1)
         assert 1 / g == ctx.elem(0, Fraction(1, 3))
 
+    @pytest.mark.parametrize("foreign", ["x", 1.5, None])
+    def test_elem_rejects_a_foreign_type(self, foreign):
+        ctx = TowerContext.from_rational(3)
+        with pytest.raises(TypeError):
+            ctx.elem(foreign)
+        with pytest.raises(TypeError):
+            ctx.elem(1, foreign)
+
 
 class TestTextFormats:
     def test_kelem_roundtrip(self):

@@ -4,7 +4,8 @@ them: a subgroup sample with trace field k inside an ambient sample with
 trace field K rules out quasi-arithmeticity of the ambient group.
 
 The adjoint trace of an isometry is realized as the exterior-square trace
-((tr M)^2 - tr M^2) / 2.
+((tr M)^2 - tr M^2) / 2.  It is a value of k or of K in its one form, and
+the integrality scan takes its minimal polynomial over Q as it is.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactfield import K_ONE, KElem, TowerContext, TowerElem, as_tower_coords
+from .exactfield import K_ONE, KElem, TowerContext, as_tower_coords
 from .lorentz import Isometry, QuadForm, sum_prod
-from .polyalg import QuadAlgNum, minpoly_over_Q
+from .polyalg import minpoly_over_Q
 
 def adjoint_trace(m: Isometry):
     """((tr M)^2 - tr M^2) / 2, exact; equals the trace of M acting on the
@@ -40,14 +41,6 @@ def conjugate_between_forms(m: Isometry, a) -> Isometry:
                     for i in range(n + 1))
     # M preserves F2 = D F1 D, so D M D^{-1} preserves D^{-1} F2 D^{-1} = F1
     return Isometry._closed(entries, QuadForm.standard(1, n))
-
-
-def tower_value_as_quadratic(x) -> QuadAlgNum:
-    """View u + v*sqrt(a) (u, v in k) as the chosen root of
-    t^2 - 2u t + (u^2 - a v^2); a value of k is its own root."""
-    if not isinstance(x, TowerElem):
-        return QuadAlgNum.from_kelem(x)
-    return QuadAlgNum(2 * x.u, x.tower_norm(), x.v.sign())
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +140,7 @@ def integrality_scan(sample: GroupSample):
         tr = adjoint_trace(m)
         mp = minpolys.get(tr)
         if mp is None:
-            mp = minpolys[tr] = minpoly_over_Q(tower_value_as_quadratic(tr))
+            mp = minpolys[tr] = minpoly_over_Q(tr)
         if not mp.is_integral():
             out.append((word_to_text(word), tr, mp))
     return out

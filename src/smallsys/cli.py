@@ -31,7 +31,7 @@ from .combin import (
     select_inequivalent,
 )
 from .congr import ZsqrtIdeal, in_principal_congruence, is_integral_matrix
-from .exactfield import KElem, escalate, parse_kelem
+from .exactfield import KElem, embed, escalate, parse_kelem, sqrt_k
 from .hypgeom import GeodesicHyperplane, dist_hyperplanes, systole_witness
 from .lorentz import (
     QuadForm,
@@ -44,13 +44,7 @@ from .lorentz import (
     parse_isometry,
     translation_length,
 )
-from .polyalg import (
-    QuadAlgNum,
-    epsilon_gap,
-    min_mahler_above_one,
-    minpoly_over_Q,
-    product,
-)
+from .polyalg import epsilon_gap, min_mahler_above_one, minpoly_over_Q, product
 
 
 class InputError(ValueError):
@@ -164,11 +158,15 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
     lam2 = leading_eigenvalue(g2)
     len1 = translation_length(g1, precision)
     len2 = translation_length(g2, precision)
+    # alpha^2 - 1 = 4 c sqrt2 t^2 / (sqrt2 t^2 - c)^2 is never a square in k,
+    # so each lambda = alpha + sqrt(alpha^2 - 1) is a TowerElem with u = alpha
     cert.add("eigenvalues", "leading eigenvalues solve x^2 - 2 alpha x + 1",
-             lam1.trace == 2 * g1.alpha and lam2.trace == 2 * g2.alpha,
-             exact={"trace1": lam1.trace.to_text(), "trace2": lam2.trace.to_text()},
-             numeric={"lambda1": lam1.numeric(precision),
-                      "lambda2": lam2.numeric(precision),
+             all(lam * lam - 2 * g.alpha * lam + 1 == 0
+                 for g, lam in ((g1, lam1), (g2, lam2))),
+             exact={"trace1": (2 * lam1.u).to_text(),
+                    "trace2": (2 * lam2.u).to_text()},
+             numeric={"lambda1": embed(lam1, precision),
+                      "lambda2": embed(lam2, precision),
                       "length1": len1, "length2": len2})
 
     h1 = GeodesicHyperplane.coordinate(f1)
@@ -272,7 +270,7 @@ def cmd_search(c_text: str, eps: float, height_bound: int, precision: int) -> Ce
              f"length below {eps}",
              ell.hi < Fraction(eps),
              exact={"t": g.parameter().to_text(), "alpha": g.alpha.to_text()},
-             numeric={"lambda": lam.numeric(precision), "length": ell})
+             numeric={"lambda": embed(lam, precision), "length": ell})
     return cert
 
 
@@ -351,7 +349,7 @@ def cmd_minpoly(trace_text: str, norm_text: str, precision: int) -> Certificate:
     try:
         trace = parse_kelem(trace_text)
         norm = parse_kelem(norm_text)
-        lam = QuadAlgNum(trace, norm, 1)
+        lam = trace / 2 + sqrt_k(trace * trace / 4 - norm)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     cert = Certificate("minpoly", {"trace": trace.to_text(), "norm": norm.to_text()})
@@ -362,7 +360,7 @@ def cmd_minpoly(trace_text: str, norm_text: str, precision: int) -> Certificate:
              mp.is_monic(),
              exact={"minpoly": mp.to_text(),
                     "algebraic_integer": mp.is_integral()},
-             numeric={"value": lam.numeric(precision)})
+             numeric={"value": embed(lam, precision)})
     return cert
 
 

@@ -6,7 +6,7 @@ Z[sqrt 2] has class number 1, so one generator describes every ideal.
 
 from __future__ import annotations
 
-from .exactfield import KElem, TowerElem, parse_kelem
+from .exactfield import KElem, TowerElem, as_kelem, parse_kelem
 from .lorentz import Isometry
 
 
@@ -18,7 +18,7 @@ def _as_kelem(x) -> KElem:
     """Entries of congruence-tested matrices must lie in k."""
     if isinstance(x, TowerElem):
         raise ValueError(f"entry {x} lies outside k")
-    return KElem._lift(x)
+    return as_kelem(x)
 
 
 class ZsqrtIdeal:
@@ -28,7 +28,7 @@ class ZsqrtIdeal:
     __slots__ = ("generator",)
 
     def __init__(self, generator):
-        generator = KElem._lift(generator)
+        generator = as_kelem(generator)
         if not generator:
             raise ValueError("zero is not an ideal generator here")
         if not _is_integral_kelem(generator):

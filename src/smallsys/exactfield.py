@@ -355,7 +355,8 @@ class KElem:
         return _canon(e * (p * r - 2 * q * s), e * (q * r - p * s), self.d * n)
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        o = self._lift(other)
+        return o if o is NotImplemented else o / self
 
     def __eq__(self, other):
         o = other if type(other) is KElem else self._lift(other)
@@ -491,6 +492,16 @@ def _canon(p: int, q: int, d: int) -> KElem:
     return x
 
 
+def as_kelem(x) -> KElem:
+    """x as a KElem: the converter of every constructor that takes values of
+    k.  An int, Fraction or KElem is accepted; anything else raises TypeError
+    (``KElem._lift`` answers NotImplemented instead, for the operators)."""
+    out = KElem._lift(x)
+    if out is NotImplemented:
+        raise TypeError(f"expected int, Fraction or KElem, got {type(x).__name__}")
+    return out
+
+
 SQRT2 = KElem(0, 1)
 K_ONE = KElem(1)
 K_ZERO = KElem(0)
@@ -539,7 +550,7 @@ class TowerContext:
     __slots__ = ("radicand",)
 
     def __init__(self, radicand: KElem):
-        radicand = KElem._lift(radicand)
+        radicand = as_kelem(radicand)
         if radicand.sign() <= 0:
             raise ValueError("tower radicand must be positive")
         sq, _ = radicand.is_square()
@@ -570,10 +581,7 @@ class TowerContext:
         """The value u + v*sqrt(d) in its one form: the KElem u when v = 0,
         else a TowerElem of this tower.  u and v are int, Fraction or KElem;
         anything else raises TypeError."""
-        u, v = KElem._lift(u), KElem._lift(v)
-        if u is NotImplemented or v is NotImplemented:
-            raise TypeError("tower coordinates must be int, Fraction or KElem")
-        return _tower(u, v, self)
+        return _tower(as_kelem(u), as_kelem(v), self)
 
     def sqrt_gen(self) -> "TowerElem":
         return self.elem(K_ZERO, K_ONE)
@@ -710,7 +718,18 @@ def as_tower_coords(x):
     """View any field element as (u, v) with x = u + v*sqrt(a), u, v in k."""
     if isinstance(x, TowerElem):
         return x.u, x.v
-    return KElem._lift(x), K_ZERO
+    return as_kelem(x), K_ZERO
+
+
+def sqrt_k(x):
+    """The non-negative square root of x >= 0 in k, in its one form: the KElem
+    root when x is a square in k, else sqrt_gen of the tower k(sqrt x).  A
+    negative x raises ValueError."""
+    x = as_kelem(x)
+    if x.sign() < 0:
+        raise ValueError(f"{x} < 0 has no real square root")
+    square, root = x.is_square()
+    return root if square else TowerContext(x).sqrt_gen()
 
 
 def embed(x, precision: int = 64) -> RealInterval:

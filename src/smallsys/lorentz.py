@@ -2,7 +2,9 @@
 isometry verification, the one-parameter corner-block subgroup with its
 rational conic parametrization, leading eigenvalues, translation lengths,
 and a search for small ones that reads its parameter off a bound on t^2.
-A translation length has one certified enclosure, which every decision reads.
+A leading eigenvalue alpha + sqrt(alpha^2 - 1) is a value of k or of the
+tower k(sqrt(alpha^2 - 1)), in its one form; a translation length is the log
+of its one certified enclosure, which every decision reads.
 
 Forms are diag(c_1, ..., c_n, -sqrt 2) with positive spatial coefficients;
 matrices may have entries in k or in a quadratic tower over it.
@@ -14,8 +16,8 @@ import math
 from fractions import Fraction
 
 from .exactfield import (K_ONE, K_ZERO, KElem, RealInterval, SQRT2, TowerElem,
-                         escalate, parse_kelem, sqrt2_interval)
-from .polyalg import QuadAlgNum
+                         as_kelem, embed, escalate, parse_kelem, sqrt2_interval,
+                         sqrt_k)
 
 
 class WrongBranchError(ValueError):
@@ -48,7 +50,7 @@ class QuadForm:
     __slots__ = ("n", "spatial", "temporal")
 
     def __init__(self, spatial):
-        spatial = tuple(KElem._lift(c) for c in spatial)
+        spatial = tuple(as_kelem(c) for c in spatial)
         if not spatial:
             raise ValueError("need at least one spatial coefficient")
         for c in spatial:
@@ -66,7 +68,7 @@ class QuadForm:
         """diag(c, 1, ..., 1, -sqrt 2) in n+1 variables."""
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        return cls([KElem._lift(c)] + [KElem(1)] * (n - 1))
+        return cls([c] + [K_ONE] * (n - 1))
 
     @property
     def first(self) -> KElem:
@@ -262,9 +264,7 @@ class ABlockElement:
     __slots__ = ("alpha", "gamma", "c", "n")
 
     def __init__(self, alpha, gamma, c, n: int):
-        alpha = KElem._lift(alpha)
-        gamma = KElem._lift(gamma)
-        c = KElem._lift(c)
+        alpha, gamma, c = as_kelem(alpha), as_kelem(gamma), as_kelem(c)
         if n < 2:
             raise ValueError("ambient dimension must be at least 2")
         if c * alpha * alpha - SQRT2 * gamma * gamma != c:
@@ -320,8 +320,7 @@ class ABlockElement:
 def param_block(c, t, n: int) -> ABlockElement:
     """Block at conic parameter t: alpha = (c + sqrt2 t^2)/(sqrt2 t^2 - c),
     gamma = 2 c t/(sqrt2 t^2 - c); requires sqrt2 t^2 > c (loxodromic branch)."""
-    c = KElem._lift(c)
-    t = KElem._lift(t)
+    c, t = as_kelem(c), as_kelem(t)
     den = SQRT2 * t * t - c
     s = den.sign()
     if s == 0:
@@ -334,19 +333,22 @@ def param_block(c, t, n: int) -> ABlockElement:
     return ABlockElement(alpha, gamma, c, n)
 
 
-def leading_eigenvalue(g: ABlockElement) -> QuadAlgNum:
-    """The eigenvalue > 1 of the corner block: the + root of x^2 - 2 alpha x + 1
-    (the determinant is 1 by the conic equation, checked on construction)."""
-    if (g.alpha - KElem(1)).sign() <= 0:
+def leading_eigenvalue(g: ABlockElement):
+    """The eigenvalue > 1 of the corner block, alpha + sqrt(alpha^2 - 1), the +
+    root of x^2 - 2 alpha x + 1 (the determinant is 1 by the conic equation,
+    checked on construction): a KElem when alpha^2 - 1 is a square in k, else a
+    TowerElem of k(sqrt(alpha^2 - 1))."""
+    if (g.alpha - K_ONE).sign() <= 0:
         raise ValueError("alpha must exceed 1 for a loxodromic block")
-    return QuadAlgNum(2 * g.alpha, KElem(1), 1)
+    return g.alpha + sqrt_k(g.alpha * g.alpha - 1)
 
 
 def translation_length(g: ABlockElement, precision: int = 64) -> RealInterval:
     """The one certified enclosure of arccosh(alpha), as log(lambda) clamped at
-    0: lambda's discriminant is exact in k, so near alpha = 1 no bits are lost
-    to cancellation in alpha^2 - 1, as they are in arccosh of alpha's interval."""
-    ell = leading_eigenvalue(g).numeric(precision).log()
+    0: lambda's radicand alpha^2 - 1 is exact in k, so near alpha = 1 no bits are
+    lost to cancellation in alpha^2 - 1, as they are in arccosh of alpha's
+    interval."""
+    ell = embed(leading_eigenvalue(g), precision).log()
     return RealInterval(max(ell.lo, Fraction(0)), ell.hi, precision)
 
 
@@ -382,7 +384,7 @@ def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement
     block at -H - H sqrt2, of least length, or None when it is not loxodromic."""
     if eps_target <= 0:
         raise ValueError("eps_target must be positive")
-    c, eps, cap = KElem._lift(c), Fraction(eps_target), height_bound + 1
+    c, eps, cap = as_kelem(c), Fraction(eps_target), height_bound + 1
 
     def block(t):
         try:

@@ -1,12 +1,13 @@
 """Exact polynomial machinery: minimal polynomials of numbers quadratic
-over k = Q(sqrt 2), algebraic-integer tests, Mahler measure, and bounded
-enumeration of monic integer polynomials.
+over k = Q(sqrt 2) and of their products, algebraic-integer tests, Mahler
+measure, and bounded enumeration of monic integer polynomials.
 
-Minimal polynomials are exact: every number involved lies in a tower over
-k, its characteristic polynomial over Q is the k/Q norm of its
-characteristic polynomial over k, and that is a power of the minimal
-polynomial (Cohen, A Course in Computational Algebraic Number Theory,
-4.3), so the minimal polynomial is its squarefree part.  The Mahler
+A number quadratic over k has the one form exactfield gives it: a KElem, or
+a TowerElem u + v sqrt(d) with v != 0.  Minimal polynomials are exact: every
+number involved lies in a tower over k, its characteristic polynomial over Q
+is the k/Q norm of its characteristic polynomial over k, and that is a power
+of the minimal polynomial (Cohen, A Course in Computational Algebraic Number
+Theory, 4.3), so the minimal polynomial is its squarefree part.  The Mahler
 enumeration walks, on integers, the binomial box cut by the power-sum
 bound |s_k| <= d - 1 + mu^k, and decides each candidate there (Kronecker
 test, then Graeffe and Landau bounds against the exact cap); certified root
@@ -21,7 +22,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .exactfield import K_ONE, KElem, RealInterval, escalate
+from .exactfield import (K_ONE, RealInterval, TowerElem, as_kelem, embed,
+                         escalate)
 from .exactfield import PrecisionError  # noqa: F401  the Mahler measure raises it
 
 GRAEFFE_STEPS = 6       # iterates tried before the certified measure decides
@@ -221,62 +223,8 @@ class ZPoly:
 
 
 # ---------------------------------------------------------------------------
-# quadratic algebraic numbers over k
+# numbers quadratic over k
 # ---------------------------------------------------------------------------
-
-class QuadAlgNum:
-    """A chosen real root of x^2 - trace*x + norm with trace, norm in k.
-
-    ``branch`` +1 selects (trace + sqrt(disc))/2, -1 the other root; the
-    discriminant must be nonnegative under the distinguished embedding.
-    """
-
-    __slots__ = ("trace", "norm", "branch")
-
-    def __init__(self, trace, norm, branch=1):
-        trace = KElem._lift(trace)
-        norm = KElem._lift(norm)
-        if branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
-        if (trace * trace - 4 * norm).sign() < 0:
-            raise ValueError("negative discriminant: no real root on this branch")
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "branch", branch)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuadAlgNum is immutable")
-
-    @classmethod
-    def from_kelem(cls, r) -> "QuadAlgNum":
-        r = KElem._lift(r)
-        return cls(2 * r, r * r, 1)
-
-    def disc(self) -> KElem:
-        return self.trace * self.trace - 4 * self.norm
-
-    def numeric(self, precision: int = 64) -> RealInterval:
-        root = self.disc().embed(precision).sqrt()
-        t = self.trace.embed(precision)
-        return (t + root if self.branch > 0 else t - root) / 2
-
-    def __float__(self):
-        return float(self.numeric(64))
-
-    def affine(self, a, b) -> "QuadAlgNum":
-        """a*self + b for a, b in k."""
-        a = KElem._lift(a)
-        b = KElem._lift(b)
-        if not a:
-            return QuadAlgNum.from_kelem(b)
-        t, n = self.trace, self.norm
-        return QuadAlgNum(a * t + 2 * b, a * a * n + a * b * t + b * b,
-                          self.branch * a.sign())
-
-    def __repr__(self):
-        return (f"QuadAlgNum(trace={self.trace}, norm={self.norm}, "
-                f"branch={'+' if self.branch > 0 else '-'})")
-
 
 def _squarefree_part(p: QPoly) -> QPoly:
     d = p.derivative()
@@ -301,68 +249,56 @@ def _norm_to_Q(coeffs) -> QPoly:
     return A * A - 2 * (B * B)
 
 
-def _k_value(lam: QuadAlgNum):
-    """lam as an element of k when its discriminant is a square in k, else None."""
-    square, root = lam.disc().is_square()
-    return (lam.trace + lam.branch * root) / 2 if square else None
+def minpoly_over_Q(x) -> QPoly:
+    """Monic minimal polynomial over Q of an int, Fraction, KElem or TowerElem.
 
-
-def minpoly_over_Q(lam: QuadAlgNum) -> QPoly:
-    """Monic minimal polynomial of lam over Q.
-
-    When lam lies in k the answer is read off directly.  Otherwise
-    x^2 - t x + n is the characteristic polynomial of lam over k, so its
-    k/Q norm A^2 - 2 B^2 is the characteristic polynomial over Q: a power of
-    the minimal polynomial, which is therefore its squarefree part.
+    A value of k is read off directly.  A TowerElem u + v sqrt(d) has v != 0,
+    so it lies outside k and x^2 - 2u x + (u^2 - d v^2) is its minimal
+    polynomial over k; the k/Q norm A^2 - 2 B^2 of that is the characteristic
+    polynomial over Q: a power of the minimal polynomial, which is therefore
+    its squarefree part.
     """
-    r = _k_value(lam)
-    if r is not None:
-        return QPoly([-r.a, 1]) if not r.b else QPoly([r.norm(), -2 * r.a, 1])
-    return _squarefree_part(_norm_to_Q([lam.norm, -lam.trace, K_ONE]))
+    if isinstance(x, TowerElem):
+        return _squarefree_part(_norm_to_Q([x.tower_norm(), -2 * x.u, K_ONE]))
+    r = as_kelem(x)
+    return QPoly([-r.a, 1]) if not r.q else QPoly([r.norm(), -2 * r.a, 1])
 
 
-def product(lam: QuadAlgNum, mu: QuadAlgNum, precision: int = 64):
+def product(lam, mu, precision: int = 64):
     """The monic minimal polynomial over Q of lam*mu, together with an
-    isolating interval for the product.
+    isolating interval for the product; lam and mu are values of k or of
+    towers over it.
 
-    A factor in k rescales the other one.  When disc(lam) * disc(mu) is a
-    square in k, mu is an affine image of lam over k and lam*mu is again
-    quadratic over k.  Otherwise k(lam, mu) has degree 4 over k, and the
-    quartic over k whose roots are the four products lam_i * mu_j is the
-    characteristic polynomial of lam*mu there; its k/Q norm is a power of
-    the minimal polynomial.
+    When a factor lies in k, or both lie in one tower, lam*mu is a value of
+    that tower.  When the radicands d1, d2 of two towers multiply to a square
+    r^2 in k, sqrt(d2) = (r/d1) sqrt(d1) rewrites mu into lam's tower.
+    Otherwise k(lam, mu) has degree 4 over k, and the quartic over k whose
+    roots are the four products lam_i * mu_j is the characteristic polynomial
+    of lam*mu there; its k/Q norm is a power of the minimal polynomial.
     """
-    r, s = _k_value(lam), _k_value(mu)
-    if r == 0 or s == 0:
+    if not lam or not mu:
         return QPoly([0, 1]), RealInterval.exact(0, precision)
-    iv = lam.numeric(precision) * mu.numeric(precision)
-    if r is not None:
-        return minpoly_over_Q(mu.affine(r, 0)), iv
-    if s is not None:
-        return minpoly_over_Q(lam.affine(s, 0)), iv
-    t1, n1, t2, n2 = lam.trace, lam.norm, mu.trace, mu.norm
-    d1 = lam.disc()
-    square, root = (d1 * mu.disc()).is_square()
-    if square:
-        # sqrt(disc mu) = c sqrt(disc lam) with c = root / d1 > 0, so mu = a lam + b
-        # with a = +-c and b = (t2 - a t1) / 2; lam^2 = t1 lam - n1 then gives
-        # lam*mu = (a t1 + b) lam - a n1
-        a = lam.branch * mu.branch * root / d1
-        return minpoly_over_Q(lam.affine((a * t1 + t2) / 2, -a * n1)), iv
-    quartic = [n1 * n1 * n2 * n2, -t1 * t2 * n1 * n2,
-               n2 * (t1 * t1 - 2 * n1) + n1 * t2 * t2, -t1 * t2, K_ONE]
-    return _squarefree_part(_norm_to_Q(quartic)), iv
+    iv = embed(lam, precision) * embed(mu, precision)
+    if isinstance(lam, TowerElem) and isinstance(mu, TowerElem) and lam.ctx != mu.ctx:
+        d1, d2 = lam.ctx.radicand, mu.ctx.radicand
+        square, r = (d1 * d2).is_square()
+        if not square:
+            t1, n1, t2, n2 = 2 * lam.u, lam.tower_norm(), 2 * mu.u, mu.tower_norm()
+            quartic = [n1 * n1 * n2 * n2, -t1 * t2 * n1 * n2,
+                       n2 * (t1 * t1 - 2 * n1) + n1 * t2 * t2, -t1 * t2, K_ONE]
+            return _squarefree_part(_norm_to_Q(quartic)), iv
+        mu = lam.ctx.elem(mu.u, mu.v * r / d1)
+    return minpoly_over_Q(lam * mu), iv
 
 
 def is_algebraic_integer(obj) -> bool:
-    """True iff the monic minimal polynomial has integer coefficients."""
-    if isinstance(obj, QuadAlgNum):
-        return minpoly_over_Q(obj).is_integral()
+    """True iff the monic minimal polynomial has integer coefficients; obj is
+    that polynomial (a QPoly) or a value of k or of a tower over it."""
     if isinstance(obj, QPoly):
         if not obj.is_monic():
             raise ValueError("expected a monic minimal polynomial")
         return obj.is_integral()
-    raise TypeError(f"cannot test {type(obj).__name__} for integrality")
+    return minpoly_over_Q(obj).is_integral()
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ from smallsys.arith import (
     conjugate_between_forms,
     integrality_scan,
     non_qa_certificate,
-    tower_value_as_quadratic,
     trace_field_sample,
     word_to_text,
 )
-from smallsys.exactfield import KElem, as_tower_coords
+from smallsys.exactfield import KElem, TowerElem, as_tower_coords, sqrt_k
 from smallsys.lorentz import Isometry, QuadForm, block_g1, block_g2, param_block
-from smallsys.polyalg import QuadAlgNum, is_algebraic_integer
+from smallsys.polyalg import is_algebraic_integer, minpoly_over_Q
 
 F1 = QuadForm.standard(1, 2)
 FLIP = Isometry((
@@ -235,18 +234,27 @@ class TestNonQACertificate:
         assert any("subgroup" in f for f in report.failures)
 
 
+def root(t, n, branch=1):
+    """The root t/2 + branch sqrt(t^2/4 - n) of x^2 - t x + n, t and n in k."""
+    return t / 2 + branch * sqrt_k(t * t / 4 - n)
+
+
 class TestPalindromicTransfer:
     def test_golden_square(self):
-        mu = QuadAlgNum(KElem(3), KElem(1))      # golden ratio squared
+        mu = root(KElem(3), KElem(1))      # golden ratio squared
         assert is_algebraic_integer(mu)
 
     def test_lambda2_nonintegral(self):
-        mu = QuadAlgNum(KElem(Fraction(22, 7), Fraction(12, 7)), KElem(1))
+        mu = root(KElem(Fraction(22, 7), Fraction(12, 7)), KElem(1))
         assert not is_algebraic_integer(mu)
 
 
-def test_tower_value_as_quadratic_roundtrip():
-    h = g2_conj()
-    tr = adjoint_trace(h * h)
-    q = tower_value_as_quadratic(tr)
-    assert float(q.numeric(96)) == pytest.approx(float(tr.embed(96)), abs=1e-12)
+def test_tower_trace_is_a_root_of_its_minpoly():
+    tr = adjoint_trace(g1_iso() * g2_conj())
+    assert isinstance(tr, TowerElem)
+    mp = minpoly_over_Q(tr)
+    assert mp.degree() == 4
+    value = 0
+    for c in reversed(mp.coeffs):
+        value = value * tr + c
+    assert value == 0

@@ -12,7 +12,7 @@ from smallsys import arith, cli, lorentz
 from smallsys.arith import (GroupSample, adjoint_trace, conjugate_between_forms,
                             integrality_scan)
 from smallsys.cli import main
-from smallsys.exactfield import SQRT2, KElem, TowerElem
+from smallsys.exactfield import SQRT2, KElem, TowerElem, sqrt_k
 from smallsys.lorentz import block_g1, block_g2, serialize_isometry
 from smallsys.polyalg import PrecisionError
 
@@ -138,6 +138,19 @@ class TestVerify:
     def test_reproducible_json(self, capsys, tmp_path):
         assert_one_format(["verify"], capsys, tmp_path)
 
+    def test_eigenvalue_check_is_decided_in_the_tower(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # alpha + 2 sqrt(alpha^2 - 1) has trace coordinate 2 alpha too, but
+        # it does not solve x^2 - 2 alpha x + 1
+        def wrong(g):
+            return g.alpha + 2 * sqrt_k(g.alpha * g.alpha - 1)
+        monkeypatch.setattr(cli, "leading_eigenvalue", wrong)
+        path = tmp_path / "cert.json"
+        assert run(["--quiet", "--json", str(path), "verify"], capsys)[0] == 1
+        checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+        assert checks["eigenvalues"]["status"] == "FAIL"
+        assert checks["eigenvalues"]["exact_values"]["trace1"] == "6+4*rt2"
+
     def test_g2_parameter_matches_linear_walk(self):
         # g2's parameter for a != 3 is the least t >= 1 with sqrt2 t^2 > a
         def walk(a):
@@ -194,6 +207,22 @@ class TestOneFormat:
         mat = tmp_path / "g1.mat"
         mat.write_text(serialize_isometry(block_g1().to_isometry()))
         assert_one_format([a.format(g1=mat) for a in argv], capsys, tmp_path)
+
+    # SHA-256 of the --json certificate where lambda lies in k: the search at
+    # c = sqrt2 hits t = 9, alpha = 41/40, lambda = 5/4; the + roots of
+    # x^2 - 2x - 1 and x^2 are 1 + sqrt2 and 0
+    @pytest.mark.parametrize("argv, digest", [
+        (["search", "--c", "0+1*rt2", "--epsilon", "0.25"],
+         "233e78716fdd00a5bcab771dda7e03b3df2a2b3a507fffcdc686623b0af3f2bd"),
+        (["minpoly", "--trace", "2", "--norm", "-1"],
+         "5a9f0045f2837fa3377af197d9a0f94b243f034d769927894061fa4b40b58fb6"),
+        (["minpoly", "--trace", "0", "--norm", "0"],
+         "0b3e1a5fb1e27b1d86cd935bf1e4842fe1b5f85f1e2c71d2a44b8bfd2493cdb9"),
+    ], ids=["search-rational-lambda", "minpoly-in-k", "minpoly-zero"])
+    def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        path = tmp_path / "cert.json"
+        assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestSearch:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from smallsys import polyalg
+from smallsys.congr import ZsqrtIdeal
 from smallsys.exactfield import (
     SQRT2,
     ContextMismatchError,
@@ -12,11 +13,14 @@ from smallsys.exactfield import (
     PrecisionError,
     RealInterval,
     TowerContext,
+    TowerElem,
     embed,
     escalate,
     parse_kelem,
     sqrt2_interval,
+    sqrt_k,
 )
+from smallsys.lorentz import ABlockElement, QuadForm, param_block
 
 
 def rand_kelem(rng, bound=20):
@@ -107,6 +111,32 @@ class TestIsSquare:
         assert not ok
 
 
+class TestSqrtK:
+    def test_square_gives_its_kelem_root(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            x = rand_kelem(rng, bound=12)
+            root = sqrt_k(x * x)
+            assert type(root) is KElem and root == abs(x)
+        assert sqrt_k(0) == 0 and sqrt_k(2) == SQRT2
+
+    def test_non_square_gives_the_tower_generator(self):
+        for x in (KElem(3), KElem(1, 1), KElem(Fraction(5, 3))):
+            root = sqrt_k(x)
+            assert isinstance(root, TowerElem)
+            assert root == TowerContext(x).sqrt_gen()
+            assert root * root == x and root.sign() == 1
+
+    @pytest.mark.parametrize("x", [-1, KElem(1, -1), Fraction(-1, 9)])
+    def test_negative_raises_value_error(self, x):
+        with pytest.raises(ValueError):
+            sqrt_k(x)
+
+    def test_foreign_type_raises_type_error(self):
+        with pytest.raises(TypeError, match="int, Fraction or KElem"):
+            sqrt_k(2.0)
+
+
 class TestSign:
     def test_examples(self):
         assert KElem(3, -2).sign() == 1
@@ -135,6 +165,11 @@ class TestSign:
                     compare(KElem(1), other)
                 with pytest.raises(TypeError):
                     compare(other, KElem(1))
+
+    def test_foreign_type_division_raises_type_error(self):
+        for other in (1.5, "x", None):
+            with pytest.raises(TypeError):
+                other / KElem(1)
 
 
 class TestEmbedAndHeight:
@@ -341,3 +376,17 @@ class TestEscalate:
 
     def test_polyalg_name_is_the_same_class(self):
         assert polyalg.PrecisionError is PrecisionError
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QuadForm(["x", 1]),
+    lambda: QuadForm([1.5]),
+    lambda: TowerContext(1.5),
+    lambda: ZsqrtIdeal(2.0),
+    lambda: param_block(1.5, 1, 2),
+    lambda: ABlockElement("x", 0, 1, 2),
+], ids=["QuadForm-str", "QuadForm-float", "TowerContext", "ZsqrtIdeal",
+        "param_block", "ABlockElement"])
+def test_constructors_reject_a_foreign_type(make):
+    with pytest.raises(TypeError, match="int, Fraction or KElem"):
+        make()

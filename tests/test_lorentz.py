@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallsys import cli, lorentz
-from smallsys.exactfield import KElem, RealInterval, SQRT2, TowerContext, parse_kelem
+from smallsys.exactfield import (KElem, RealInterval, SQRT2, TowerContext, embed,
+                                 parse_kelem)
 from smallsys.lorentz import (
     ABlockElement,
     DegenerateParameterError,
@@ -306,22 +310,23 @@ class TestParamBlock:
 class TestEigenvalueAndLength:
     def test_lambda1(self):
         lam = leading_eigenvalue(block_g1())
-        assert lam.trace == KElem(6, 4)
-        assert lam.norm == KElem(1)
-        assert float(lam.numeric(96)) == pytest.approx(11.570427015766490, abs=1e-9)
+        assert 2 * lam.u == KElem(6, 4)
+        assert lam.tower_norm() == KElem(1)
+        assert float(embed(lam, 96)) == pytest.approx(11.570427015766490, abs=1e-9)
 
     def test_lambda2(self):
         lam = leading_eigenvalue(block_g2())
-        assert lam.trace == KElem(Fraction(22, 7), Fraction(12, 7))
-        assert float(lam.numeric(96)) == pytest.approx(5.381397928309880, abs=1e-9)
+        assert 2 * lam.u == KElem(Fraction(22, 7), Fraction(12, 7))
+        assert float(embed(lam, 96)) == pytest.approx(5.381397928309880, abs=1e-9)
 
     def test_eigenvalue_trace_relation(self):
         rng = random.Random(73)
         for _ in range(100):
             g = param_block(KElem(rng.randint(1, 4)), rand_valid_param(rng, None), 2)
             lam = leading_eigenvalue(g)
-            assert lam.trace == 2 * g.alpha
-            assert lam.norm == KElem(1)
+            assert lam.u == g.alpha
+            assert lam.tower_norm() == KElem(1)
+            assert lam * lam - 2 * g.alpha * lam + 1 == 0
 
     def test_identity_boundary_rejected(self):
         with pytest.raises(ValueError):
@@ -596,3 +601,14 @@ class TestSerialization:
         for n in range(2, 11):
             assert is_isometry(block_g1(n).to_entries(), QuadForm.standard(1, n))
             assert is_isometry(block_g2(n).to_entries(), QuadForm.standard(3, n))
+
+
+def test_geometry_layers_leave_polyalg_unloaded():
+    # eigenvalues are tower values, so the geometry never needs polyalg
+    code = ("import sys, smallsys.lorentz, smallsys.hypgeom, smallsys.congr; "
+            "print('smallsys.polyalg' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(lorentz.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallsys import polyalg
-from smallsys.exactfield import SQRT2, KElem
+from smallsys.exactfield import SQRT2, KElem, TowerContext, TowerElem, embed, sqrt_k
 from smallsys.polyalg import (
     PrecisionError,
     QPoly,
-    QuadAlgNum,
     ZPoly,
     enumerate_bounded,
     epsilon_gap,
@@ -29,9 +28,15 @@ from smallsys.polyalg import (
 PLASTIC = 1.3247179572447460260
 GOLDEN = (1 + math.sqrt(5)) / 2
 
+
+def root(t, n, branch=1):
+    """The root t/2 + branch sqrt(t^2/4 - n) of x^2 - t x + n, t and n in k."""
+    return t / 2 + branch * sqrt_k(t * t / 4 - n)
+
+
 # the two loxodromic eigenvalues of the worked instance (traces in k, norm 1)
-LAM1 = QuadAlgNum(KElem(6, 4), KElem(1))
-LAM2 = QuadAlgNum(KElem(Fraction(22, 7), Fraction(12, 7)), KElem(1))
+LAM1 = root(KElem(6, 4), KElem(1))
+LAM2 = root(KElem(Fraction(22, 7), Fraction(12, 7)), KElem(1))
 
 
 def horner(p: QPoly, x):
@@ -42,12 +47,16 @@ def horner(p: QPoly, x):
     return acc
 
 
-def sympy_value(sympy, lam: QuadAlgNum):
-    """lam as an exact sympy radical expression."""
+def sympy_value(sympy, lam):
+    """lam, a KElem or a TowerElem u + v sqrt(d), as an exact sympy radical
+    expression."""
     r2 = sympy.sqrt(2)
-    tv = sympy.Rational(lam.trace.a) + sympy.Rational(lam.trace.b) * r2
-    nv = sympy.Rational(lam.norm.a) + sympy.Rational(lam.norm.b) * r2
-    return (tv + lam.branch * sympy.sqrt(tv ** 2 - 4 * nv)) / 2
+
+    def k(x):
+        return sympy.Rational(x.a) + sympy.Rational(x.b) * r2
+    if not isinstance(lam, TowerElem):
+        return k(lam)
+    return k(lam.u) + k(lam.v) * sympy.sqrt(k(lam.ctx.radicand))
 
 
 def sympy_minpoly(sympy, val) -> QPoly:
@@ -58,11 +67,12 @@ def sympy_minpoly(sympy, val) -> QPoly:
 
 class TestMinpoly:
     def test_golden_ratio(self):
-        lam = QuadAlgNum(KElem(1), KElem(-1))
+        lam = root(KElem(1), KElem(-1))
         assert minpoly_over_Q(lam) == QPoly([-1, -1, 1])
 
     def test_degenerate_rational(self):
-        lam = QuadAlgNum(KElem(4), KElem(4))     # the number 2
+        lam = root(KElem(4), KElem(4))     # the number 2
+        assert lam == 2
         assert minpoly_over_Q(lam) == QPoly([-2, 1])
 
     def test_lambda1_quartic(self):
@@ -84,12 +94,12 @@ class TestMinpoly:
             if (t * t - 4 * n).sign() < 0:
                 continue
             branch = rng.choice([1, -1])
-            cases.append(QuadAlgNum(t, n, branch))
+            cases.append(root(t, n, branch))
         # discriminants that are nonzero squares in k put lam in k
         for _ in range(10):
             s = KElem(rng.randint(0, 6), rng.randint(-4, 4)) or SQRT2
             t = KElem(rng.randint(-6, 6), rng.randint(-6, 6))
-            cases.extend(QuadAlgNum(t, (t * t - s * s) / 4, branch)
+            cases.extend(root(t, (t * t - s * s) / 4, branch)
                          for branch in (1, -1))
         for lam in cases:
             assert minpoly_over_Q(lam) == sympy_minpoly(sympy, sympy_value(sympy, lam))
@@ -99,12 +109,12 @@ class TestMinpoly:
         for _ in range(40):
             r = KElem(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
                       Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-            m = minpoly_over_Q(QuadAlgNum.from_kelem(r))
+            m = minpoly_over_Q(r)
             assert m.degree() <= 2
             assert horner(m, r) == 0
 
     def test_numeric_root_containment(self):
-        iv = LAM1.numeric(96)
+        iv = embed(LAM1, 96)
         lam1 = Fraction("11.570427015766490403162879294473207567885425")
         assert iv.lo < lam1 < iv.hi
 
@@ -117,7 +127,7 @@ class TestIntegrality:
         assert is_algebraic_integer(LAM2) is False
 
     def test_golden_integral(self):
-        assert is_algebraic_integer(QuadAlgNum(KElem(1), KElem(-1))) is True
+        assert is_algebraic_integer(root(KElem(1), KElem(-1))) is True
 
     def test_polynomial_input(self):
         assert is_algebraic_integer(QPoly([-1, -1, 1])) is True
@@ -128,15 +138,15 @@ class TestIntegrality:
 
 class TestProduct:
     def test_degenerate_integers(self):
-        two = QuadAlgNum.from_kelem(KElem(2))
-        three = QuadAlgNum.from_kelem(KElem(3))
+        two = KElem(2)
+        three = KElem(3)
         m, iv = product(two, three)
         assert m == QPoly([-6, 1])
         assert Fraction(6) in iv
 
     def test_reciprocal_pair(self):
         # LAM1 has norm 1, so its reciprocal is the other root
-        m, iv = product(LAM1, QuadAlgNum(LAM1.trace, LAM1.norm, -1))
+        m, iv = product(LAM1, root(KElem(6, 4), KElem(1), -1))
         assert m == QPoly([-1, 1])
         assert Fraction(1) in iv
 
@@ -156,9 +166,9 @@ class TestProduct:
     def test_matches_sympy_oracle_on_each_branch(self):
         sympy = pytest.importorskip("sympy")
         for branch in (1, -1):
-            lam = QuadAlgNum(KElem(1, 1), KElem(-1), branch)   # disc 7 + 2 sqrt2
-            cases = [(lam, QuadAlgNum(KElem(4), KElem(2), branch), 4),   # 2 +- sqrt2
-                     (lam.affine(KElem(-1, 2), KElem(3, -1)), lam, 4),
+            lam = root(KElem(1, 1), KElem(-1), branch)   # disc 7 + 2 sqrt2
+            cases = [(lam, root(KElem(4), KElem(2), branch), 4),   # 2 +- sqrt2
+                     (KElem(-1, 2) * lam + KElem(3, -1), lam, 4),
                      (lam, LAM1, 8)]
             for x, y, degree in cases:
                 m, iv = product(x, y)
@@ -167,14 +177,43 @@ class TestProduct:
                 assert m == sympy_minpoly(sympy, val)
                 assert iv.lo <= Fraction(str(sympy.N(val, 30))) <= iv.hi
 
+    def test_cross_tower_rewrite_matches_sympy(self):
+        # radicands d and 4d multiply to the square (2d)^2, so mu is rewritten
+        # into lam's tower with sqrt(4d) = (2d/d) sqrt(d)
+        sympy = pytest.importorskip("sympy")
+        for branch in (1, -1):
+            lam = root(KElem(1, 1), KElem(-1), branch)
+            d = lam.ctx.radicand
+            for u, v in ((KElem(2, -1), KElem(1, 3)), (KElem(0), KElem(-1, 1)),
+                         (KElem(Fraction(1, 3)), KElem(5))):
+                mu = u + v * sqrt_k(4 * d)
+                assert mu.ctx != lam.ctx
+                m, iv = product(lam, mu)
+                val = sympy_value(sympy, lam) * sympy_value(sympy, mu)
+                assert m.degree() <= 4
+                assert m == sympy_minpoly(sympy, val)
+                assert iv.lo <= Fraction(str(sympy.N(val, 30))) <= iv.hi
+
+    def test_same_tower_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        ctx = TowerContext.from_rational(3)
+        cases = [(ctx.elem(KElem(1, 1), KElem(2)), ctx.elem(KElem(2, -1), KElem(1, 1))),
+                 (ctx.sqrt_gen(), ctx.sqrt_gen()),
+                 (LAM2, LAM2.tower_conjugate())]
+        for lam, mu in cases:
+            m, iv = product(lam, mu)
+            val = sympy_value(sympy, lam) * sympy_value(sympy, mu)
+            assert m == sympy_minpoly(sympy, val)
+            assert iv.lo <= Fraction(str(sympy.N(val, 30))) <= iv.hi
+
     def test_interval_subset_of_input_products(self):
         rng = random.Random(59)
         for _ in range(10):
             t = KElem(rng.randint(3, 8), rng.randint(0, 3))
-            lam = QuadAlgNum(t, KElem(1))
-            mu = QuadAlgNum(KElem(rng.randint(3, 7)), KElem(1))
+            lam = root(t, KElem(1))
+            mu = root(KElem(rng.randint(3, 7)), KElem(1))
             _, iv = product(lam, mu)
-            wide = lam.numeric(32) * mu.numeric(32)
+            wide = embed(lam, 32) * embed(mu, 32)
             assert wide.lo <= iv.lo and iv.hi <= wide.hi
 
 
@@ -554,6 +593,6 @@ class TestPolyBasics:
     def test_zpoly_accepts_integral_values(self):
         assert ZPoly([Fraction(4, 2), 2.0, 1]).coeffs == (2, 2, 1)
 
-    def test_quadalgnum_validation(self):
+    def test_negative_discriminant_has_no_real_root(self):
         with pytest.raises(ValueError):
-            QuadAlgNum(KElem(0), KElem(1))   # x^2 + 1 has no real root
+            root(KElem(0), KElem(1))   # x^2 + 1 has no real root

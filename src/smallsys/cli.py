@@ -11,6 +11,7 @@ field-element text forms and numeric values are printed at fixed precision
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -385,7 +386,10 @@ def cmd_budget(m: int, D: int) -> Certificate:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on the first call, then reused,
+    since parse_args keeps no state between calls."""
     p = argparse.ArgumentParser(
         prog="smallsys",
         description="exact certificates for the small-systole gluing toolkit")

@@ -6,10 +6,12 @@ element of k is one integer triple (p + q sqrt2)/d with d > 0 and
 gcd(p, q, d) = 1, so field arithmetic and sign determination run on ints
 only, never on floating point; a tower element u + v sqrt(d) with v = 0 is
 the KElem u, and a TowerElem always has v != 0, so equal values compare and
-hash alike and a factor from k costs two multiplies, not five; numerical
+hash alike and a factor from k costs two multiplies, not five.  Numerical
 evaluation goes through ``RealInterval``, whose endpoints always enclose the
-exact value, and ``escalate`` is the one rule that raises its precision.  The
-distinguished real embedding sends sqrt(2) and sqrt(d) to their positive roots.
+exact value; they are dyadic, stored as int mantissas over 2^precision, so
+interval arithmetic runs on ints too.  ``escalate`` is the one rule that
+raises a precision.  The distinguished real embedding sends sqrt(2) and
+sqrt(d) to their positive roots.
 """
 
 from __future__ import annotations
@@ -45,122 +47,111 @@ def escalate(decide, start: int, message: str):
 # certified intervals
 # ---------------------------------------------------------------------------
 
-def _round_down(x: Fraction, prec: int) -> Fraction:
-    scale = 1 << prec
-    return Fraction(math.floor(x * scale), scale)
+def _check_precision(precision: int):
+    if precision < 16:
+        raise ValueError("precision must be at least 16 bits")
 
 
-def _round_up(x: Fraction, prec: int) -> Fraction:
-    scale = 1 << prec
-    return Fraction(math.ceil(x * scale), scale)
+def _ceil_shift(n: int, k: int) -> int:
+    """ceil(n / 2^k) for k >= 0."""
+    return -(-n >> k)
 
 
-def _sqrt_down(x: Fraction, prec: int) -> Fraction:
-    if x < 0:
-        raise ValueError("sqrt of negative lower bound")
-    if x == 0:
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
-    s = math.isqrt(p * q << (2 * prec))
-    return Fraction(s, q << prec)
+def _isqrt_up(n: int) -> int:
+    s = math.isqrt(n)
+    return s if s * s == n else s + 1
 
 
-def _sqrt_up(x: Fraction, prec: int) -> Fraction:
-    if x <= 0:
-        if x < 0:
-            raise ValueError("sqrt of negative upper bound")
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
-    s = math.isqrt(p * q << (2 * prec))
-    if s * s < p * q << (2 * prec):
-        s += 1
-    return Fraction(s, q << prec)
-
-
-def _raw_to_frac(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    m = int(man)
-    if sign:
-        m = -m
-    if exp >= 0:
-        return Fraction(m << exp)
-    return Fraction(m, 1 << -exp)
-
-
-def _libmp_dir(fn, x: Fraction, prec: int, upper: bool) -> Fraction:
-    """One transcendental endpoint, padded outward past libmp's rounding."""
+def _libmp_dir(fn, man: int, prec: int, upper: bool) -> int:
+    """One transcendental endpoint fn(man / 2^prec), padded outward past
+    libmp's rounding by max(|value|, 1) / 2^(prec+8) and rounded outward to a
+    mantissa over 2^prec."""
     work = prec + 16
     rnd = "c" if upper else "f"
-    raw = libmp.from_rational(x.numerator, x.denominator, work, rnd)
-    out = _raw_to_frac(fn(raw, work, rnd))
-    pad = max(abs(out), Fraction(1)) / (1 << (prec + 8))
-    return out + pad if upper else out - pad
+    sign, m, exp, _ = fn(libmp.from_man_exp(man, -prec, work, rnd), work, rnd)
+    # the value is n / 2^sh, so 2^prec (value +- pad) is (n 2^(prec+8) +- pad') / 2^(sh+8)
+    sh = max(0, -exp)
+    n = (-m if sign else m) << (exp + sh)
+    pad, n = max(abs(n), 1 << sh), n << (prec + 8)
+    return _ceil_shift(n + pad, sh + 8) if upper else (n - pad) >> (sh + 8)
 
 
 class RealInterval:
-    """A closed interval with exact rational endpoints containing a real value.
+    """A closed interval [lo, hi] with dyadic endpoints containing a real value.
 
-    Endpoint arithmetic is exact; endpoints are rounded outward to dyadics
-    with ``precision`` fractional bits so representations stay small.
+    The endpoints are stored as two int mantissas over 2^precision,
+    lo = man_lo / 2^precision and hi = man_hi / 2^precision, so every
+    operation works on plain ints.  A result is rounded outward to the smaller
+    precision of its operands (a transcendental endpoint is padded outward past
+    libmp's rounding first); ``lo`` and ``hi`` are read-only Fraction views.
     """
 
-    __slots__ = ("lo", "hi", "precision")
+    __slots__ = ("man_lo", "man_hi", "precision")
 
     def __init__(self, lo, hi, precision: int = 64):
-        if precision < 16:
-            raise ValueError("precision must be at least 16 bits")
+        _check_precision(precision)
         lo = Fraction(lo)
         hi = Fraction(hi)
         if lo > hi:
             raise ValueError("empty interval")
-        object.__setattr__(self, "lo", _round_down(lo, precision))
-        object.__setattr__(self, "hi", _round_up(hi, precision))
-        object.__setattr__(self, "precision", precision)
+        _set_lo(self, (lo.numerator << precision) // lo.denominator)
+        _set_hi(self, -((-hi.numerator << precision) // hi.denominator))
+        _set_prec(self, precision)
 
     def __setattr__(self, *_):
         raise AttributeError("RealInterval is immutable")
 
     @classmethod
     def exact(cls, x, precision: int = 64) -> "RealInterval":
-        x = Fraction(x)
         return cls(x, x, precision)
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.man_lo, 1 << self.precision)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.man_hi, 1 << self.precision)
+
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.man_hi - self.man_lo, 1 << self.precision)
 
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.man_lo + self.man_hi, 2 << self.precision)
 
     def __float__(self) -> float:
-        return float(self.mid())
+        return (self.man_lo + self.man_hi) / (2 << self.precision)
 
     def __contains__(self, x) -> bool:
         x = Fraction(x)
-        return self.lo <= x <= self.hi
+        n, d = x.numerator << self.precision, x.denominator
+        return self.man_lo * d <= n <= self.man_hi * d
 
     def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
+        return self.man_lo <= 0 <= self.man_hi
 
     def overlaps(self, other: "RealInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+        p, q = self.precision, other.precision
+        return self.man_lo << q <= other.man_hi << p and other.man_lo << p <= self.man_hi << q
 
     def sign(self):
         """+1/-1 when the interval excludes 0, 0 for [0,0], else None."""
-        if self.lo > 0:
+        if self.man_lo > 0:
             return 1
-        if self.hi < 0:
+        if self.man_hi < 0:
             return -1
-        if self.lo == 0 and self.hi == 0:
+        if self.man_lo == 0 and self.man_hi == 0:
             return 0
         return None
 
     def strictly_less(self, other: "RealInterval") -> bool:
-        return self.hi < other.lo
+        return self.man_hi << other.precision < other.man_lo << self.precision
 
     def __repr__(self):
-        return f"RealInterval({float(self.lo)!r}, {float(self.hi)!r})"
+        scale = 1 << self.precision
+        return f"RealInterval({self.man_lo / scale!r}, {self.man_hi / scale!r})"
 
     # -- arithmetic -------------------------------------------------------
 
@@ -169,27 +160,41 @@ class RealInterval:
             return other
         return RealInterval.exact(other, self.precision)
 
+    def _at(self, p: int):
+        """The mantissas rounded outward to p <= precision bits."""
+        k = self.precision - p
+        if not k:
+            return self.man_lo, self.man_hi
+        return self.man_lo >> k, _ceil_shift(self.man_hi, k)
+
     def __add__(self, other):
         o = self._coerce(other)
         p = min(self.precision, o.precision)
-        return RealInterval(self.lo + o.lo, self.hi + o.hi, p)
+        (a, b), (c, d) = self._at(p), o._at(p)
+        return _interval(a + c, b + d, p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RealInterval(-self.hi, -self.lo, self.precision)
+        return _interval(-self.man_hi, -self.man_lo, self.precision)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        p = min(self.precision, o.precision)
+        (a, b), (c, d) = self._at(p), o._at(p)
+        return _interval(a - d, b - c, p)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
-        p = min(self.precision, o.precision)
-        prods = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RealInterval(min(prods), max(prods), p)
+        a, b, c, d = self.man_lo, self.man_hi, o.man_lo, o.man_hi
+        prods = (a * c, a * d, b * c, b * d)
+        # the products are over 2^(p + q); rounding to min(p, q) drops max(p, q)
+        p, q = self.precision, o.precision
+        k = max(p, q)
+        return _interval(min(prods) >> k, _ceil_shift(max(prods), k), p + q - k)
 
     __rmul__ = __mul__
 
@@ -197,55 +202,70 @@ class RealInterval:
         o = self._coerce(other)
         if o.contains_zero():
             raise ZeroDivisionError("interval divisor contains zero")
-        inv = RealInterval(1 / o.hi, 1 / o.lo, o.precision)
-        return self * inv
+        q = o.precision
+        one = 1 << 2 * q
+        return self * _interval(one // o.man_hi, -(-one // o.man_lo), q)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def sqrt(self) -> "RealInterval":
-        lo = max(self.lo, Fraction(0))
-        if self.hi < 0:
+        if self.man_hi < 0:
             raise ValueError("sqrt of negative interval")
-        return RealInterval(_sqrt_down(lo, self.precision),
-                            _sqrt_up(self.hi, self.precision), self.precision)
+        p = self.precision
+        return _interval(math.isqrt(max(self.man_lo, 0) << p),
+                         _isqrt_up(self.man_hi << p), p)
 
     def log(self) -> "RealInterval":
-        if self.lo <= 0:
+        if self.man_lo <= 0:
             raise ValueError("log needs a positive interval")
-        return RealInterval(_libmp_dir(libmp.mpf_log, self.lo, self.precision, False),
-                            _libmp_dir(libmp.mpf_log, self.hi, self.precision, True),
-                            self.precision)
+        p = self.precision
+        return _interval(_libmp_dir(libmp.mpf_log, self.man_lo, p, False),
+                         _libmp_dir(libmp.mpf_log, self.man_hi, p, True), p)
 
     def cosh(self) -> "RealInterval":
-        a, b = abs(self.lo), abs(self.hi)
-        top = max(a, b)
-        hi = _libmp_dir(libmp.mpf_cosh, top, self.precision, True)
-        if self.contains_zero():
-            lo = Fraction(1)
-        else:
-            lo = _libmp_dir(libmp.mpf_cosh, min(a, b), self.precision, False)
-            lo = max(lo, Fraction(1))
-        return RealInterval(lo, hi, self.precision)
+        p = self.precision
+        a, b = abs(self.man_lo), abs(self.man_hi)
+        hi = _libmp_dir(libmp.mpf_cosh, max(a, b), p, True)
+        lo = 1 << p
+        if not self.contains_zero():
+            lo = max(_libmp_dir(libmp.mpf_cosh, min(a, b), p, False), lo)
+        return _interval(lo, hi, p)
 
     def sinh(self) -> "RealInterval":
-        return RealInterval(_libmp_dir(libmp.mpf_sinh, self.lo, self.precision, False),
-                            _libmp_dir(libmp.mpf_sinh, self.hi, self.precision, True),
-                            self.precision)
+        p = self.precision
+        return _interval(_libmp_dir(libmp.mpf_sinh, self.man_lo, p, False),
+                         _libmp_dir(libmp.mpf_sinh, self.man_hi, p, True), p)
 
     def acos(self) -> "RealInterval":
-        lo = max(self.lo, Fraction(-1))
-        hi = min(self.hi, Fraction(1))
+        p = self.precision
+        lo = max(self.man_lo, -1 << p)
+        hi = min(self.man_hi, 1 << p)
         if lo > hi:
             raise ValueError("acos needs an interval meeting [-1, 1]")
-        out_lo = max(_libmp_dir(libmp.mpf_acos, hi, self.precision, False), Fraction(0))
-        out_hi = max(_libmp_dir(libmp.mpf_acos, lo, self.precision, True), Fraction(0))
-        return RealInterval(out_lo, out_hi, self.precision)
+        return _interval(max(_libmp_dir(libmp.mpf_acos, hi, p, False), 0),
+                         max(_libmp_dir(libmp.mpf_acos, lo, p, True), 0), p)
+
+
+# the slots are written through their descriptors, past the __setattr__ guard
+_set_lo = RealInterval.man_lo.__set__
+_set_hi = RealInterval.man_hi.__set__
+_set_prec = RealInterval.precision.__set__
+
+
+def _interval(man_lo: int, man_hi: int, precision: int) -> RealInterval:
+    """[man_lo, man_hi] / 2^precision, from mantissas already rounded outward."""
+    x = object.__new__(RealInterval)
+    _set_lo(x, man_lo)
+    _set_hi(x, man_hi)
+    _set_prec(x, precision)
+    return x
 
 
 def sqrt2_interval(precision: int = 64) -> RealInterval:
-    return RealInterval(_sqrt_down(Fraction(2), precision),
-                        _sqrt_up(Fraction(2), precision), precision)
+    _check_precision(precision)
+    s = math.isqrt(2 << 2 * precision)     # sqrt 2 is irrational: s < 2^p sqrt2 < s + 1
+    return _interval(s, s + 1, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +469,19 @@ class KElem:
         return False, None
 
     def embed(self, precision: int = 64) -> RealInterval:
-        """Certified enclosure of the value under the distinguished embedding."""
-        out = RealInterval.exact(self.a, precision)
-        if self.q:
-            out = out + RealInterval.exact(self.b, precision) * sqrt2_interval(precision)
-        return out
+        """Certified enclosure of the value under the distinguished embedding:
+        p/d and q/d rounded outward to mantissas over 2^precision, the second
+        times sqrt2's enclosure [s, s + 1] / 2^precision, rounded outward."""
+        _check_precision(precision)
+        p, q, d, k = self.p, self.q, self.d, precision
+        lo, hi = (p << k) // d, -((-p << k) // d)
+        if q:
+            b_lo, b_hi, s = (q << k) // d, -((-q << k) // d), math.isqrt(2 << 2 * k)
+            if b_lo >= 0:
+                lo, hi = lo + (b_lo * s >> k), hi + _ceil_shift(b_hi * (s + 1), k)
+            else:   # b_hi <= 0 too
+                lo, hi = lo + (b_lo * (s + 1) >> k), hi + _ceil_shift(b_hi * s, k)
+        return _interval(lo, hi, k)
 
     def __float__(self):
         return float(self.embed(64))
@@ -557,6 +585,14 @@ class TowerContext:
         if sq:
             raise ValueError(f"radicand {radicand} is a square in k; not a quadratic extension")
         object.__setattr__(self, "radicand", radicand)
+
+    @classmethod
+    def _of_nonsquare(cls, radicand: KElem) -> "TowerContext":
+        """The tower of a radicand its caller has already decided to be a
+        positive non-square of k, built without deciding it again."""
+        ctx = object.__new__(cls)
+        object.__setattr__(ctx, "radicand", radicand)
+        return ctx
 
     def __setattr__(self, *_):
         raise AttributeError("TowerContext is immutable")
@@ -684,7 +720,7 @@ class TowerElem:
         return cmp if su > 0 else -cmp   # cmp != 0: d is not a square in k
 
     def embed(self, precision: int = 64) -> RealInterval:
-        root = self.ctx.radicand.embed(precision).sqrt()
+        root = _sqrt_embed(self.ctx.radicand, precision)
         return self.u.embed(precision) + self.v.embed(precision) * root
 
     def __float__(self):
@@ -714,6 +750,25 @@ def _tower(u: KElem, v: KElem, ctx: TowerContext):
     return x
 
 
+def _sqrt_embed(r: KElem, precision: int) -> RealInterval:
+    """An enclosure of sqrt(r), r > 0 in k, about 2^-precision wide.  A
+    rational r = p/d has its root taken exactly at ``precision`` bits.  Else r
+    is embedded with guard bits from its size first: sqrt magnifies r's
+    rounding by 1/(2 sqrt r), and r >= 2^top / d, where p + q sqrt2 is at
+    least max(p, q) when both are >= 0, else |p^2 - 2 q^2| / (|p| + 2|q|)."""
+    p, q, d = r.p, r.q, r.d
+    if not q:
+        _check_precision(precision)
+        scaled = p << 2 * precision
+        return _interval(math.isqrt(scaled // d), _isqrt_up(-(-scaled // d)), precision)
+    if p >= 0 and q >= 0:
+        top = max(p, q).bit_length() - 1
+    else:
+        top = abs(p * p - 2 * q * q).bit_length() - 1 - (abs(p) + 2 * abs(q)).bit_length()
+    guard = max(0, (d.bit_length() - top + 1) // 2) + 2
+    return r.embed(precision + guard).sqrt()
+
+
 def as_tower_coords(x):
     """View any field element as (u, v) with x = u + v*sqrt(a), u, v in k."""
     if isinstance(x, TowerElem):
@@ -729,7 +784,7 @@ def sqrt_k(x):
     if x.sign() < 0:
         raise ValueError(f"{x} < 0 has no real square root")
     square, root = x.is_square()
-    return root if square else TowerContext(x).sqrt_gen()
+    return root if square else TowerContext._of_nonsquare(x).sqrt_gen()
 
 
 def embed(x, precision: int = 64) -> RealInterval:

@@ -121,6 +121,18 @@ class TestVerify:
         assert calls[KElem] <= 5500
         assert calls[TowerElem] <= 400
 
+    def test_sqrt_k_decides_a_non_square_once(self, monkeypatch):
+        # the tower of a radicand sqrt_k has decided is built without
+        # deciding it again; before, TowerContext ran is_square a second time
+        calls = [0]
+        def counted(x, _fn=KElem.is_square):
+            calls[0] += 1
+            return _fn(x)
+        monkeypatch.setattr(KElem, "is_square", counted)
+        root = sqrt_k(KElem(Fraction(5, 3), 1))
+        assert isinstance(root, TowerElem) and root * root == KElem(Fraction(5, 3), 1)
+        assert calls[0] == 1
+
     def test_one_minpoly_per_distinct_trace(self, monkeypatch):
         # a word and its inverse have the same adjoint trace
         sample = GroupSample([block_g1(2).to_isometry(),
@@ -137,6 +149,15 @@ class TestVerify:
 
     def test_reproducible_json(self, capsys, tmp_path):
         assert_one_format(["verify"], capsys, tmp_path)
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, tmp_path):
+        # main reuses one parser; an option of one call does not leak into
+        # the next, which falls back to the default n = 2
+        path = tmp_path / "cert.json"
+        assert run(["--quiet", "verify", "--n", "6"], capsys)[0] == 0
+        assert run(["--quiet", "--json", str(path), "verify"], capsys)[0] == 0
+        assert json.loads(path.read_text())["inputs"]["n"] == "2"
+        assert cli.build_parser() is cli.build_parser()
 
     def test_eigenvalue_check_is_decided_in_the_tower(self, capsys, tmp_path,
                                                        monkeypatch):
@@ -226,6 +247,20 @@ class TestOneFormat:
 
 
 class TestSearch:
+    # SHA-256 of the --json certificate at the default precision where lambda
+    # is a tower value: the hit at t = 1682, and the exhausted search that
+    # prices the block at -25 - 25 sqrt2
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["search", "--c", "1", "--epsilon", "0.001"], 0,
+         "800c0cb9f28f83205247ae91f08c7fee9f5b00312b867bee1860f364cee10a78"),
+        (["search", "--c", "1", "--epsilon", "0.001", "--height-bound", "25"], 1,
+         "46b3af32318cc138cecac36fe21cf490f52109a452a88523f22967a16fe90123"),
+    ], ids=["tower-lambda", "tower-lambda-exhausted"])
+    def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, code, digest):
+        path = tmp_path / "cert.json"
+        assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == code
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_success(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         code, out, _ = run(["--json", str(path), "search", "--epsilon", "0.25"], capsys)

@@ -20,7 +20,7 @@ from smallsys.exactfield import (
     sqrt2_interval,
     sqrt_k,
 )
-from smallsys.lorentz import ABlockElement, QuadForm, param_block
+from smallsys.lorentz import ABlockElement, QuadForm, leading_eigenvalue, param_block
 
 
 def rand_kelem(rng, bound=20):
@@ -280,6 +280,24 @@ class TestTower:
         z = ctx.elem(KElem(1), KElem(-1))       # 1 - sqrt3 < 0
         assert z.sign() == -1
         assert float(x.embed(64)) == pytest.approx(math.sqrt(3) - 1, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [Fraction(2, 3), Fraction(3, 7), Fraction(17, 10 ** 6)])
+    def test_rational_radicand_root_is_exact(self, a):
+        # the root of a is rounded once, not after a itself is rounded
+        for bits in (16, 53, 64, 128):
+            root = TowerContext.from_rational(a).sqrt_gen().embed(bits)
+            s = math.isqrt((a.numerator << 2 * bits) // a.denominator)
+            assert (root.lo, root.hi) == (Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits))
+
+    def test_root_near_one_keeps_its_bits(self):
+        # lambda = alpha + sqrt(alpha^2 - 1) at t = 100000, c = 1: alpha^2 - 1
+        # is about 2^-32, so rounding it to 64 bits before its root left
+        # lambda's enclosure 2^-47.6 wide
+        lam = leading_eigenvalue(param_block(1, 100000, 2))
+        assert isinstance(lam, TowerElem)
+        iv, fine = lam.embed(64), lam.embed(512)
+        assert iv.width() <= Fraction(1, 2 ** 60)
+        assert iv.lo <= fine.lo and fine.hi <= iv.hi
 
     def test_division(self):
         ctx = TowerContext.from_rational(3)

@@ -7,13 +7,21 @@ endpoints and the midpoint of the input; `KElem.embed` must contain
 a + b sqrt2 the same way, and the distance between {x1 = 0} and its image
 under a corner block must contain arccosh(alpha).  The oracle's own error,
 about 2^-256 relative, is allowed for.
+
+`ReferenceInterval` is the interval class with exact `Fraction` endpoints
+that `RealInterval` replaced.  `RealInterval` keeps each endpoint as an int
+mantissa over 2^precision and rounds at the same places, so for every
+operation and for `KElem.embed` it must return exactly the reference's
+endpoints, with the operands' precisions mixed.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from smallsys.exactfield import SQRT2, KElem, RealInterval
 from smallsys.hypgeom import GeodesicHyperplane, dist_hyperplanes
@@ -21,6 +29,206 @@ from smallsys.lorentz import param_block
 
 SETTINGS = settings(max_examples=40, deadline=None)
 PRECISIONS = st.sampled_from([64, 128])
+
+
+# ---------------------------------------------------------------------------
+# the reference: Fraction endpoints, rounded outward to precision bits
+# ---------------------------------------------------------------------------
+
+def _round_down(x: Fraction, prec: int) -> Fraction:
+    scale = 1 << prec
+    return Fraction(math.floor(x * scale), scale)
+
+
+def _round_up(x: Fraction, prec: int) -> Fraction:
+    scale = 1 << prec
+    return Fraction(math.ceil(x * scale), scale)
+
+
+def _sqrt_down(x: Fraction, prec: int) -> Fraction:
+    if x < 0:
+        raise ValueError("sqrt of negative lower bound")
+    if x == 0:
+        return Fraction(0)
+    p, q = x.numerator, x.denominator
+    s = math.isqrt(p * q << (2 * prec))
+    return Fraction(s, q << prec)
+
+
+def _sqrt_up(x: Fraction, prec: int) -> Fraction:
+    if x <= 0:
+        if x < 0:
+            raise ValueError("sqrt of negative upper bound")
+        return Fraction(0)
+    p, q = x.numerator, x.denominator
+    s = math.isqrt(p * q << (2 * prec))
+    if s * s < p * q << (2 * prec):
+        s += 1
+    return Fraction(s, q << prec)
+
+
+def _raw_to_frac(raw) -> Fraction:
+    sign, man, exp, _ = raw
+    m = int(man)
+    if sign:
+        m = -m
+    if exp >= 0:
+        return Fraction(m << exp)
+    return Fraction(m, 1 << -exp)
+
+
+def _libmp_dir(fn, x: Fraction, prec: int, upper: bool) -> Fraction:
+    """One transcendental endpoint, padded outward past libmp's rounding."""
+    work = prec + 16
+    rnd = "c" if upper else "f"
+    raw = libmp.from_rational(x.numerator, x.denominator, work, rnd)
+    out = _raw_to_frac(fn(raw, work, rnd))
+    pad = max(abs(out), Fraction(1)) / (1 << (prec + 8))
+    return out + pad if upper else out - pad
+
+
+class ReferenceInterval:
+    """A closed interval with exact rational endpoints, rounded outward to
+    dyadics with ``precision`` fractional bits."""
+
+    def __init__(self, lo, hi, precision: int = 64):
+        if precision < 16:
+            raise ValueError("precision must be at least 16 bits")
+        lo = Fraction(lo)
+        hi = Fraction(hi)
+        if lo > hi:
+            raise ValueError("empty interval")
+        self.lo = _round_down(lo, precision)
+        self.hi = _round_up(hi, precision)
+        self.precision = precision
+
+    @classmethod
+    def exact(cls, x, precision: int = 64) -> "ReferenceInterval":
+        x = Fraction(x)
+        return cls(x, x, precision)
+
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+    def __float__(self) -> float:
+        return float(self.mid())
+
+    def __contains__(self, x) -> bool:
+        x = Fraction(x)
+        return self.lo <= x <= self.hi
+
+    def contains_zero(self) -> bool:
+        return self.lo <= 0 <= self.hi
+
+    def overlaps(self, other: "ReferenceInterval") -> bool:
+        return self.lo <= other.hi and other.lo <= self.hi
+
+    def sign(self):
+        """+1/-1 when the interval excludes 0, 0 for [0,0], else None."""
+        if self.lo > 0:
+            return 1
+        if self.hi < 0:
+            return -1
+        if self.lo == 0 and self.hi == 0:
+            return 0
+        return None
+
+    def strictly_less(self, other: "ReferenceInterval") -> bool:
+        return self.hi < other.lo
+
+    def _coerce(self, other) -> "ReferenceInterval":
+        if isinstance(other, ReferenceInterval):
+            return other
+        return ReferenceInterval.exact(other, self.precision)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        p = min(self.precision, o.precision)
+        return ReferenceInterval(self.lo + o.lo, self.hi + o.hi, p)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceInterval(-self.hi, -self.lo, self.precision)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        p = min(self.precision, o.precision)
+        prods = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return ReferenceInterval(min(prods), max(prods), p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o.contains_zero():
+            raise ZeroDivisionError("interval divisor contains zero")
+        inv = ReferenceInterval(1 / o.hi, 1 / o.lo, o.precision)
+        return self * inv
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def sqrt(self) -> "ReferenceInterval":
+        lo = max(self.lo, Fraction(0))
+        if self.hi < 0:
+            raise ValueError("sqrt of negative interval")
+        return ReferenceInterval(_sqrt_down(lo, self.precision),
+                                 _sqrt_up(self.hi, self.precision), self.precision)
+
+    def log(self) -> "ReferenceInterval":
+        if self.lo <= 0:
+            raise ValueError("log needs a positive interval")
+        return ReferenceInterval(_libmp_dir(libmp.mpf_log, self.lo, self.precision, False),
+                                 _libmp_dir(libmp.mpf_log, self.hi, self.precision, True),
+                                 self.precision)
+
+    def cosh(self) -> "ReferenceInterval":
+        a, b = abs(self.lo), abs(self.hi)
+        top = max(a, b)
+        hi = _libmp_dir(libmp.mpf_cosh, top, self.precision, True)
+        if self.contains_zero():
+            lo = Fraction(1)
+        else:
+            lo = _libmp_dir(libmp.mpf_cosh, min(a, b), self.precision, False)
+            lo = max(lo, Fraction(1))
+        return ReferenceInterval(lo, hi, self.precision)
+
+    def sinh(self) -> "ReferenceInterval":
+        return ReferenceInterval(_libmp_dir(libmp.mpf_sinh, self.lo, self.precision, False),
+                                 _libmp_dir(libmp.mpf_sinh, self.hi, self.precision, True),
+                                 self.precision)
+
+    def acos(self) -> "ReferenceInterval":
+        lo = max(self.lo, Fraction(-1))
+        hi = min(self.hi, Fraction(1))
+        if lo > hi:
+            raise ValueError("acos needs an interval meeting [-1, 1]")
+        out_lo = max(_libmp_dir(libmp.mpf_acos, hi, self.precision, False), Fraction(0))
+        out_hi = max(_libmp_dir(libmp.mpf_acos, lo, self.precision, True), Fraction(0))
+        return ReferenceInterval(out_lo, out_hi, self.precision)
+
+
+def reference_sqrt2(precision: int) -> ReferenceInterval:
+    return ReferenceInterval(_sqrt_down(Fraction(2), precision),
+                             _sqrt_up(Fraction(2), precision), precision)
+
+
+def reference_embed(x: KElem, precision: int) -> ReferenceInterval:
+    """The reference's KElem.embed: a + b * sqrt2, each part an exact interval."""
+    out = ReferenceInterval.exact(x.a, precision)
+    if x.q:
+        out = out + ReferenceInterval.exact(x.b, precision) * reference_sqrt2(precision)
+    return out
 
 
 def rationals(lo, hi):
@@ -95,3 +303,107 @@ def test_embed_encloses(a, b, precision):
         value = (mpmath.mpf(a.numerator) / a.denominator
                  + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(2))
         assert_encloses(iv, value)
+
+
+# ---------------------------------------------------------------------------
+# RealInterval returns exactly the reference's endpoints
+# ---------------------------------------------------------------------------
+
+MATCH = settings(max_examples=150, deadline=None)
+BITS = st.sampled_from([16, 17, 53, 64, 128, 200])
+
+
+def reals(bound, scale=0):
+    """Rationals in [-bound, bound] / 2^scale: small denominators, or dyadics
+    finer than every precision drawn, so that both rounding branches are taken."""
+    dyadic = st.integers(scale, 260 + scale).flatmap(
+        lambda k: st.integers(-bound << (k - scale), bound << (k - scale)).map(
+            lambda m: Fraction(m, 1 << k)))
+    small = st.fractions(-bound, bound, max_denominator=10 ** 9).map(
+        lambda x: x / (1 << scale))
+    return st.one_of(small, dyadic)
+
+
+def intervals(bound, scale=0):
+    """(lo, hi, precision) with lo <= hi in [-bound, bound] / 2^scale."""
+    return st.tuples(reals(bound, scale), reals(bound, scale), BITS).map(
+        lambda t: (min(t[0], t[1]), max(t[0], t[1]), t[2]))
+
+
+def pair(lo, hi, bits):
+    return RealInterval(lo, hi, bits), ReferenceInterval(lo, hi, bits)
+
+
+def outcome(fn, *args):
+    """(lo, hi, precision) of fn(*args), or the type of the error it raised."""
+    try:
+        out = fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    return out.lo, out.hi, out.precision
+
+
+BINARY = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+          lambda x, y: x / y]
+
+
+@MATCH
+@given(intervals(1000), intervals(1000))
+def test_arithmetic_matches_the_reference(x, y):
+    (a, ra), (b, rb) = pair(*x), pair(*y)
+    for op in BINARY:
+        assert outcome(op, a, b) == outcome(op, ra, rb)
+    assert outcome(lambda v: -v, a) == outcome(lambda v: -v, ra)
+
+
+@MATCH
+@given(intervals(1000), reals(1000), st.integers(-1000, 1000))
+def test_scalar_operands_match_the_reference(x, s, n):
+    a, ra = pair(*x)
+    for c in (s, n):
+        for op in BINARY:
+            assert outcome(op, a, c) == outcome(op, ra, c)
+            assert outcome(op, c, a) == outcome(op, c, ra)
+
+
+@MATCH
+@given(intervals(1000), intervals(1000), reals(1000))
+def test_queries_match_the_reference(x, y, s):
+    (a, ra), (b, rb) = pair(*x), pair(*y)
+    assert (a.lo, a.hi, a.precision) == (ra.lo, ra.hi, ra.precision)
+    assert a.width() == ra.width() and a.mid() == ra.mid()
+    assert float(a) == float(ra)
+    assert (s in a) == (s in ra) and (a.lo in a) and (a.hi in a)
+    assert a.contains_zero() == ra.contains_zero() and a.sign() == ra.sign()
+    assert a.overlaps(b) == ra.overlaps(rb)
+    assert a.strictly_less(b) == ra.strictly_less(rb)
+
+
+@MATCH
+@given(st.one_of(intervals(1000), intervals(1, 20)))
+def test_sqrt_and_log_match_the_reference(x):
+    a, ra = pair(*x)
+    for method in ("sqrt", "log"):
+        assert outcome(getattr(a, method)) == outcome(getattr(ra, method))
+
+
+@MATCH
+@given(intervals(50))
+def test_cosh_and_sinh_match_the_reference(x):
+    a, ra = pair(*x)
+    for method in ("cosh", "sinh"):
+        assert outcome(getattr(a, method)) == outcome(getattr(ra, method))
+
+
+@MATCH
+@given(intervals(2))
+def test_acos_matches_the_reference(x):
+    a, ra = pair(*x)
+    assert outcome(a.acos) == outcome(ra.acos)
+
+
+@MATCH
+@given(reals(1000), reals(1000), BITS)
+def test_embed_matches_the_reference(a, b, bits):
+    x = KElem(a, b)
+    assert outcome(x.embed, bits) == outcome(reference_embed, x, bits)

@@ -118,9 +118,6 @@ class RealInterval:
     def width(self) -> Fraction:
         return Fraction(self.man_hi - self.man_lo, 1 << self.precision)
 
-    def mid(self) -> Fraction:
-        return Fraction(self.man_lo + self.man_hi, 2 << self.precision)
-
     def __float__(self) -> float:
         return (self.man_lo + self.man_hi) / (2 << self.precision)
 
@@ -222,15 +219,6 @@ class RealInterval:
         p = self.precision
         return _interval(_libmp_dir(libmp.mpf_log, self.man_lo, p, False),
                          _libmp_dir(libmp.mpf_log, self.man_hi, p, True), p)
-
-    def cosh(self) -> "RealInterval":
-        p = self.precision
-        a, b = abs(self.man_lo), abs(self.man_hi)
-        hi = _libmp_dir(libmp.mpf_cosh, max(a, b), p, True)
-        lo = 1 << p
-        if not self.contains_zero():
-            lo = max(_libmp_dir(libmp.mpf_cosh, min(a, b), p, False), lo)
-        return _interval(lo, hi, p)
 
     def sinh(self) -> "RealInterval":
         p = self.precision

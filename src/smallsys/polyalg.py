@@ -3,11 +3,12 @@ over k = Q(sqrt 2) and of their products, algebraic-integer tests, Mahler
 measure, and bounded enumeration of monic integer polynomials.
 
 A number quadratic over k has the one form exactfield gives it: a KElem, or
-a TowerElem u + v sqrt(d) with v != 0.  Minimal polynomials are exact: every
-number involved lies in a tower over k, its characteristic polynomial over Q
-is the k/Q norm of its characteristic polynomial over k, and that is a power
-of the minimal polynomial (Cohen, A Course in Computational Algebraic Number
-Theory, 4.3), so the minimal polynomial is its squarefree part.  The Mahler
+a TowerElem u + v sqrt(d) with v != 0.  Minimal polynomials are exact and
+read off one rule.  A number outside k is a root of a monic f irreducible
+over k; sigma, the automorphism sqrt2 -> -sqrt2, maps f to f^sigma.  If f
+has rational coefficients it is the minimal polynomial over Q.  Otherwise
+f and f^sigma are distinct irreducibles over k that both divide the minimal
+polynomial, so that is their product, the k/Q norm of f.  The Mahler
 enumeration walks, on integers, the binomial box cut by the power-sum
 bound |s_k| <= d - 1 + mu^k, and decides each candidate there (Kronecker
 test, then Graeffe and Landau bounds against the exact cap); certified root
@@ -23,7 +24,7 @@ from fractions import Fraction
 import mpmath
 
 from .exactfield import (K_ONE, RealInterval, TowerElem, as_kelem, embed,
-                         escalate)
+                         escalate, sqrt_k)
 from .exactfield import PrecisionError  # noqa: F401  the Mahler measure raises it
 
 GRAEFFE_STEPS = 6       # iterates tried before the certified measure decides
@@ -226,40 +227,28 @@ class ZPoly:
 # numbers quadratic over k
 # ---------------------------------------------------------------------------
 
-def _squarefree_part(p: QPoly) -> QPoly:
-    d = p.derivative()
-    if d.is_zero():
-        return p.monic()
-    g = _poly_gcd(p, d)
-    return (p // g).monic()
-
-
-def _poly_gcd(p: QPoly, q: QPoly) -> QPoly:
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
 def _norm_to_Q(coeffs) -> QPoly:
-    """N_{k/Q} of a polynomial with coefficients in k (constant first):
-    writing it as A + sqrt(2) B with A, B over Q, the norm is A^2 - 2 B^2."""
+    """The minimal polynomial over Q of the roots of f, monic and irreducible
+    over k, from its coefficients in k (constant first).  Writing f as
+    A + sqrt(2) B with A, B over Q, it is A when B = 0.  Otherwise f and
+    f^sigma = A - sqrt(2) B are distinct irreducibles over k that both divide
+    it, so it is their squarefree product, the norm A^2 - 2 B^2."""
     A = QPoly([c.a for c in coeffs])
     B = QPoly([c.b for c in coeffs])
-    return A * A - 2 * (B * B)
+    return A if B.is_zero() else A * A - 2 * (B * B)
 
 
 def minpoly_over_Q(x) -> QPoly:
     """Monic minimal polynomial over Q of an int, Fraction, KElem or TowerElem.
 
-    A value of k is read off directly.  A TowerElem u + v sqrt(d) has v != 0,
-    so it lies outside k and x^2 - 2u x + (u^2 - d v^2) is its minimal
-    polynomial over k; the k/Q norm A^2 - 2 B^2 of that is the characteristic
-    polynomial over Q: a power of the minimal polynomial, which is therefore
-    its squarefree part.
+    A value of k is read off directly.  A TowerElem u + v sqrt(d) has v != 0
+    and d is not a square in k, so x^2 - 2u x + (u^2 - d v^2) is irreducible
+    over k; the minimal polynomial is that quadratic when u and u^2 - d v^2
+    are rational, else its product with its conjugate under sqrt2 -> -sqrt2
+    (``_norm_to_Q``).
     """
     if isinstance(x, TowerElem):
-        return _squarefree_part(_norm_to_Q([x.tower_norm(), -2 * x.u, K_ONE]))
+        return _norm_to_Q([x.tower_norm(), -2 * x.u, K_ONE])
     r = as_kelem(x)
     return QPoly([-r.a, 1]) if not r.q else QPoly([r.norm(), -2 * r.a, 1])
 
@@ -270,24 +259,28 @@ def product(lam, mu, precision: int = 64):
     towers over it.
 
     When a factor lies in k, or both lie in one tower, lam*mu is a value of
-    that tower.  When the radicands d1, d2 of two towers multiply to a square
-    r^2 in k, sqrt(d2) = (r/d1) sqrt(d1) rewrites mu into lam's tower.
-    Otherwise k(lam, mu) has degree 4 over k, and the quartic over k whose
-    roots are the four products lam_i * mu_j is the characteristic polynomial
-    of lam*mu there; its k/Q norm is a power of the minimal polynomial.
+    that tower.  Otherwise lam = u1 + v1 sqrt(d1) and mu = u2 + v2 sqrt(d2).
+    When d1 d2 is a square r^2 in k, sqrt(d2) = (r/d1) sqrt(d1) rewrites mu
+    into lam's tower.  Else k(lam, mu) has degree 4 over k, and the only
+    automorphism over k that can fix lam*mu flips both roots; it does when
+    u1 = u2 = 0, and then lam*mu = v1 v2 sqrt(d1 d2) is a value of the tower
+    k(sqrt(d1 d2)).  Otherwise the quartic whose roots are the four products
+    lam_i * mu_j is irreducible over k (``_norm_to_Q``).
     """
     if not lam or not mu:
         return QPoly([0, 1]), RealInterval.exact(0, precision)
     iv = embed(lam, precision) * embed(mu, precision)
     if isinstance(lam, TowerElem) and isinstance(mu, TowerElem) and lam.ctx != mu.ctx:
-        d1, d2 = lam.ctx.radicand, mu.ctx.radicand
-        square, r = (d1 * d2).is_square()
-        if not square:
+        root = sqrt_k(lam.ctx.radicand * mu.ctx.radicand)
+        if not isinstance(root, TowerElem):
+            mu = lam.ctx.elem(mu.u, mu.v * root / lam.ctx.radicand)
+        elif lam.u or mu.u:
             t1, n1, t2, n2 = 2 * lam.u, lam.tower_norm(), 2 * mu.u, mu.tower_norm()
             quartic = [n1 * n1 * n2 * n2, -t1 * t2 * n1 * n2,
                        n2 * (t1 * t1 - 2 * n1) + n1 * t2 * t2, -t1 * t2, K_ONE]
-            return _squarefree_part(_norm_to_Q(quartic)), iv
-        mu = lam.ctx.elem(mu.u, mu.v * r / d1)
+            return _norm_to_Q(quartic), iv
+        else:
+            lam, mu = root * lam.v, mu.v
     return minpoly_over_Q(lam * mu), iv
 
 
@@ -357,6 +350,13 @@ def is_measure_one(p: ZPoly) -> bool:
     if not p.is_monic():
         raise ValueError("measure-one test expects a monic polynomial")
     return _graeffe_walk(p, ())[0]
+
+
+def _poly_gcd(p: QPoly, q: QPoly) -> QPoly:
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else a
 
 
 def _monic_measure_certified(f: QPoly, rel_tol: float):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from smallsys import arith, cli, lorentz
+from smallsys import arith, cli, lorentz, polyalg
 from smallsys.arith import (GroupSample, adjoint_trace, conjugate_between_forms,
                             integrality_scan)
 from smallsys.cli import main
@@ -406,6 +406,34 @@ class TestMinpolyAndBudget:
         check = data["checks"][0]
         assert check["exact_values"]["minpoly"] == "[1, -12, 6, -12, 1]"
         assert check["exact_values"]["algebraic_integer"] == "True"
+
+    # SHA-256 of the --json certificate where lambda is a tower value: lambda1,
+    # whose minimal polynomial is the degree-4 norm, and the golden ratio,
+    # whose quadratic over k has rational coefficients
+    @pytest.mark.parametrize("argv, digest", [
+        (["minpoly", "--trace", "6+4*rt2", "--norm", "1"],
+         "6479a274589323bbecf9e362ce85567911376face90b1c3b1f5e05c738104577"),
+        (["minpoly", "--trace", "1", "--norm", "-1"],
+         "b6125806d55afe735c4ae9cad9ee50ad6b0c74bf3f5d817b69cb99369b0ad184"),
+    ], ids=["tower-quartic", "tower-rational"])
+    def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        path = tmp_path / "cert.json"
+        assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_minimal_polynomials_take_no_gcd(self, capsys, monkeypatch):
+        # a tower value's minimal polynomial is its quadratic over k or that
+        # times its conjugate, both squarefree, so no gcd extracts a
+        # squarefree part; only the Mahler measure's split calls it
+        calls = [0]
+        def counted(p, q, _fn=polyalg._poly_gcd):
+            calls[0] += 1
+            return _fn(p, q)
+        monkeypatch.setattr(polyalg, "_poly_gcd", counted)
+        assert run(["--quiet", "verify", "--n", "6"], capsys)[0] == 0
+        assert run(["--quiet", "minpoly", "--trace", "6+4*rt2", "--norm", "1"],
+                   capsys)[0] == 0
+        assert calls[0] == 0
 
     def test_minpoly_invalid(self, capsys):
         code, _, _ = run(["minpoly", "--trace", "0", "--norm", "1"], capsys)

@@ -210,11 +210,6 @@ class TestRealInterval:
         ln2 = Fraction("0.69314718055994530941723212145817656807")
         assert iv.lo < ln2 < iv.hi
 
-    def test_cosh_through_zero(self):
-        iv = RealInterval(-1, 2, 64).cosh()
-        assert iv.lo == 1
-        assert float(iv.hi) == pytest.approx(math.cosh(2), rel=1e-9)
-
     def test_division_by_zero_interval(self):
         with pytest.raises(ZeroDivisionError):
             RealInterval.exact(1, 64) / RealInterval(-1, 1, 64)

@@ -192,17 +192,6 @@ class ReferenceInterval:
                                  _libmp_dir(libmp.mpf_log, self.hi, self.precision, True),
                                  self.precision)
 
-    def cosh(self) -> "ReferenceInterval":
-        a, b = abs(self.lo), abs(self.hi)
-        top = max(a, b)
-        hi = _libmp_dir(libmp.mpf_cosh, top, self.precision, True)
-        if self.contains_zero():
-            lo = Fraction(1)
-        else:
-            lo = _libmp_dir(libmp.mpf_cosh, min(a, b), self.precision, False)
-            lo = max(lo, Fraction(1))
-        return ReferenceInterval(lo, hi, self.precision)
-
     def sinh(self) -> "ReferenceInterval":
         return ReferenceInterval(_libmp_dir(libmp.mpf_sinh, self.lo, self.precision, False),
                                  _libmp_dir(libmp.mpf_sinh, self.hi, self.precision, True),
@@ -266,12 +255,6 @@ def test_sqrt_encloses(x, y, precision):
        PRECISIONS)
 def test_log_encloses(x, y, precision):
     check("log", mpmath.log, x, y, precision)
-
-
-@SETTINGS
-@given(rationals(-40, 40), rationals(-40, 40), PRECISIONS)
-def test_cosh_encloses(x, y, precision):
-    check("cosh", mpmath.cosh, x, y, precision)
 
 
 @SETTINGS
@@ -371,7 +354,7 @@ def test_scalar_operands_match_the_reference(x, s, n):
 def test_queries_match_the_reference(x, y, s):
     (a, ra), (b, rb) = pair(*x), pair(*y)
     assert (a.lo, a.hi, a.precision) == (ra.lo, ra.hi, ra.precision)
-    assert a.width() == ra.width() and a.mid() == ra.mid()
+    assert a.width() == ra.width()
     assert float(a) == float(ra)
     assert (s in a) == (s in ra) and (a.lo in a) and (a.hi in a)
     assert a.contains_zero() == ra.contains_zero() and a.sign() == ra.sign()
@@ -389,10 +372,9 @@ def test_sqrt_and_log_match_the_reference(x):
 
 @MATCH
 @given(intervals(50))
-def test_cosh_and_sinh_match_the_reference(x):
+def test_sinh_matches_the_reference(x):
     a, ra = pair(*x)
-    for method in ("cosh", "sinh"):
-        assert outcome(getattr(a, method)) == outcome(getattr(ra, method))
+    assert outcome(a.sinh) == outcome(ra.sinh)
 
 
 @MATCH

@@ -54,6 +54,15 @@ F1 = QuadForm.standard(1, 2)
 F2 = QuadForm.standard(3, 2)
 
 
+def cosh_enclosure(eps: Fraction, prec: int) -> RealInterval:
+    """cosh(eps) for eps >= 0, from mpmath at prec + 16 bits, widened by
+    2^-prec relative: many times mpmath's own error."""
+    with mpmath.workprec(prec + 16):
+        man, exp = mpmath.cosh(mpmath.mpf(eps.numerator) / eps.denominator).man_exp
+    value = man * Fraction(2) ** exp
+    return RealInterval(value - value / 2 ** prec, value + value / 2 ** prec, prec)
+
+
 def reference_scan(c, eps_target, height_bound):
     """The linear scan find_small_element replaced, kept as its reference:
     t = 1..H, then u + v sqrt2 (v != 0) shell by shell, u and then v
@@ -66,7 +75,7 @@ def reference_scan(c, eps_target, height_bound):
         prec = 64
         while prec <= 4096:
             alpha_iv = g.alpha.embed(prec)
-            cosh_iv = RealInterval(eps, eps, prec).cosh()
+            cosh_iv = cosh_enclosure(eps, prec)
             if alpha_iv.strictly_less(cosh_iv):
                 return True
             if cosh_iv.strictly_less(alpha_iv):

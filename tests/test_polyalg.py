@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smallsys import polyalg
@@ -215,6 +215,90 @@ class TestProduct:
             _, iv = product(lam, mu)
             wide = embed(lam, 32) * embed(mu, 32)
             assert wide.lo <= iv.lo and iv.hi <= wide.hi
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomials against sympy, on every branch of the conjugate product
+# ---------------------------------------------------------------------------
+
+def k_values(bound, rational=False):
+    """Values (p + q sqrt2)/n of k with |p|, |q| <= bound; q = 0 if rational."""
+    q = st.just(0) if rational else st.integers(-bound, bound)
+    return st.builds(lambda p, q, n: KElem(Fraction(p, n), Fraction(q, n)),
+                     st.integers(-bound, bound), q, st.integers(1, 2))
+
+
+@st.composite
+def radicands(draw, rational):
+    """A positive non-square of k."""
+    d = abs(draw(k_values(6, rational)))
+    assume(d and not d.is_square()[0])
+    return d
+
+
+@st.composite
+def tower_values(draw, radicand=None):
+    """u + v sqrt(d) with v != 0: pure (u = 0), with rational u, v and d/w^2
+    for some w in k, or generic.  Without a given radicand, d = r w^2 for a
+    drawn r and w; a rational u, v and r then give a rational u^2 - d v^2 in
+    a tower whose radicand may be irrational."""
+    shape = draw(st.sampled_from(["pure", "rational", "generic"]))
+    rational = shape == "rational"
+    u = KElem(0) if shape == "pure" else draw(k_values(3, rational))
+    v = draw(k_values(3, rational).filter(bool))
+    if radicand is not None:
+        return u + v * sqrt_k(radicand)
+    r = draw(radicands(rational or draw(st.booleans())))
+    w = draw(k_values(2).filter(bool))
+    return u + v / w * sqrt_k(r * w * w)
+
+
+@st.composite
+def product_pairs(draw):
+    """(lam, mu) with mu in k, in lam's tower, in a tower whose radicand
+    times lam's is a square in k, or in a drawn tower; or two pure roots."""
+    lam = draw(tower_values())
+    relation = draw(st.sampled_from(["k", "same", "square", "other", "pure"]))
+    if relation == "k":
+        mu = draw(k_values(3).filter(bool))
+    elif relation in ("same", "square"):
+        w = draw(k_values(2).filter(bool)) if relation == "square" else 1
+        mu = draw(tower_values(lam.ctx.radicand * w * w))
+    else:
+        mu = draw(tower_values())
+    if relation == "pure":
+        lam, mu = lam - lam.u, mu - mu.u
+    return tuple(draw(st.permutations([lam, mu])))
+
+
+R3, R5 = sqrt_k(KElem(3)), sqrt_k(KElem(5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(k_values(4), tower_values()))
+@example(root(KElem(1), KElem(-1)))                         # x^2 - x - 1
+@example(1 + 1 / SQRT2 * sqrt_k(KElem(6)))                  # sqrt 3 in k(sqrt 6)
+@example(sqrt_k(KElem(1, 1)))                               # x^4 - 2x^2 - 1
+@example(LAM1)
+def test_minpoly_is_the_conjugate_product(x):
+    sympy = pytest.importorskip("sympy")
+    assert minpoly_over_Q(x) == sympy_minpoly(sympy, sympy_value(sympy, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(product_pairs())
+@example((R3, R5))                                          # x^2 - 15
+@example((KElem(1, 1) * R3, 2 * R5))                        # pure, irrational square
+@example((R3, 1 + sqrt_k(KElem(12))))                       # radicands' product a square
+@example((1 + R3, 1 + R5))                                  # rational quartic
+@example((LAM1, 2 + R5))                                    # generic quartic
+@example((R3, 2 + R3))
+@example((KElem(1, 1), R3))
+def test_product_is_the_conjugate_product(pair):
+    sympy = pytest.importorskip("sympy")
+    lam, mu = pair
+    val = sympy_value(sympy, lam) * sympy_value(sympy, mu)
+    assert product(lam, mu)[0] == sympy_minpoly(sympy, val)
 
 
 def cyclotomic_products_up_to_degree(D):

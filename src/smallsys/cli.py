@@ -26,8 +26,9 @@ from .arith import (
     trace_field_sample,
 )
 from .combin import (
+    CyclicBinarySeq,
+    _bracelets_lex,
     burnside_count,
-    enumerate_balanced_bracelets,
     epsilon_budget,
     select_inequivalent,
 )
@@ -39,6 +40,7 @@ from .lorentz import (
     SearchExhaustedError,
     block_g1,
     block_g2,
+    eigenvalue_length,
     find_small_element,
     leading_eigenvalue,
     param_block,
@@ -262,7 +264,7 @@ def cmd_search(c_text: str, eps: float, height_bound: int, precision: int) -> Ce
     lam = leading_eigenvalue(g)
 
     def decided(bits):      # a length near 0 needs more bits
-        ell = translation_length(g, bits)
+        ell = eigenvalue_length(lam, bits)
         return None if eps in ell else (ell, bits)
     ell, precision = escalate(decided, precision,
                               "translation length undecided at 4096 bits")
@@ -306,14 +308,15 @@ def cmd_bracelets(length: int | None, m: int | None) -> Certificate:
     if length < 2 or length % 2:
         raise InputError("length must be a positive even number")
     cert = Certificate("bracelets", {"length": length})
-    seqs = enumerate_balanced_bracelets(length)
+    words = _bracelets_lex(length)
     count = burnside_count(length)
     cert.add("burnside_agreement",
              "orbit enumeration and the Burnside count agree",
-             len(seqs) == count,
+             len(words) == count,
              exact={"count": count,
-                    "sequences": ", ".join(str(s) for s in seqs[:16])
-                    + (", ..." if len(seqs) > 16 else "")})
+                    "sequences": ", ".join(str(CyclicBinarySeq(w))
+                                           for w in words[:16])
+                    + (", ..." if len(words) > 16 else "")})
     return cert
 
 

@@ -348,14 +348,21 @@ def translation_length(g: ABlockElement, precision: int = 64) -> RealInterval:
     0: lambda's radicand alpha^2 - 1 is exact in k, so near alpha = 1 no bits are
     lost to cancellation in alpha^2 - 1, as they are in arccosh of alpha's
     interval."""
-    ell = embed(leading_eigenvalue(g), precision).log()
+    return eigenvalue_length(leading_eigenvalue(g), precision)
+
+
+def eigenvalue_length(lam, precision: int) -> RealInterval:
+    """translation_length of the block whose leading eigenvalue is lam, so that
+    a caller trying several precisions finds lam once."""
+    ell = embed(lam, precision).log()
     return RealInterval(max(ell.lo, Fraction(0)), ell.hi, precision)
 
 
-def _length_below(g: ABlockElement, eps: Fraction, precision: int):
-    """None when undecided at this precision, else whether translation_length
-    < eps (cosh(eps) is never built, so a huge eps costs nothing)."""
-    length = translation_length(g, precision)
+def _length_below(lam, eps: Fraction, precision: int):
+    """None when undecided at this precision, else whether the length of the
+    block with leading eigenvalue lam is < eps (cosh(eps) is never built, so a
+    huge eps costs nothing)."""
+    length = eigenvalue_length(lam, precision)
     return True if length.hi < eps else False if length.lo > eps else None
 
 
@@ -394,9 +401,11 @@ def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement
 
     def below(t):
         g = block(t)
-        return g is not None and escalate(
-            lambda prec: _length_below(g, eps, prec), 64,
-            f"length at t = {t.to_text()} undecided at 4096 bits")
+        if g is None:
+            return False
+        lam = leading_eigenvalue(g)
+        return escalate(lambda prec: _length_below(lam, eps, prec), 64,
+                        f"length at t = {t.to_text()} undecided at 4096 bits")
 
     for n, param in zip(_guesses(c, eps), (KElem, lambda h: KElem(-h, -h))):
         n = min(n, cap)     # below is monotone: step to below(n), not below(n - 1)
@@ -407,12 +416,15 @@ def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement
         if n < cap:
             return block(param(n))
     best = block(KElem(-height_bound, -height_bound))
+    best_len = None
+    if best is not None:
+        lam = leading_eigenvalue(best)
 
-    def priced(prec):       # the midpoint, once 2^-40 wide relative to the length
-        ell = translation_length(best, prec)
-        return float(ell) if ell.width() * 2 ** 40 < ell.lo else None
-    best_len = None if best is None else escalate(
-        priced, 64, f"length at height {height_bound} undecided at 4096 bits")
+        def priced(prec):   # the midpoint, once 2^-40 wide relative to the length
+            ell = eigenvalue_length(lam, prec)
+            return float(ell) if ell.width() * 2 ** 40 < ell.lo else None
+        best_len = escalate(
+            priced, 64, f"length at height {height_bound} undecided at 4096 bits")
     raise SearchExhaustedError(
         f"no parameter of height <= {height_bound} reaches length < {eps_target}"
         + (f"; smallest length found {best_len:.6g}" if best_len is not None else ""),

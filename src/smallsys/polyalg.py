@@ -12,11 +12,16 @@ polynomial, so that is their product, the k/Q norm of f.  The Mahler
 enumeration walks, on integers, the binomial box cut by the power-sum
 bound |s_k| <= d - 1 + mu^k, and decides each candidate there (Kronecker
 test, then Graeffe and Landau bounds against the exact cap); certified root
-finding serves the measures and the few polynomials left undecided.
+finding serves the measures and the few polynomials left undecided.  A
+certified measure is a pure function of one key, the least member under
+x -> -x and reversal of the polynomial's cyclotomic-free core (cyclotomic
+factors have measure 1), and is computed once per process for each key;
+min_mahler_above_one is computed once per process for each degree bound.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -437,19 +442,67 @@ def _candidates(d: int, num: int, den: int):
     return extend(1)
 
 
-def _class_measure(p: ZPoly, memo: dict) -> float:
-    """mahler_measure to 1e-10 of monic p with p(0) != 0, computed once per
-    class under x -> -x and reversal, on the class's least member."""
-    key = min(p, _mirror(p))
-    if abs(p.coeffs[0]) == 1:
-        rev = ZPoly([p.coeffs[0] * c for c in reversed(p.coeffs)])
+@functools.cache
+def _cyclotomic(n: int) -> tuple:
+    """Coefficients (constant first) of the cyclotomic polynomial Phi_n:
+    x^n - 1 divided exactly by Phi_d for every proper divisor d of n."""
+    out = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            out = _divide_monic(out, _cyclotomic(d))
+    return out
+
+
+def _divide_monic(c, m):
+    """The quotient of c by the monic m when m divides c exactly, else None
+    (coefficients constant first, on ints)."""
+    rem, dm = list(c), len(m) - 1
+    quo = [0] * (len(c) - dm)
+    for k in range(len(quo) - 1, -1, -1):
+        q = quo[k] = rem[k + dm]
+        if q:
+            for j, v in enumerate(m):
+                rem[j + k] -= q * v
+    return tuple(quo) if not any(rem[:dm]) else None
+
+
+@functools.cache
+def _cyclotomics(d: int) -> tuple:
+    """Every Phi_n of degree phi(n) <= d; phi(n) >= sqrt(n/2) bounds n by
+    2 d^2."""
+    return tuple(c for c in map(_cyclotomic, range(1, 2 * d * d + 1))
+                 if len(c) <= d + 1)
+
+
+def _core(p: ZPoly) -> ZPoly:
+    """p with every cyclotomic factor divided out, multiplicities included;
+    those factors have measure 1, so the core has the measure of p."""
+    c = p.coeffs
+    for phi in _cyclotomics(p.degree()):
+        while len(phi) <= len(c) and (q := _divide_monic(c, phi)) is not None:
+            c = q
+    return ZPoly(c)
+
+
+@functools.cache
+def _key_measure(key: ZPoly) -> float:
+    """mahler_measure to 1e-10 of a class key, once per process."""
+    return mahler_measure(key, 1e-10)
+
+
+def _class_measure(p: ZPoly) -> float:
+    """mahler_measure to 1e-10 of monic p, computed once per process for the
+    class of its cyclotomic-free core under x -> -x and reversal, on the
+    class's least member."""
+    core = _core(p)
+    key = min(core, _mirror(core))
+    if abs(core.coeffs[0]) == 1:
+        rev = ZPoly([core.coeffs[0] * c for c in reversed(core.coeffs)])
         key = min(key, rev, _mirror(rev))
-    if key not in memo:
-        memo[key] = mahler_measure(key, 1e-10)
-    return memo[key]
+    return _key_measure(key)
 
 
-def _accepted(d: int, mu: float, memo: dict):
+def _accepted(d: int, mu: float):
     """(p, measure one?) for the candidates of degree d with measure <= mu."""
     m = Fraction(mu)
     powers = [(m.numerator ** (1 << k), m.denominator ** (1 << k))
@@ -457,7 +510,7 @@ def _accepted(d: int, mu: float, memo: dict):
     for poly in _candidates(d, m.numerator, m.denominator):
         one, verdict = _graeffe_walk(poly, powers)
         if verdict is None:
-            verdict = _class_measure(poly, memo) <= mu + GUARD_TOL
+            verdict = _class_measure(poly) <= mu + GUARD_TOL
         if verdict:
             yield poly, one
 
@@ -466,9 +519,9 @@ def _bounded_verdicts(D: int, mu: float):
     """enumerate_bounded's polynomials mapped to whether their measure is one."""
     if D < 1 or mu < 1:
         raise ValueError("D and mu must be at least 1")
-    out, memo = {ZPoly([0] * j + [1]): True for j in range(1, D + 1)}, {}
+    out = {ZPoly([0] * j + [1]): True for j in range(1, D + 1)}
     for d in range(1, D + 1):
-        for poly, one in _accepted(d, mu, memo):
+        for poly, one in _accepted(d, mu):
             for j in range(D - d + 1):      # x^j p has the measure of p
                 shifted = ZPoly([0] * j + list(poly.coeffs))
                 out[shifted] = out[_mirror(shifted)] = one
@@ -487,20 +540,21 @@ def enumerate_bounded(D: int, mu: float):
     return sorted(_bounded_verdicts(D, mu))
 
 
+@functools.cache
 def min_mahler_above_one(D: int):
     """Minimum Mahler measure strictly above 1 among monic integer
     polynomials of degree <= D, with its witness; ties (within 1e-9) resolved
     by smallest (degree, coefficient list).  Each degree is searched up to
-    the least measure so far plus the tie band and the measure's error."""
+    the least measure so far plus the tie band and the measure's error.
+    Computed once per process for each D."""
     if D < 1:
         raise ValueError("D must be at least 1")
-    memo = {}
     for cap in (1.4, 1.7, 2.0001):
         measured = []
         for d in range(1, D + 1):
-            for poly, one in _accepted(d, cap + 1e-9 + 1e-10, memo):
+            for poly, one in _accepted(d, cap + 1e-9 + 1e-10):
                 if not one:
-                    value = _class_measure(poly, memo)
+                    value = _class_measure(poly)
                     cap = min(cap, value)
                     measured += [(value, poly), (value, _mirror(poly))]
         if measured:

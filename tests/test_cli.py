@@ -12,9 +12,13 @@ from smallsys import arith, cli, lorentz, polyalg
 from smallsys.arith import (GroupSample, adjoint_trace, conjugate_between_forms,
                             integrality_scan)
 from smallsys.cli import main
+from smallsys.combin import CyclicBinarySeq
 from smallsys.exactfield import SQRT2, KElem, TowerElem, sqrt_k
 from smallsys.lorentz import block_g1, block_g2, serialize_isometry
 from smallsys.polyalg import PrecisionError
+
+
+pytestmark = pytest.mark.usefixtures("fresh_mahler_caches")
 
 
 def run(argv, capsys):
@@ -320,6 +324,20 @@ class TestMahler:
         code, _, _ = run(["mahler", "--D", "0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["mahler", "--D", "4"],
+                                      ["budget", "--m", "3", "--D", "4"]],
+                             ids=["mahler", "budget"])
+    def test_certificate_independent_of_earlier_jobs(self, capsys, tmp_path, argv,
+                                                     fresh_mahler_caches):
+        def certificate(*earlier):
+            fresh_mahler_caches()
+            for job in earlier:
+                assert run(["--quiet"] + job, capsys)[0] == 0
+            path = tmp_path / "cert.json"
+            assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == 0
+            return path.read_bytes()
+        assert certificate() == certificate(["mahler", "--D", "6"])
+
 
 class TestInternalFailure:
     def test_precision_error_exits_3(self, capsys, monkeypatch):
@@ -353,6 +371,18 @@ class TestBracelets:
         code, out, _ = run(["bracelets", "--m", "2"], capsys)
         assert code == 0
         assert "1122, 1212" in out
+
+    def test_length_wraps_only_the_printed_words(self, capsys, monkeypatch):
+        made = []
+
+        def counted(word):
+            made.append(word)
+            return CyclicBinarySeq(word)
+        monkeypatch.setattr(cli, "CyclicBinarySeq", counted)
+        code, out, _ = run(["bracelets", "--length", "20"], capsys)
+        assert code == 0
+        assert "count = 4752" in out
+        assert len(made) == 16
 
     def test_requires_one_mode(self, capsys):
         code, _, _ = run(["bracelets"], capsys)

@@ -267,6 +267,7 @@ class TestBraceletsCommand:
 
         got = certificate()
         assert got[0] == 0
-        monkeypatch.setattr(cli, "enumerate_balanced_bracelets", reference_bracelets)
+        monkeypatch.setattr(cli, "_bracelets_lex", lambda length: [
+            s.word for s in reference_bracelets(length)])
         monkeypatch.setattr(cli, "select_inequivalent", reference_select)
         assert certificate() == got

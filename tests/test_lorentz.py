@@ -506,21 +506,21 @@ class TestSearchCommand:
     def test_undecided_length_raises_at_4096_bits(self, capsys, monkeypatch):
         tried = []
 
-        def undecided(g, bits):
+        def undecided(lam, bits):
             tried.append(bits)
             return RealInterval(0, 1, bits)
-        monkeypatch.setattr(cli, "translation_length", undecided)
+        monkeypatch.setattr(cli, "eigenvalue_length", undecided)
         assert cli.main(["search", "--epsilon", "0.25"]) == 3
         assert "PrecisionError" in capsys.readouterr().err
         assert tried == [128, 256, 512, 1024, 2048, 4096]
 
     def test_precision_above_ceiling_decides_once(self, capsys, tmp_path, monkeypatch):
-        tried, real = [], cli.translation_length
+        tried, real = [], cli.eigenvalue_length
 
-        def counted(g, bits):
+        def counted(lam, bits):
             tried.append(bits)
-            return real(g, bits)
-        monkeypatch.setattr(cli, "translation_length", counted)
+            return real(lam, bits)
+        monkeypatch.setattr(cli, "eigenvalue_length", counted)
         path = tmp_path / "search.json"
         assert cli.main(["--quiet", "--json", str(path), "--precision", "8192",
                          "search", "--epsilon", "1e-3"]) == 0
@@ -528,6 +528,29 @@ class TestSearchCommand:
         assert cert["verdict"] == "PASS"
         assert cert["inputs"]["precision"] == "8192"
         assert tried == [8192]
+
+    @pytest.mark.parametrize("argv", [
+        ["--epsilon", "1e-40", "--height-bound", str(10 ** 41)],
+        ["--epsilon", "1e-20", "--height-bound", "1000000000000"],
+    ], ids=["hit", "exhausted"])
+    def test_one_eigenvalue_per_block(self, capsys, tmp_path, monkeypatch, argv):
+        # a lambda, once found, serves every precision its length is tried
+        # at: in the search, in pricing an exhausted one and in the verdict
+        found, priced = [], []
+        real_eig, real_len = lorentz.leading_eigenvalue, lorentz.eigenvalue_length
+
+        def eig(g):
+            found.append(g)
+            return real_eig(g)
+
+        def length(lam, prec):
+            priced.append(lam)
+            return real_len(lam, prec)
+        for module in (lorentz, cli):
+            monkeypatch.setattr(module, "leading_eigenvalue", eig)
+            monkeypatch.setattr(module, "eigenvalue_length", length)
+        self.certificate(argv, capsys, tmp_path)
+        assert len(found) == len({id(lam) for lam in priced}) < len(priced)
 
     def test_exhausted_best_length_is_precise(self, capsys, tmp_path):
         # at 64 bits this length's enclosure is [0, 1.65e-10], whose midpoint

@@ -25,6 +25,8 @@ from smallsys.polyalg import (
     product,
 )
 
+pytestmark = pytest.mark.usefixtures("fresh_mahler_caches")
+
 PLASTIC = 1.3247179572447460260
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -599,21 +601,31 @@ class TestPowerSumEnumeration:
             assert all(polyalg._mirror(p) == p or polyalg._mirror(p) not in cands
                        for p in cands)
 
-    def test_measure_once_per_class(self, monkeypatch):
+    @pytest.mark.parametrize("D, most", [(4, 1), (6, 7), (8, 30)])
+    def test_measure_once_per_class(self, monkeypatch, D, most):
         real, seen = polyalg.mahler_measure, []
 
         def counted(p, tol):
             seen.append(p)
             return real(p, tol)
         monkeypatch.setattr(polyalg, "mahler_measure", counted)
-        assert min_mahler_above_one(4)[1] == ZPoly([-1, -1, 0, 1])
-        assert len(seen) == len(set(seen))
-        for p in seen:      # each measured polynomial is the least of its class
+        witness = ZPoly([-1, -1, 0, 1]) if D < 8 else ZPoly([1, 0, 0, -1, -1, -1, 0, 0, 1])
+        value, got = min_mahler_above_one(D)
+        assert got == witness
+        assert len(seen) == len(set(seen)) <= most
+        if D == 4:
+            assert seen == [ZPoly([-1, -1, 0, 1])]
+        for p in seen:      # each measured polynomial is a core, least of its class
+            assert polyalg._core(p) == p
             members = [p, polyalg._mirror(p)]
             if abs(p.coeffs[0]) == 1:
                 rev = ZPoly([p.coeffs[0] * c for c in reversed(p.coeffs)])
                 members += [rev, polyalg._mirror(rev)]
             assert p == min(members)
+        # epsilon_gap and a second call walk and measure nothing again
+        monkeypatch.setattr(polyalg, "_candidates", None)
+        assert epsilon_gap(D) == math.log(value)
+        assert min_mahler_above_one(D) == (value, witness)
 
 
 def sympy_measure(sympy, poly):
@@ -661,6 +673,35 @@ def test_pruning_keeps_every_product_below_mu(poly, mu):
         assert listed
     elif measure > mu + 2 * polyalg.GUARD_TOL:
         assert not listed
+
+
+def zpoly_of(sympy_poly):
+    return ZPoly([int(c) for c in reversed(sympy_poly.all_coeffs())])
+
+
+@settings(max_examples=60, deadline=None)
+@given(measure_products())
+def test_core_strips_exactly_the_cyclotomic_factors(poly):
+    sympy = pytest.importorskip("sympy")
+    _, factors = poly.factor_list()
+    want = sympy.Poly(1, poly.gen)
+    for f, mult in factors:
+        if not f.is_cyclotomic:
+            want *= f ** mult
+    p = zpoly_of(poly)
+    core = polyalg._core(p)
+    assert core == zpoly_of(want * sympy.sign(want.LC()))
+    assert polyalg._class_measure(p) == polyalg._class_measure(core)
+    assert polyalg._class_measure(p) == pytest.approx(
+        float(sympy_measure(sympy, poly)), abs=1e-9)
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in range(1, 61):
+        want = zpoly_of(sympy.Poly(sympy.cyclotomic_poly(n, x), x))
+        assert polyalg._cyclotomic(n) == want.coeffs, n
 
 
 class TestPolyBasics:

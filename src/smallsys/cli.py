@@ -45,7 +45,6 @@ from .lorentz import (
     leading_eigenvalue,
     param_block,
     parse_isometry,
-    translation_length,
 )
 from .polyalg import epsilon_gap, min_mahler_above_one, minpoly_over_Q, product
 
@@ -55,10 +54,20 @@ class InputError(ValueError):
 
 
 def _fmt(x) -> str:
-    """12 decimals; nonzero values below 1e-6 in scientific form, so that a
-    small epsilon budget does not print as zero."""
-    v = float(x)
-    return f"{v:.12e}" if 0 < abs(v) < 1e-6 else f"{v:.12f}"
+    """12 decimals, rounded half to even from the exact value of x, a Fraction
+    or a float; nonzero values below 1e-6 in scientific form with 13
+    significant digits, so that no epsilon budget prints as zero."""
+    n, d = (x if isinstance(x, Fraction) else float(x)).as_integer_ratio()
+    sign, n, e = "-" * (n < 0), abs(n), 0
+    if n and n / d < 1e-6:                              # 10^e <= n/d < 10^(e+1)
+        e = math.floor(math.log10(n) - math.log10(d))
+        e += (n * 10 ** (-e - 1) >= d) - (n * 10 ** -e < d)
+    q, r = divmod(n * 10 ** (12 - e), d)
+    q += 2 * r > d or (2 * r == d and q % 2)
+    if e and q == 10 ** 13:                             # rounded up to 10^(e+1)
+        q, e = q // 10, e + 1
+    head, tail = divmod(q, 10 ** 12)
+    return f"{sign}{head}.{tail:012d}" + (f"e{e:+03d}" if e else "")
 
 
 @dataclass
@@ -159,8 +168,8 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
 
     lam1 = leading_eigenvalue(g1)
     lam2 = leading_eigenvalue(g2)
-    len1 = translation_length(g1, precision)
-    len2 = translation_length(g2, precision)
+    len1 = eigenvalue_length(lam1, precision)
+    len2 = eigenvalue_length(lam2, precision)
     # alpha^2 - 1 = 4 c sqrt2 t^2 / (sqrt2 t^2 - c)^2 is never a square in k,
     # so each lambda = alpha + sqrt(alpha^2 - 1) is a TowerElem with u = alpha
     cert.add("eigenvalues", "leading eigenvalues solve x^2 - 2 alpha x + 1",

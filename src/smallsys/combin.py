@@ -12,6 +12,7 @@ per block rather than once per letter.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 class CyclicBinarySeq:
@@ -194,10 +195,10 @@ def glued_geodesic_length(seq: CyclicBinarySeq, len1: float, len2: float) -> flo
     return sum(per[ch] for ch in seq.word)
 
 
-def epsilon_budget(m: int, eps_2n: float) -> float:
-    """2^(-m) * min(1/m, eps_2n)."""
+def epsilon_budget(m: int, eps_2n: float) -> Fraction:
+    """2^(-m) * min(1/m, eps_2n), exactly: a float underflows past m = 1074."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if eps_2n <= 0:
         raise ValueError("eps_2n must be positive")
-    return 2.0 ** -m * min(1.0 / m, eps_2n)
+    return min(Fraction(1, m), Fraction(eps_2n)) / 2 ** m

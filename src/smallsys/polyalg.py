@@ -11,9 +11,10 @@ f and f^sigma are distinct irreducibles over k that both divide the minimal
 polynomial, so that is their product, the k/Q norm of f.  The Mahler
 enumeration walks, on integers, the binomial box cut by the power-sum
 bound |s_k| <= d - 1 + mu^k, and decides each candidate there (Kronecker
-test, then Graeffe and Landau bounds against the exact cap); certified root
-finding serves the measures and the few polynomials left undecided.  A
-certified measure is a pure function of one key, the least member under
+test, then Graeffe and Landau bounds against the exact cap); the measure
+decides the few left open, enclosed on ints by Smith's disks about mpmath's
+roots of the squarefree layers an integer gcd splits off.  A certified
+measure is a pure function of one key, the least member under
 x -> -x and reversal of the polynomial's cyclotomic-free core (cyclotomic
 factors have measure 1), and is computed once per process for each key;
 min_mahler_above_one is computed once per process for each degree bound.
@@ -58,10 +59,6 @@ class QPoly:
     def __setattr__(self, *_):
         raise AttributeError("QPoly is immutable")
 
-    @classmethod
-    def zero(cls):
-        return cls([0])
-
     def is_zero(self) -> bool:
         return self.coeffs == (Fraction(0),)
 
@@ -99,7 +96,7 @@ class QPoly:
         if isinstance(other, (int, Fraction)):
             return QPoly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return QPoly.zero()
+            return QPoly([0])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
             if not c:
@@ -109,48 +106,6 @@ class QPoly:
         return QPoly(out)
 
     __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = self.degree() - other.degree()
-        if dq < 0:
-            return QPoly.zero(), self
-        quo = [Fraction(0)] * (dq + 1)
-        d = other.coeffs
-        for k in range(dq, -1, -1):
-            c = rem[other.degree() + k] / d[-1]
-            quo[k] = c
-            if c:
-                for j, dc in enumerate(d):
-                    rem[j + k] -= c * dc
-        return QPoly(quo), QPoly(rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            raise ValueError("zero polynomial has no monic form")
-        return QPoly([c / self.lc() for c in self.coeffs])
-
-    def derivative(self) -> "QPoly":
-        if self.degree() <= 0:
-            return QPoly.zero()
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def content_primitive(self):
-        """Positive content and primitive integer part (lc sign preserved)."""
-        if self.is_zero():
-            return Fraction(0), ZPoly([0])
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        return Fraction(g, den), ZPoly([c // g for c in ints])
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -217,9 +172,6 @@ class ZPoly:
             coeffs.pop(0)
             v += 1
         return v, ZPoly(coeffs)
-
-    def to_qpoly(self) -> QPoly:
-        return QPoly(self.coeffs)
 
     def to_text(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
@@ -357,61 +309,110 @@ def is_measure_one(p: ZPoly) -> bool:
     return _graeffe_walk(p, ())[0]
 
 
-def _poly_gcd(p: QPoly, q: QPoly) -> QPoly:
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+def _divide_exact(c, m):
+    """The quotient of c by m when m divides c exactly over Z, else None
+    (coefficients constant first, on ints)."""
+    rem, dm = list(c), len(m) - 1
+    quo = [0] * (len(c) - dm)
+    for k in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[k + dm], m[-1])
+        if r:
+            return None
+        quo[k] = q
+        if q:
+            for j, v in enumerate(m):
+                rem[j + k] -= q * v
+    return tuple(quo) if not any(rem[:dm]) else None
 
 
-def _monic_measure_certified(f: QPoly, rel_tol: float):
-    """(lo, hi) enclosure of prod max(1, |root|) for monic f, by exact
-    squarefree splitting followed by escalating-precision root finding."""
-    if f.degree() <= 0:
-        return 1.0, 1.0
-    d = f.derivative()
-    g = _poly_gcd(f, d)
-    if g.degree() > 0:
-        h = (f // g).monic()
-        lo1, hi1 = _monic_measure_certified(h, rel_tol / 2)
-        lo2, hi2 = _monic_measure_certified(g.monic(), rel_tol / 2)
-        return lo1 * lo2, hi1 * hi2
-    _, P = f.content_primitive()
-
-    def measure(prec):      # None when the root solve fails or is too coarse
-        with mpmath.workprec(prec):
-            try:
-                roots, err = mpmath.polyroots(
-                    [mpmath.mpf(c) for c in reversed(P.coeffs)],
-                    maxsteps=200, extraprec=prec, error=True)
-            except mpmath.libmp.NoConvergence:
-                return None
-            roots = [mpmath.mpc(r) for r in roots]
-        e = 4 * float(err) + 2.0 ** (1 - prec)
-        lo, hi = 1.0, 1.0
-        for r in roots:
-            a = abs(r)
-            lo *= float(max(1.0, a - e))
-            hi *= float(max(1.0, a + e))
-        return (lo, hi) if hi - lo <= rel_tol * lo else None
-    return escalate(measure, 64, "Mahler measure did not converge")
+def _gcd(a, b):
+    """The gcd of integer polynomials a and b, b not zero, primitive with a
+    positive leading coefficient, by primitive pseudo-remainders: b over its
+    content, then lc(b)^k a less multiples of b to a degree below b's."""
+    while True:
+        g = math.gcd(*b) if b[-1] > 0 else -math.gcd(*b)
+        b, r = tuple(v // g for v in b), list(a)
+        while len(r) >= len(b):
+            c = r.pop()
+            if c:
+                r = [b[-1] * v for v in r]
+                for j, v in enumerate(b[:-1], len(r) + 1 - len(b)):
+                    r[j] -= c * v
+        if not any(r):
+            return b
+        a, b = b, _strip(r)
 
 
-def mahler_measure(p: ZPoly, tol: float) -> float:
-    """|lc| * prod max(1, |root|), certified to absolute error < tol."""
+def _squarefree_layers(c):
+    """Squarefree h_1, h_2, ... of positive degree with product c: h_i =
+    g_(i-1) / g_i holds each root of multiplicity >= i once, for g_0 = c and
+    g_i the gcd of g_(i-1) and its derivative."""
+    if len(c) == 1:
+        return []
+    g = _gcd(c, tuple(i * v for i, v in enumerate(c))[1:])
+    return [_divide_exact(c, g)] + _squarefree_layers(g)
+
+
+def _smith_measure(c, prec: int):
+    """|lc| prod max(1, |root|) of the squarefree integer polynomial c as a
+    RealInterval at 2 prec bits, or None when mpmath's roots at prec bits,
+    rounded to Gaussian dyadics z_i = (x + iy) / 2^prec, do not isolate the
+    roots.  By Smith (1970) the disks about z_i of radius r_i = d |c(z_i)| /
+    (|lc| prod_{j != i} |z_i - z_j|) cover the roots of c, and each of them
+    holds exactly one when they are pairwise disjoint."""
+    d, q = len(c) - 1, 2 * prec
+    with mpmath.workprec(prec):
+        try:
+            roots = mpmath.polyroots(c[::-1], maxsteps=200, extraprec=prec)
+        except mpmath.libmp.NoConvergence:
+            return None
+        z = [(int(mpmath.ldexp(r.real, prec)), int(mpmath.ldexp(r.imag, prec)))
+             for r in roots]
+    if len(set(z)) < d:
+        return None
+
+    def sqrt(num, den):
+        return RealInterval.exact(Fraction(num, den), q).sqrt()
+    sq = [[(x - u) ** 2 + (y - v) ** 2 for u, v in z] for x, y in z]
+    radii, out = [], abs(c[-1])
+    for i, (x, y) in enumerate(z):
+        vr, vi = c[-1], 0           # 2^(prec d) c(z_i) by Horner's rule
+        for k in range(d - 1, -1, -1):
+            vr, vi = vr * x - vi * y + (c[k] << prec * (d - k)), vr * y + vi * x
+        dist = math.prod(s for j, s in enumerate(sq[i]) if j != i)
+        r = sqrt(d * d * (vr * vr + vi * vi), c[-1] ** 2 * dist << q)
+        m = sqrt(x * x + y * y, 1 << q)                 # |z_i|
+        out = RealInterval(max(1, m.lo - r.hi), max(1, m.hi + r.hi), q) * out
+        radii.append(r.man_hi)
+    # disjoint: r_i + r_j < |z_i - z_j|, both sides times 2^q and squared
+    if all((radii[i] + radii[j]) ** 2 < sq[i][j] << q
+           for i, j in itertools.combinations(range(d), 2)):
+        return out
+
+
+def _enclosure(p: ZPoly, tol: float) -> RealInterval:
+    """The interval, narrower than tol, whose midpoint mahler_measure returns:
+    x^j dropped, the product of the squarefree layers' Smith measures at the
+    first precision from 64 bits that isolates their roots narrowly enough."""
     if p.is_zero():
         raise ValueError("Mahler measure of the zero polynomial")
     if tol <= 0:
         raise ValueError("tol must be positive")
     _, q = p.shift_out_zero_roots()
-    scale = abs(q.lc())
     if q.degree() == 0:
-        return float(abs(q.coeffs[0]))
-    monic = q.to_qpoly().monic()
-    # relative tolerance sized from Landau's bound M(q) <= ||q||_2
-    rel = tol / (2 * scale * math.hypot(*q.coeffs))
-    lo, hi = _monic_measure_certified(monic, max(rel, 1e-17))
-    return scale * (lo + hi) / 2
+        return RealInterval.exact(abs(q.lc()))
+    layers = _squarefree_layers(q.coeffs)
+
+    def decide(prec):
+        measures = [_smith_measure(h, prec) for h in layers]
+        if None not in measures and (out := math.prod(measures)).width() < tol:
+            return out
+    return escalate(decide, 64, "Mahler measure did not converge")
+
+
+def mahler_measure(p: ZPoly, tol: float) -> float:
+    """|lc| * prod max(1, |root|), certified to absolute error < tol."""
+    return float(_enclosure(p, tol))
 
 
 def _mirror(p: ZPoly) -> ZPoly:
@@ -449,21 +450,8 @@ def _cyclotomic(n: int) -> tuple:
     out = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            out = _divide_monic(out, _cyclotomic(d))
+            out = _divide_exact(out, _cyclotomic(d))
     return out
-
-
-def _divide_monic(c, m):
-    """The quotient of c by the monic m when m divides c exactly, else None
-    (coefficients constant first, on ints)."""
-    rem, dm = list(c), len(m) - 1
-    quo = [0] * (len(c) - dm)
-    for k in range(len(quo) - 1, -1, -1):
-        q = quo[k] = rem[k + dm]
-        if q:
-            for j, v in enumerate(m):
-                rem[j + k] -= q * v
-    return tuple(quo) if not any(rem[:dm]) else None
 
 
 @functools.cache
@@ -479,7 +467,7 @@ def _core(p: ZPoly) -> ZPoly:
     those factors have measure 1, so the core has the measure of p."""
     c = p.coeffs
     for phi in _cyclotomics(p.degree()):
-        while len(phi) <= len(c) and (q := _divide_monic(c, phi)) is not None:
+        while len(phi) <= len(c) and (q := _divide_exact(c, phi)) is not None:
             c = q
     return ZPoly(c)
 

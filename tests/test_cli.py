@@ -1,12 +1,16 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from smallsys import arith, cli, lorentz, polyalg
 from smallsys.arith import (GroupSample, adjoint_trace, conjugate_between_forms,
@@ -176,6 +180,18 @@ class TestVerify:
         assert checks["eigenvalues"]["status"] == "FAIL"
         assert checks["eigenvalues"]["exact_values"]["trace1"] == "6+4*rt2"
 
+    def test_each_eigenvalue_found_once(self, capsys, monkeypatch):
+        # the lengths are taken from lam1 and lam2; translation_length would
+        # find each eigenvalue again, one is_square apiece
+        calls = [0]
+        def counted(g, _fn=lorentz.leading_eigenvalue):
+            calls[0] += 1
+            return _fn(g)
+        monkeypatch.setattr(lorentz, "leading_eigenvalue", counted)
+        monkeypatch.setattr(cli, "leading_eigenvalue", counted)
+        assert run(["--quiet", "verify"], capsys)[0] == 0
+        assert calls[0] == 2
+
     def test_g2_parameter_matches_linear_walk(self):
         # g2's parameter for a != 3 is the least t >= 1 with sqrt2 t^2 > a
         def walk(a):
@@ -324,6 +340,28 @@ class TestMahler:
         code, _, _ = run(["mahler", "--D", "0"], capsys)
         assert code == 2
 
+    # SHA-256 of the --json certificate: every printed digit of the minimum
+    # measure and the systole gap, not only a prefix
+    @pytest.mark.parametrize("argv, digest", [
+        (["mahler", "--D", "2"],
+         "d82553d6d6d6715b754ae10f6fc1d281bf93b46f3f658e2878c92bd27485e718"),
+        (["mahler", "--D", "3"],
+         "332a75912c211a2152148aa9c31b7c8bd0f4c067790ee23d7ad5f9f07d63ba2c"),
+        (["mahler", "--D", "4"],
+         "cc9bcf452ea61ad45c7bf7b02a73fef295982d477a9d4aeb306b4dee4e2317e9"),
+        (["mahler", "--D", "5"],
+         "e2ba30e1b68f786f7aeb0bc425f8818a2018f6fc6c078ee81aa4619739db0b29"),
+        (["mahler", "--D", "6"],
+         "0ecfbe45594513eb698cee5365dc51e4f26c40adfa14cae972b50af50635db3a"),
+        (["budget", "--m", "3", "--D", "4"],
+         "f848774baa5d88386ea10288832a0d42e0de59ec8446b7af98d0238a92f78a27"),
+    ], ids=["mahler-2", "mahler-3", "mahler-4", "mahler-5", "mahler-6",
+            "budget-3-4"])
+    def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        path = tmp_path / "cert.json"
+        assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv", [["mahler", "--D", "4"],
                                       ["budget", "--m", "3", "--D", "4"]],
                              ids=["mahler", "budget"])
@@ -337,6 +375,20 @@ class TestMahler:
             assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == 0
             return path.read_bytes()
         assert certificate() == certificate(["mahler", "--D", "6"])
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+       | st.just(0.0))
+@example(1e-6)
+@example(math.nextafter(1e-6, 0))
+@example(0.0000005)
+@example(2.5e-13)
+@example(9.9999999999995e-7)
+def test_numbers_print_as_floats_did(x):
+    # the exact formatting prints every float, and its value as a Fraction,
+    # as the float formatting did
+    want = f"{x:.12e}" if 0 < abs(x) < 1e-6 else f"{x:.12f}"
+    assert cli._fmt(x) == cli._fmt(Fraction(x)) == want
 
 
 class TestInternalFailure:
@@ -456,10 +508,10 @@ class TestMinpolyAndBudget:
         # times its conjugate, both squarefree, so no gcd extracts a
         # squarefree part; only the Mahler measure's split calls it
         calls = [0]
-        def counted(p, q, _fn=polyalg._poly_gcd):
+        def counted(a, b, _fn=polyalg._gcd):
             calls[0] += 1
-            return _fn(p, q)
-        monkeypatch.setattr(polyalg, "_poly_gcd", counted)
+            return _fn(a, b)
+        monkeypatch.setattr(polyalg, "_gcd", counted)
         assert run(["--quiet", "verify", "--n", "6"], capsys)[0] == 0
         assert run(["--quiet", "minpoly", "--trace", "6+4*rt2", "--norm", "1"],
                    capsys)[0] == 0
@@ -480,12 +532,21 @@ class TestMinpolyAndBudget:
         assert vals["systole_gap"].startswith("0.28119957")
 
     def test_budget_large_m(self, capsys, tmp_path):
+        # 2^-m min(1/m, gap) is below the least float from m = 1065 on; it
+        # prints from its exact value, checked against mpmath at 30 digits
         path = tmp_path / "bud.json"
-        code, _, _ = run(["--quiet", "--json", str(path), "budget",
-                          "--m", "1100", "--D", "1"], capsys)
-        assert code == 0
-        vals = json.loads(path.read_text())["checks"][0]["numeric_values"]
-        assert vals["glued_length_bound"] == f"{1 / 2200:.12f}"
+        for m, D, epsilon in ((1100, 1, "6.692865299112e-335"),
+                              (1070, 3, "7.387897507906e-326"),
+                              (5000, 4, "1.415962252210e-1509")):
+            code, _, _ = run(["--quiet", "--json", str(path), "budget",
+                              "--m", str(m), "--D", str(D)], capsys)
+            assert code == 0
+            vals = json.loads(path.read_text())["checks"][0]["numeric_values"]
+            assert vals["glued_length_bound"] == f"{1 / (2 * m):.12f}"
+            assert vals["epsilon"] == epsilon
+            with mpmath.workdps(30):
+                assert mpmath.almosteq(mpmath.mpf(epsilon), mpmath.mpf(2) ** -m / m,
+                                       rel_eps=1e-12)
 
     def test_budget_keeps_small_epsilon(self, capsys, tmp_path):
         path = tmp_path / "bud.json"

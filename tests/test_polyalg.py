@@ -360,6 +360,42 @@ class TestMahlerMeasure:
     def test_scalar_multiple(self):
         assert mahler_measure(ZPoly([-6, 3]), 1e-9) == pytest.approx(6.0, abs=1e-8)
 
+    @pytest.mark.parametrize("coeffs, want", [
+        ([5], 5), ([0, 0, 3], 3), ([0, 0, 0, -2], 2)])
+    def test_constant_times_a_power_of_x(self, coeffs, want):
+        assert polyalg._enclosure(ZPoly(coeffs), 1e-10).width() == 0
+        assert mahler_measure(ZPoly(coeffs), 1e-10) == want
+
+    @pytest.mark.parametrize("coeffs, want", [
+        ([-8, 12, -6, 1], 8.0),                       # (x - 2)^3
+        ([1, 2, -1, -2, 1], GOLDEN ** 2),             # (x^2 - x - 1)^2
+        ([1, 2, 1, -2, -2, 0, 1], PLASTIC ** 2),      # (x^3 - x - 1)^2
+    ], ids=["cube", "golden-square", "plastic-square"])
+    def test_repeated_non_cyclotomic_factors(self, coeffs, want):
+        # polyroots never converges on a repeated root; the squarefree layers
+        # hand it each distinct root once per multiplicity
+        assert mahler_measure(ZPoly(coeffs), 1e-10) == pytest.approx(want, abs=1e-10)
+
+    def test_squarefree_layers(self):
+        # (x - 2)^3 (x^2 - x - 1) (2x + 1)^2
+        p = ZPoly([-2, 1]) * ZPoly([-2, 1]) * ZPoly([-2, 1]) * ZPoly([-1, -1, 1])
+        p = p * ZPoly([1, 2]) * ZPoly([1, 2])
+        layers = polyalg._squarefree_layers(p.coeffs)
+        assert [ZPoly(h) for h in layers] == [
+            ZPoly([-2, 1]) * ZPoly([-1, -1, 1]) * ZPoly([1, 2]),
+            ZPoly([-2, 1]) * ZPoly([1, 2]), ZPoly([-2, 1])]
+
+    def test_inexact_roots_raise(self, monkeypatch):
+        # every root off by 1e-6 at every precision: the Smith disks stay
+        # about 1e-6 wide, so no precision meets the tolerance
+        real = polyalg.mpmath.polyroots
+
+        def shifted(*args, **kwargs):
+            return [r + mpmath.mpf(1e-6) for r in real(*args, **kwargs)]
+        monkeypatch.setattr(polyalg.mpmath, "polyroots", shifted)
+        with pytest.raises(PrecisionError):
+            mahler_measure(ZPoly([-1, -1, 1]), 1e-10)
+
     @staticmethod
     def _failing_polyroots(monkeypatch, failures):
         """Make mpmath.polyroots raise NoConvergence on its first `failures`
@@ -703,6 +739,50 @@ def test_core_strips_exactly_the_cyclotomic_factors(poly):
         float(sympy_measure(sympy, poly)), abs=1e-9)
 
 
+@st.composite
+def integer_polys(draw):
+    """c x^j times up to three integer factors of degree 1..3, each to the
+    power 1..3, of degree 1..9: repeated non-cyclotomic factors and x^j
+    multiples included."""
+    p = ZPoly([0] * draw(st.integers(0, 2)) + [draw(st.sampled_from([-2, -1, 1, 3]))])
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        f = ZPoly(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+                  + [draw(st.sampled_from([-2, -1, 1, 2]))])
+        for _ in range(draw(st.integers(1, 3))):
+            if p.degree() + d <= 9:
+                p = p * f
+    assume(p.degree() >= 1)
+    return p
+
+
+def sympy_measure_256(sympy, p):
+    """M(p) at 256 bits from sympy: its squarefree factors, and their roots
+    by nroots to 77 digits."""
+    coeff, factors = sympy.Poly(p.coeffs[::-1], sympy.symbols("x")).sqf_list()
+    with mpmath.workprec(256):
+        value = mpmath.mpf(abs(int(coeff)))
+        for f, mult in factors:
+            value *= abs(int(f.LC())) ** mult
+            for r in f.nroots(n=77, maxsteps=200):
+                value *= max(1, mpmath.mpf(str(abs(r).evalf(80)))) ** mult
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_polys())
+@example(ZPoly([-8, 12, -6, 1]))                          # (x - 2)^3
+@example(ZPoly([0, 0, 1, 2, 1, -2, -2, 0, 1]))            # x^2 (x^3 - x - 1)^2
+@example(ZPoly([1, 2, -1, -2, 1]) * ZPoly([-1, 2]))       # (x^2 - x - 1)^2 (2x - 1)
+def test_enclosure_contains_the_measure(p):
+    sympy = pytest.importorskip("sympy")
+    iv = polyalg._enclosure(p, 1e-10)
+    assert iv.width() < 1e-10
+    man, exp = sympy_measure_256(sympy, p).man_exp
+    assert Fraction(man) * Fraction(2) ** exp in iv
+    assert mahler_measure(p, 1e-10) == float(iv)
+
+
 def test_cyclotomic_polynomials_match_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
@@ -712,10 +792,18 @@ def test_cyclotomic_polynomials_match_sympy():
 
 
 class TestPolyBasics:
-    def test_divmod(self):
-        p = QPoly([-1, 0, 1])
-        q, r = divmod(p, QPoly([-1, 1]))
-        assert q == QPoly([1, 1]) and r.is_zero()
+    def test_divide_exact(self):
+        assert polyalg._divide_exact((-1, 0, 1), (-1, 1)) == (1, 1)
+        assert polyalg._divide_exact((-2, 2, 4), (-1, 2)) == (2, 2)
+        assert polyalg._divide_exact((-1, 0, 1), (-2, 1)) is None   # remainder 3
+        assert polyalg._divide_exact((1, 0, 1), (1, 2)) is None     # not over Z
+
+    def test_gcd_is_primitive(self):
+        # gcd((x - 1)^2 (x + 2), 6 (x - 1)(x + 3)) = x - 1
+        a = ZPoly([-1, 1]) * ZPoly([-1, 1]) * ZPoly([2, 1])
+        b = ZPoly([-6, 6]) * ZPoly([3, 1])
+        assert polyalg._gcd(a.coeffs, b.coeffs) == (-1, 1)
+        assert polyalg._gcd(b.coeffs, (4,)) == (1,)
 
     @pytest.mark.parametrize("coeffs", [[Fraction(1, 2), 1], [2.7, 1], [1, 0.5]])
     def test_zpoly_rejects_non_integers(self, coeffs):

@@ -54,10 +54,13 @@ class InputError(ValueError):
 
 
 def _fmt(x) -> str:
-    """12 decimals, rounded half to even from the exact value of x, a Fraction
-    or a float; nonzero values below 1e-6 in scientific form with 13
-    significant digits, so that no epsilon budget prints as zero."""
-    n, d = (x if isinstance(x, Fraction) else float(x)).as_integer_ratio()
+    """12 decimals; nonzero values below 1e-6 in scientific form with 13
+    significant digits, so that no epsilon budget prints as zero.  A Fraction
+    is rounded half to even from its exact value, where a float underflows."""
+    if not isinstance(x, Fraction):     # nan, inf and -0.0 print as floats do
+        v = float(x)
+        return f"{v:.12e}" if 0 < abs(v) < 1e-6 else f"{v:.12f}"
+    n, d = x.as_integer_ratio()
     sign, n, e = "-" * (n < 0), abs(n), 0
     if n and n / d < 1e-6:                              # 10^e <= n/d < 10^(e+1)
         e = math.floor(math.log10(n) - math.log10(d))
@@ -166,10 +169,8 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
              and param_block(g2.c, g2.parameter(), n).alpha == g2.alpha,
              exact={"t1": g1.parameter().to_text(), "t2": g2.parameter().to_text()})
 
-    lam1 = leading_eigenvalue(g1)
-    lam2 = leading_eigenvalue(g2)
-    len1 = eigenvalue_length(lam1, precision)
-    len2 = eigenvalue_length(lam2, precision)
+    lam1, lam2 = leading_eigenvalue(g1), leading_eigenvalue(g2)
+    len1, len2 = (eigenvalue_length(lam, precision) for lam in (lam1, lam2))
     # alpha^2 - 1 = 4 c sqrt2 t^2 / (sqrt2 t^2 - c)^2 is never a square in k,
     # so each lambda = alpha + sqrt(alpha^2 - 1) is a TowerElem with u = alpha
     cert.add("eigenvalues", "leading eigenvalues solve x^2 - 2 alpha x + 1",

@@ -363,7 +363,7 @@ def _smith_measure(c, prec: int):
     d, q = len(c) - 1, 2 * prec
     with mpmath.workprec(prec):
         try:
-            roots = mpmath.polyroots(c[::-1], maxsteps=200, extraprec=prec)
+            roots = mpmath.polyroots(c[::-1], maxsteps=200)
         except mpmath.libmp.NoConvergence:
             return None
         z = [(int(mpmath.ldexp(r.real, prec)), int(mpmath.ldexp(r.imag, prec)))

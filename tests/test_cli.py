@@ -296,6 +296,18 @@ class TestSearch:
         assert code == 1
         assert "FAIL" in out
 
+    def test_exhausted_without_a_loxodromic_block(self, capsys, tmp_path):
+        # sqrt2 t^2 < c = 100 for every t of height 1, so no block is priced
+        # and the certificate fails with best_length nan
+        path = tmp_path / "s.json"
+        code, _, err = run(["--quiet", "--json", str(path), "search", "--c", "100",
+                            "--epsilon", "1e-9", "--height-bound", "1"], capsys)
+        assert (code, err) == (1, "")
+        check = json.loads(path.read_text())["checks"][0]
+        assert check["status"] == "FAIL"
+        assert check["exact_values"]["best_t"] == "none"
+        assert check["numeric_values"]["best_length"] == "nan"
+
     @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
     def test_bad_epsilon(self, capsys, eps):
         code, _, err = run(["search", "--epsilon", eps], capsys)
@@ -377,18 +389,23 @@ class TestMahler:
         assert certificate() == certificate(["mahler", "--D", "6"])
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False).filter(bool)
-       | st.just(0.0))
+@given(st.floats())
+@example(-0.0)
+@example(math.nan)
+@example(-math.inf)
 @example(1e-6)
 @example(math.nextafter(1e-6, 0))
 @example(0.0000005)
 @example(2.5e-13)
 @example(9.9999999999995e-7)
 def test_numbers_print_as_floats_did(x):
-    # the exact formatting prints every float, and its value as a Fraction,
-    # as the float formatting did
+    # every float, nan, inf and -0.0 too, prints as the float formatting did,
+    # and the exact formatting prints a finite float's value as a Fraction the
+    # same way; x + 0.0 is x but for -0.0, which no Fraction can hold
     want = f"{x:.12e}" if 0 < abs(x) < 1e-6 else f"{x:.12f}"
-    assert cli._fmt(x) == cli._fmt(Fraction(x)) == want
+    assert cli._fmt(x) == want
+    if math.isfinite(x):
+        assert cli._fmt(Fraction(x)) == cli._fmt(x + 0.0)
 
 
 class TestInternalFailure:

@@ -385,13 +385,12 @@ def cmd_budget(m: int, D: int) -> Certificate:
         raise InputError("D must be at least 1")
     cert = Certificate("budget", {"m": m, "D": D})
     gap = epsilon_gap(D)
-    # decided on min(1/m, gap): 2^(-m) underflows to 0.0 for m > 1074
-    bound = min(1.0 / m, gap)
+    eps = epsilon_budget(m, gap)
     cert.add("epsilon_budget",
              f"2^(-{m}) * min(1/{m}, systole gap at degree {D})",
-             bound > 0,
-             numeric={"systole_gap": gap, "epsilon": epsilon_budget(m, gap),
-                      "glued_length_bound": bound / 2})
+             eps > 0,
+             numeric={"systole_gap": gap, "epsilon": eps,
+                      "glued_length_bound": eps * 2 ** (m - 1)})
     return cert
 
 

@@ -13,11 +13,11 @@ enumeration walks, on integers, the binomial box cut by the power-sum
 bound |s_k| <= d - 1 + mu^k, and decides each candidate there (Kronecker
 test, then Graeffe and Landau bounds against the exact cap); the measure
 decides the few left open, enclosed on ints by Smith's disks about mpmath's
-roots of the squarefree layers an integer gcd splits off.  A certified
-measure is a pure function of one key, the least member under
-x -> -x and reversal of the polynomial's cyclotomic-free core (cyclotomic
-factors have measure 1), and is computed once per process for each key;
-min_mahler_above_one is computed once per process for each degree bound.
+roots of the squarefree layers an integer gcd splits off.  Every verdict
+against a cap or the best so far is decided on those enclosures, never on a
+float, and equal measures meet as equal keys: the least member under x -> -x
+and reversal of g, where g(x^k) is the cyclotomic-free core (M(g(x^k)) =
+M(g)).  Enclosures, and min_mahler_above_one, are computed once per process.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .exactfield import (K_ONE, RealInterval, TowerElem, as_kelem, embed,
 from .exactfield import PrecisionError  # noqa: F401  the Mahler measure raises it
 
 GRAEFFE_STEPS = 6       # iterates tried before the certified measure decides
-GUARD_TOL = 1e-9        # width of the guard band above the enumeration cap
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +85,6 @@ class QPoly:
             out[i] += c
         return QPoly(out)
 
-    def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QPoly([c * other for c in self.coeffs])
@@ -104,8 +97,6 @@ class QPoly:
             for j, d in enumerate(other.coeffs):
                 out[i + j] += c * d
         return QPoly(out)
-
-    __rmul__ = __mul__
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -166,12 +157,8 @@ class ZPoly:
 
     def shift_out_zero_roots(self):
         """Drop x^v factors; returns (v, reduced poly)."""
-        v = 0
-        coeffs = list(self.coeffs)
-        while len(coeffs) > 1 and coeffs[0] == 0:
-            coeffs.pop(0)
-            v += 1
-        return v, ZPoly(coeffs)
+        v = next(i for i, c in enumerate(self.coeffs) if c or i == len(self.coeffs) - 1)
+        return v, ZPoly(self.coeffs[v:])
 
     def to_text(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
@@ -192,7 +179,7 @@ def _norm_to_Q(coeffs) -> QPoly:
     it, so it is their squarefree product, the norm A^2 - 2 B^2."""
     A = QPoly([c.a for c in coeffs])
     B = QPoly([c.b for c in coeffs])
-    return A if B.is_zero() else A * A - 2 * (B * B)
+    return A if B.is_zero() else A * A + B * B * -2
 
 
 def minpoly_over_Q(x) -> QPoly:
@@ -300,10 +287,8 @@ def _graeffe_walk(p: ZPoly, powers):
 
 
 def is_measure_one(p: ZPoly) -> bool:
-    """Exact Kronecker test: a monic integer polynomial has Mahler measure 1
-    iff its Graeffe iterates stay within the binomial coefficient bounds and
-    eventually repeat (all roots then being zero or roots of unity).  It is
-    the first verdict of the Graeffe walk that the Mahler enumeration runs."""
+    """Kronecker's exact test, the first verdict of the Graeffe walk: monic p
+    has Mahler measure 1 iff its roots are zero or roots of unity."""
     if not p.is_monic():
         raise ValueError("measure-one test expects a monic polynomial")
     return _graeffe_walk(p, ())[0]
@@ -390,7 +375,8 @@ def _smith_measure(c, prec: int):
         return out
 
 
-def _enclosure(p: ZPoly, tol: float) -> RealInterval:
+@functools.cache
+def _enclosure(p: ZPoly, tol) -> RealInterval:
     """The interval, narrower than tol, whose midpoint mahler_measure returns:
     x^j dropped, the product of the squarefree layers' Smith measures at the
     first precision from 64 bits that isolates their roots narrowly enough."""
@@ -472,33 +458,44 @@ def _core(p: ZPoly) -> ZPoly:
     return ZPoly(c)
 
 
-@functools.cache
-def _key_measure(key: ZPoly) -> float:
-    """mahler_measure to 1e-10 of a class key, once per process."""
-    return mahler_measure(key, 1e-10)
-
-
-def _class_measure(p: ZPoly) -> float:
-    """mahler_measure to 1e-10 of monic p, computed once per process for the
-    class of its cyclotomic-free core under x -> -x and reversal, on the
-    class's least member."""
-    core = _core(p)
-    key = min(core, _mirror(core))
-    if abs(core.coeffs[0]) == 1:
-        rev = ZPoly([core.coeffs[0] * c for c in reversed(core.coeffs)])
+def _class_key(p: ZPoly) -> ZPoly:
+    """The key of monic p's measure class: its cyclotomic-free core read as g
+    when it is g(x^k), k the gcd of its exponents (M(g(x^k)) = M(g)), then the
+    least member of g's class under x -> -x and reversal."""
+    c = _core(p).coeffs
+    g = ZPoly(c[::math.gcd(*(i for i, v in enumerate(c) if v)) or 1])  # a constant: gcd 0
+    key = min(g, _mirror(g))
+    if abs(g.coeffs[0]) == 1:
+        rev = ZPoly([g.coeffs[0] * v for v in reversed(g.coeffs)])
         key = min(key, rev, _mirror(rev))
-    return _key_measure(key)
+    return key
 
 
-def _accepted(d: int, mu: float):
+def _at_most(key: ZPoly, bound) -> bool:
+    """M(key) <= bound, a Fraction cap or another key: equal keys tie, else the
+    enclosures to 2^-34, 2^-68, ... decide once they separate.  Distinct keys
+    of one measure, or a cap equal to a measure with irrational roots, raise
+    PrecisionError past 4096 bits."""
+    if key == bound:
+        return True
+
+    def decide(bits):
+        m = _enclosure(key, tol := Fraction(1, 1 << bits))
+        b = (_enclosure(bound, tol) if isinstance(bound, ZPoly)
+             else RealInterval.exact(bound, m.precision))
+        if m.hi <= b.lo or m.lo > b.hi:
+            return m.hi <= b.lo
+    return escalate(decide, 34, "Mahler measures did not separate")
+
+
+def _accepted(d: int, mu: Fraction):
     """(p, measure one?) for the candidates of degree d with measure <= mu."""
-    m = Fraction(mu)
-    powers = [(m.numerator ** (1 << k), m.denominator ** (1 << k))
+    powers = [(mu.numerator ** (1 << k), mu.denominator ** (1 << k))
               for k in range(GRAEFFE_STEPS + 1)]
-    for poly in _candidates(d, m.numerator, m.denominator):
+    for poly in _candidates(d, mu.numerator, mu.denominator):
         one, verdict = _graeffe_walk(poly, powers)
         if verdict is None:
-            verdict = _class_measure(poly) <= mu + GUARD_TOL
+            verdict = _at_most(_class_key(poly), mu)
         if verdict:
             yield poly, one
 
@@ -509,7 +506,7 @@ def _bounded_verdicts(D: int, mu: float):
         raise ValueError("D and mu must be at least 1")
     out = {ZPoly([0] * j + [1]): True for j in range(1, D + 1)}
     for d in range(1, D + 1):
-        for poly, one in _accepted(d, mu):
+        for poly, one in _accepted(d, Fraction(mu)):
             for j in range(D - d + 1):      # x^j p has the measure of p
                 shifted = ZPoly([0] * j + list(poly.coeffs))
                 out[shifted] = out[_mirror(shifted)] = one
@@ -518,36 +515,37 @@ def _bounded_verdicts(D: int, mu: float):
 
 def enumerate_bounded(D: int, mu: float):
     """All monic integer polynomials of degree 1..D with Mahler measure
-    <= mu, possibly including a guard band of measures in
-    (mu, mu + GUARD_TOL].  The walk covers one of each mirror pair with
-    p(0) != 0 in the box |a_{d-i}| <= binom(d, i) mu cut by the power-sum
-    bound |s_k| <= d - 1 + mu^k; mirrors and x^j p complete the list.  Each
-    is decided on integers (Kronecker test, then Graeffe and Landau bounds
-    against the exact rational mu) unless GRAEFFE_STEPS iterates leave it
-    to the certified measure."""
+    <= mu.  The walk covers one of each mirror pair with p(0) != 0 in the box
+    |a_{d-i}| <= binom(d, i) mu cut by the power-sum bound
+    |s_k| <= d - 1 + mu^k; mirrors and x^j p complete the list.  Each is
+    decided on integers (Kronecker test, then Graeffe and Landau bounds
+    against the exact rational mu) unless GRAEFFE_STEPS iterates leave it to
+    the certified measure of its class key (``_at_most``)."""
     return sorted(_bounded_verdicts(D, mu))
 
 
 @functools.cache
 def min_mahler_above_one(D: int):
     """Minimum Mahler measure strictly above 1 among monic integer
-    polynomials of degree <= D, with its witness; ties (within 1e-9) resolved
-    by smallest (degree, coefficient list).  Each degree is searched up to
-    the least measure so far plus the tie band and the measure's error.
-    Computed once per process for each D."""
+    polynomials of degree <= D, the midpoint of its key's enclosure to 2^-34,
+    with its witness, the least (degree, coefficients) member of that key's
+    class.  Each degree is searched up to the top of the best key's enclosure
+    so far.  Computed once per process for each D."""
     if D < 1:
         raise ValueError("D must be at least 1")
-    for cap in (1.4, 1.7, 2.0001):
-        measured = []
+    for cap in map(Fraction, (1.4, 1.7, 2.0001)):
+        best, found = None, []
         for d in range(1, D + 1):
-            for poly, one in _accepted(d, cap + 1e-9 + 1e-10):
+            for poly, one in _accepted(d, cap):
                 if not one:
-                    value = _class_measure(poly)
-                    cap = min(cap, value)
-                    measured += [(value, poly), (value, _mirror(poly))]
-        if measured:
-            best = min(m for m, _ in measured)
-            return best, min(p for m, p in measured if m <= best + 1e-9)
+                    key = _class_key(poly)
+                    found.append((key, poly))
+                    if best is None or not _at_most(best, key):
+                        best, first = key, _enclosure(key, Fraction(1, 1 << 34))
+                        cap = min(cap, first.hi)
+        if best is not None:
+            return float(first), min(q for key, p in found if key == best
+                                     for q in (p, _mirror(p)))
     raise AssertionError("unreachable: x - 2 has measure 2")
 
 

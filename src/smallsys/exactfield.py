@@ -666,9 +666,6 @@ class TowerElem:
 
     __rmul__ = __mul__
 
-    def tower_conjugate(self) -> "TowerElem":
-        return _tower(self.u, -self.v, self.ctx)
-
     def tower_norm(self) -> KElem:
         return self.u * self.u - self.ctx.radicand * self.v * self.v
 

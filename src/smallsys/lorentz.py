@@ -228,14 +228,6 @@ class Isometry:
         return f"Isometry({self.form!r}, {len(self.entries)}x{len(self.entries)})"
 
 
-def serialize_isometry(iso: Isometry) -> str:
-    lines = [iso.form.header()]
-    for row in iso.entries:
-        lines.append("row: " + ", ".join(
-            e.to_text() if hasattr(e, "to_text") else str(e) for e in row))
-    return "\n".join(lines) + "\n"
-
-
 def parse_isometry(text: str) -> Isometry:
     lines = [ln for ln in (ln.strip() for ln in text.splitlines()) if ln]
     if not lines:

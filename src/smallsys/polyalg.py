@@ -17,7 +17,8 @@ roots of the squarefree layers an integer gcd splits off.  Every verdict
 against a cap or the best so far is decided on those enclosures, never on a
 float, and equal measures meet as equal keys: the least member under x -> -x
 and reversal of g, where g(x^k) is the cyclotomic-free core (M(g(x^k)) =
-M(g)).  Enclosures, and min_mahler_above_one, are computed once per process.
+M(g)).  Enclosures, and min_mahler_above_one, are computed once per process;
+from degree 3 on it walks only palindromic polynomials (Smyth 1971).
 """
 
 from __future__ import annotations
@@ -407,11 +408,13 @@ def _mirror(p: ZPoly) -> ZPoly:
     return ZPoly([c if (d - i) % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
 
 
-def _candidates(d: int, num: int, den: int):
+def _candidates(d: int, num: int, den: int, reciprocal: bool = False):
     """Monic integer p of degree d with p(0) != 0, one per mirror pair, whose
     c_k (coefficient of x^(d-k)) meet |c_k| <= binom(d, k) mu and the power-sum
     bound |s_k| <= d - 1 + mu^k for mu = num/den: by Newton's identity
-    k c_k = -(s_k + sum_{i<k} c_i s_{k-i}) with integers s_1..s_{k-1}."""
+    k c_k = -(s_k + sum_{i<k} c_i s_{k-i}) with integers s_1..s_{k-1}.  With
+    reciprocal, only the palindromic ones, c_(d-k) = c_k and c_d = 1: the walk
+    chooses c_1..c_(d/2) and each later c_k must be the mirror c_(d-k)."""
     sums = [d - 1 + num ** k // den ** k for k in range(d + 1)]
     binoms = [math.comb(d, k) * num // den for k in range(d + 1)]
     c, s = [1] + [0] * d, [d] + [0] * d
@@ -419,7 +422,10 @@ def _candidates(d: int, num: int, den: int):
     def extend(k):
         t = sum(c[i] * s[k - i] for i in range(1, k))
         lo = max(-binoms[k] if k > 1 else 0, -((sums[k] + t) // k))
-        for ck in range(lo, min(binoms[k], (sums[k] - t) // k) + 1):
+        values = range(lo, min(binoms[k], (sums[k] - t) // k) + 1)
+        if reciprocal and 2 * k > d:
+            values = [c[d - k]] if c[d - k] in values else []
+        for ck in values:
             c[k], s[k] = ck, -k * ck - t
             if k < d:
                 yield from extend(k + 1)
@@ -488,16 +494,16 @@ def _at_most(key: ZPoly, bound) -> bool:
     return escalate(decide, 34, "Mahler measures did not separate")
 
 
-def _accepted(d: int, mu: Fraction):
-    """(p, measure one?) for the candidates of degree d with measure <= mu."""
+def _accepted(d: int, mu: Fraction, reciprocal: bool = False):
+    """(p, key) for the candidates of degree d with measure <= mu: key is the
+    class key of p, or None when p has measure one."""
     powers = [(mu.numerator ** (1 << k), mu.denominator ** (1 << k))
               for k in range(GRAEFFE_STEPS + 1)]
-    for poly in _candidates(d, mu.numerator, mu.denominator):
+    for poly in _candidates(d, mu.numerator, mu.denominator, reciprocal):
         one, verdict = _graeffe_walk(poly, powers)
-        if verdict is None:
-            verdict = _at_most(_class_key(poly), mu)
-        if verdict:
-            yield poly, one
+        key = None if one or verdict is False else _class_key(poly)
+        if verdict or (verdict is None and _at_most(key, mu)):
+            yield poly, key
 
 
 def _bounded_verdicts(D: int, mu: float):
@@ -506,10 +512,10 @@ def _bounded_verdicts(D: int, mu: float):
         raise ValueError("D and mu must be at least 1")
     out = {ZPoly([0] * j + [1]): True for j in range(1, D + 1)}
     for d in range(1, D + 1):
-        for poly, one in _accepted(d, Fraction(mu)):
+        for poly, key in _accepted(d, Fraction(mu)):
             for j in range(D - d + 1):      # x^j p has the measure of p
                 shifted = ZPoly([0] * j + list(poly.coeffs))
-                out[shifted] = out[_mirror(shifted)] = one
+                out[shifted] = out[_mirror(shifted)] = key is None
     return out
 
 
@@ -528,25 +534,27 @@ def enumerate_bounded(D: int, mu: float):
 def min_mahler_above_one(D: int):
     """Minimum Mahler measure strictly above 1 among monic integer
     polynomials of degree <= D, the midpoint of its key's enclosure to 2^-34,
-    with its witness, the least (degree, coefficients) member of that key's
-    class.  Each degree is searched up to the top of the best key's enclosure
-    so far.  Computed once per process for each D."""
+    with that key as witness.  One walk starts from x - 2, x^2 - x - 1, or
+    from D = 3 on theta_0 = M(x^3 - x - 1), and caps each degree at the
+    dyadic 2^-40 above the best key's enclosure, strictly above its measure.
+    From D = 3 on it walks only palindromic p of even degree, p(0) = 1, by
+    Smyth (1971): a nonzero algebraic integer, not a root of unity, whose
+    minimal polynomial f is not reciprocal (x^deg f f(1/x) != +-f) has
+    measure >= theta_0.  So 1 < M(p) < theta_0 needs an irreducible factor f
+    of p with 1 < M(f) <= M(p), hence f = x^deg f f(1/x) (with the sign -,
+    f(1) = 0), of even degree (an odd one vanishes at -1) and f(0) = 1.
+    Anti-reciprocal p are x - 1 or x^2 - 1 times reciprocal ones.  Computed
+    once per process for each D."""
     if D < 1:
         raise ValueError("D must be at least 1")
-    for cap in map(Fraction, (1.4, 1.7, 2.0001)):
-        best, found = None, []
-        for d in range(1, D + 1):
-            for poly, one in _accepted(d, cap):
-                if not one:
-                    key = _class_key(poly)
-                    found.append((key, poly))
-                    if best is None or not _at_most(best, key):
-                        best, first = key, _enclosure(key, Fraction(1, 1 << 34))
-                        cap = min(cap, first.hi)
-        if best is not None:
-            return float(first), min(q for key, p in found if key == best
-                                     for q in (p, _mirror(p)))
-    raise AssertionError("unreachable: x - 2 has measure 2")
+    best = ZPoly((-2, 1) if D == 1 else (-1, -1, 1) if D == 2 else (-1, -1, 0, 1))
+    first = _enclosure(best, Fraction(1, 1 << 34))
+    for d in range(1, D + 1) if D <= 2 else range(2, D + 1, 2):
+        cap = Fraction(math.floor(first.hi * (1 << 40)) + 1, 1 << 40)
+        for _, key in _accepted(d, cap, D > 2):
+            if key is not None and not _at_most(best, key):
+                best, first = key, _enclosure(key, Fraction(1, 1 << 34))
+    return float(first), best
 
 
 def epsilon_gap(D: int) -> float:

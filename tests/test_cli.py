@@ -18,8 +18,10 @@ from smallsys.arith import (GroupSample, adjoint_trace, conjugate_between_forms,
 from smallsys.cli import main
 from smallsys.combin import CyclicBinarySeq
 from smallsys.exactfield import SQRT2, KElem, TowerElem, sqrt_k
-from smallsys.lorentz import block_g1, block_g2, serialize_isometry
+from smallsys.lorentz import block_g1, block_g2
 from smallsys.polyalg import PrecisionError
+
+from isometry_text import serialize_isometry
 
 
 pytestmark = pytest.mark.usefixtures("fresh_mahler_caches")
@@ -337,8 +339,8 @@ class TestMahler:
         assert check["exact_values"]["witness"] == "[-1, -1, 0, 1]"
         assert check["numeric_values"]["measure"].startswith("1.32471795")
 
-    # at the first cap, 1.4, the binomial box held 574,107 polynomials at
-    # D = 5 and 92 million at D = 6; power-sum pruning walks a few hundred
+    # at mu = 1.4 the binomial box held 574,107 polynomials at D = 5 and 92
+    # million at D = 6; the palindromic walk below theta_0 checks 52 at D = 6
     @pytest.mark.parametrize("D", ["5", "6"])
     def test_degrees_past_the_box(self, capsys, tmp_path, D):
         path = tmp_path / "m.json"
@@ -365,10 +367,14 @@ class TestMahler:
          "e2ba30e1b68f786f7aeb0bc425f8818a2018f6fc6c078ee81aa4619739db0b29"),
         (["mahler", "--D", "6"],
          "0ecfbe45594513eb698cee5365dc51e4f26c40adfa14cae972b50af50635db3a"),
+        (["mahler", "--D", "7"],
+         "4ca2b2203210a81821f71e8ee93a8be3cfa0bdb364c8dd46fddf74578515c986"),
+        (["mahler", "--D", "8"],
+         "04559736afaf47a27c2f1789a92b57f504bbeadd0b2bc0fabff201d041f95a5d"),
         (["budget", "--m", "3", "--D", "4"],
          "f848774baa5d88386ea10288832a0d42e0de59ec8446b7af98d0238a92f78a27"),
     ], ids=["mahler-2", "mahler-3", "mahler-4", "mahler-5", "mahler-6",
-            "budget-3-4"])
+            "mahler-7", "mahler-8", "budget-3-4"])
     def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, digest):
         path = tmp_path / "cert.json"
         assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == 0

@@ -166,7 +166,7 @@ def test_tower_results_are_canonical(xs, s):
     _, (x, y) = xs
     results = [x + y, x - y, x * y, -x, x * s, s * x]
     if isinstance(x, TowerElem):
-        results += [x.tower_conjugate(), x.tower_norm()]
+        results += [x.ctx.elem(x.u, -x.v), x.tower_norm()]
     if y:
         results += [x / y, y.inverse()]
     if s:
@@ -223,7 +223,7 @@ def test_one_form_per_value(x, y):
     if isinstance(x, TowerElem):
         n = u1 * u1 - d * v1 * v1
         want["inverse"], got["inverse"] = (u1 / n, -v1 / n), x.inverse()
-        want["conjugate"], got["conjugate"] = (u1, -v1), x.tower_conjugate()
+        want["conjugate"], got["conjugate"] = (u1, -v1), ctx.elem(u1, -v1)
         want["neg"], got["neg"] = (-u1, -v1), -x
     for op, (u, v) in want.items():
         r = got[op]

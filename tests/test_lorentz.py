@@ -31,12 +31,13 @@ from smallsys.lorentz import (
     param_block,
     parse_form_header,
     parse_isometry,
-    serialize_isometry,
     similarity_discriminant_obstruction,
     sum_prod,
     translation_length,
 )
 from smallsys.polyalg import PrecisionError
+
+from isometry_text import serialize_isometry
 
 # the two displayed 3x3 matrices of the worked instance (entries in Z[rt2]
 # for the first, denominators 7 for the second)

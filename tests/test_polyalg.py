@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -201,7 +202,7 @@ class TestProduct:
         ctx = TowerContext.from_rational(3)
         cases = [(ctx.elem(KElem(1, 1), KElem(2)), ctx.elem(KElem(2, -1), KElem(1, 1))),
                  (ctx.sqrt_gen(), ctx.sqrt_gen()),
-                 (LAM2, LAM2.tower_conjugate())]
+                 (LAM2, LAM2.ctx.elem(LAM2.u, -LAM2.v))]
         for lam, mu in cases:
             m, iv = product(lam, mu)
             val = sympy_value(sympy, lam) * sympy_value(sympy, mu)
@@ -514,6 +515,11 @@ class TestMinMahler:
         vals = [min_mahler_above_one(D)[0] for D in (1, 2, 3, 4)]
         assert all(vals[i + 1] <= vals[i] + 1e-8 for i in range(len(vals) - 1))
 
+    def test_degree_ten_lehmer(self):
+        value, witness = min_mahler_above_one(10)
+        assert value == pytest.approx(1.1762808182599176, abs=1e-10)
+        assert witness == ZPoly([1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1])
+
     def test_epsilon_gap(self):
         assert epsilon_gap(4) == pytest.approx(math.log(PLASTIC), abs=1e-5)
 
@@ -659,11 +665,54 @@ class TestPowerSumEnumeration:
             assert all(polyalg._mirror(p) == p or polyalg._mirror(p) not in cands
                        for p in cands)
 
+    @pytest.mark.parametrize("m, mu", [(m, mu) for m in (1, 2, 3) for mu in MUS
+                                       if mu >= 1.3248])
+    def test_reciprocal_walk_is_the_palindromic_part(self, m, mu):
+        f = Fraction(mu)
+        walked = list(polyalg._candidates(2 * m, f.numerator, f.denominator, True))
+        want = [p for p in polyalg._candidates(2 * m, f.numerator, f.denominator)
+                if p.coeffs == p.coeffs[::-1]]          # monic, so p(0) = 1
+        assert walked == want
+        assert walked
+
+    # the general walk does not rest on Smyth's theorem; at D = 6 and 7 it
+    # finds x^3 - x - 1, which the palindromic walk never visits
+    @pytest.mark.parametrize("D", [6, 7])
+    def test_min_mahler_matches_the_general_walk(self, D):
+        best = None
+        for d in range(1, D + 1):
+            for _, key in polyalg._accepted(d, Fraction(13248, 10000)):
+                if key is not None and (best is None or not polyalg._at_most(best, key)):
+                    best = key
+        want = float(polyalg._enclosure(best, Fraction(1, 1 << 34))), best
+        assert min_mahler_above_one(D) == want
+
+    # D = 6 accepts no candidate above measure one below theta_0
+    @pytest.mark.parametrize("D", [8, 10])
+    def test_class_key_once_per_accepted_polynomial(self, monkeypatch, D):
+        real_key, real_accepted = polyalg._class_key, polyalg._accepted
+        keyed, accepted = collections.Counter(), []
+
+        def counted_key(p):
+            keyed[p] += 1
+            return real_key(p)
+
+        def recorded(*args):
+            for poly, key in real_accepted(*args):
+                if key is not None:
+                    accepted.append(poly)
+                yield poly, key
+        monkeypatch.setattr(polyalg, "_class_key", counted_key)
+        monkeypatch.setattr(polyalg, "_accepted", recorded)
+        min_mahler_above_one(D)
+        assert accepted and all(keyed[p] == 1 for p in accepted)
+        assert set(keyed.values()) == {1}
+
     def test_measure_once_per_class(self, monkeypatch):
         self.check_measure_once(monkeypatch, 4, 1)
 
-    # x^6 - x^2 - 1 shares the key of x^3 - x - 1, so D = 6 solves 5, not 7
-    @pytest.mark.parametrize("D, solves", [(6, 5), (8, 21)])
+    # below theta_0 the palindromic walk measures nothing at D = 6
+    @pytest.mark.parametrize("D, solves", [(6, 1), (8, 5)])
     def test_measure_once_per_class_at_degree(self, monkeypatch, D, solves):
         self.check_measure_once(monkeypatch, D, solves)
 
@@ -689,7 +738,8 @@ class TestPowerSumEnumeration:
             assert measured == {ZPoly([-1, -1, 0, 1])}
         for p in measured:      # each measured polynomial is its own class key
             assert polyalg._class_key(p) == p
-        # epsilon_gap and a second call walk and measure nothing again
+        # epsilon_gap and a second call walk and measure nothing again; the
+        # general and the palindromic walk are both _candidates
         monkeypatch.setattr(polyalg, "_candidates", None)
         assert epsilon_gap(D) == math.log(value)
         assert min_mahler_above_one(D) == (value, witness)

@@ -5,7 +5,9 @@ trace field K rules out quasi-arithmeticity of the ambient group.
 
 The adjoint trace of an isometry is realized as the exterior-square trace
 ((tr M)^2 - tr M^2) / 2.  It is a value of k or of K in its one form, and
-the integrality scan takes its minimal polynomial over Q as it is.
+the integrality scan takes its minimal polynomial over Q as it is.  A word
+sample takes one such trace per class of words under cyclic rotation and
+inversion, once, and the field and integrality readers share it.
 """
 
 from __future__ import annotations
@@ -49,11 +51,18 @@ def conjugate_between_forms(m: Isometry, a) -> Isometry:
 
 class GroupSample:
     """Finitely many verified isometries of one form, sampled over reduced
-    words up to a fixed length.  `walk` evaluates each word as its parent
-    word times one letter, so every sampled element costs one product, and
-    that product skips the exact-zero entries of sparse block isometries."""
+    words up to a fixed length, with one adjoint trace per class of words.
 
-    __slots__ = ("generators", "word_length")
+    The adjoint trace is a class function: a cyclic rotation of w is a
+    conjugate of w and has its trace.  So has w^-1: for M in O(F),
+    M^-1 = F^-1 M^T F is conjugate to M^T, and tr Lambda^2(M^T) =
+    tr Lambda^2(M).  So the traces are taken once per class of words under
+    rotation and inversion, and only a class's first word is multiplied
+    out, as its prefix times one letter, with every prefix product kept.
+    The sample is immutable, so its traces are computed once and shared by
+    every reader."""
+
+    __slots__ = ("generators", "word_length", "_traces")
 
     def __init__(self, generators, word_length: int = 4):
         generators = tuple(generators)
@@ -69,27 +78,39 @@ class GroupSample:
                 raise ValueError("generators live on different forms")
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "word_length", word_length)
+        object.__setattr__(self, "_traces", None)
 
     def __setattr__(self, *_):
         raise AttributeError("GroupSample is immutable")
 
-    def walk(self):
-        """(word, isometry) per nonempty reduced word (a tuple of signed
+    def traces(self):
+        """(word, adjoint trace) per nonempty reduced word (a tuple of signed
         generator indices), by length then letters a, A, b, B, ...."""
-        letters = []
-        for i, g in enumerate(self.generators, 1):
-            letters.extend(((i, g), (-i, g.inverse())))
-        frontier = [((), None)]
+        if self._traces is not None:
+            return self._traces
+        letters = [s * i for i in range(1, len(self.generators) + 1) for s in (1, -1)]
+        products, by_class, out = {}, {}, []
+
+        def product(w):
+            if w not in products:
+                if len(w) > 1:
+                    products[w] = product(w[:-1]) * product(w[-1:])
+                else:
+                    g = self.generators[abs(w[0]) - 1]
+                    products[w] = g if w[0] > 0 else g.inverse()
+            return products[w]
+
+        words = [()]
         for _ in range(self.word_length):
-            nxt = []
-            for w, m in frontier:
-                for ltr, g in letters:
-                    if w and w[-1] == -ltr:
-                        continue
-                    step = (w + (ltr,), g if m is None else m * g)
-                    nxt.append(step)
-                    yield step
-            frontier = nxt
+            words = [w + (x,) for w in words for x in letters if not w or w[-1] != -x]
+            for w in words:
+                inv = tuple(-x for x in reversed(w))
+                key = min(v[i:] + v[:i] for v in (w, inv) for i in range(len(w)))
+                if key not in by_class:
+                    by_class[key] = adjoint_trace(product(w))
+                out.append((w, by_class[key]))
+        object.__setattr__(self, "_traces", tuple(out))
+        return self._traces
 
 
 def word_to_text(word) -> str:
@@ -113,8 +134,7 @@ class FieldDescriptor:
 def trace_field_sample(sample: GroupSample) -> FieldDescriptor:
     k_witness = None
     tower_witness = None
-    for word, m in sample.walk():
-        tr = adjoint_trace(m)
+    for word, tr in sample.traces():
         u, v = as_tower_coords(tr)
         if v and tower_witness is None:
             tower_witness = (word_to_text(word), tr)
@@ -133,11 +153,10 @@ def trace_field_sample(sample: GroupSample) -> FieldDescriptor:
 def integrality_scan(sample: GroupSample):
     """All sampled words whose adjoint trace is not an algebraic integer,
     as (word_text, trace, monic minimal polynomial) triples.  Each distinct
-    trace gets one minimal polynomial; a word and its inverse share one."""
+    trace gets one minimal polynomial."""
     out = []
     minpolys = {}
-    for word, m in sample.walk():
-        tr = adjoint_trace(m)
+    for word, tr in sample.traces():
         mp = minpolys.get(tr)
         if mp is None:
             mp = minpolys[tr] = minpoly_over_Q(tr)

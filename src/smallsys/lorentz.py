@@ -111,8 +111,21 @@ def parse_form_header(line: str) -> QuadForm:
 # ---------------------------------------------------------------------------
 
 def mat_mul(A, B):
-    cols = tuple(zip(*B))
-    return tuple(tuple(sum_prod(row, col) for col in cols) for row in A)
+    """A B, exact, entry by entry as sum_prod takes it.  Each column of B
+    lists its nonzero entries once; a unit column e_j copies column j of A,
+    since every value has one form and x * 1 is x."""
+    out = []
+    for col in zip(*B):
+        nz = [(r, b) for r, b in enumerate(col) if b]
+        if len(nz) == 1 and nz[0][1] == K_ONE:
+            out.append([row[nz[0][0]] or row[0] * col[0] for row in A])
+            continue
+        entries = []
+        for row in A:
+            terms = [row[r] * b for r, b in nz if row[r]]
+            entries.append(sum(terms[1:], terms[0]) if terms else row[0] * col[0])
+        out.append(entries)
+    return tuple(zip(*out))
 
 
 def sum_prod(row, col):
@@ -207,15 +220,15 @@ class Isometry:
 
     def inverse(self) -> "Isometry":
         """F^{-1} M^T F, exact; diagonal F makes this entrywise."""
-        size = self.form.n + 1
         diag = self.form.diagonal()
-        inv = tuple(tuple(self.entries[j][i] * diag[j] / diag[i]
-                          for j in range(size)) for i in range(size))
+        inv = tuple(tuple(x * diag[j] / diag[i] if x else x
+                          for j, x in enumerate(col))
+                    for i, col in enumerate(zip(*self.entries)))
         return Isometry._closed(inv, self.form)
 
     def trace(self):
-        return sum_prod([1] * (self.form.n + 1),
-                        [self.entries[i][i] for i in range(self.form.n + 1)])
+        diag = [row[i] for i, row in enumerate(self.entries)]
+        return sum(diag[1:], diag[0])
 
     def __eq__(self, other):
         return (isinstance(other, Isometry) and self.form == other.form

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from smallsys import arith, lorentz
 from smallsys.arith import (
     FieldDescriptor,
     GroupSample,
@@ -42,6 +43,27 @@ def exterior_square_trace(m: Isometry):
             term = e[i][i] * e[j][j] - e[i][j] * e[j][i]
             total = term if total is None else total + term
     return total
+
+
+def walk(sample):
+    """(word, isometry) per nonempty reduced word of the sample, by length
+    then letters a, A, b, B, ...; each word is its parent word times one
+    letter.  Every word is multiplied out: the reference for
+    GroupSample.traces, which multiplies out one word per class."""
+    letters = []
+    for i, g in enumerate(sample.generators, 1):
+        letters.extend(((i, g), (-i, g.inverse())))
+    frontier = [((), None)]
+    for _ in range(sample.word_length):
+        nxt = []
+        for w, m in frontier:
+            for ltr, g in letters:
+                if w and w[-1] == -ltr:
+                    continue
+                step = (w + (ltr,), g if m is None else m * g)
+                nxt.append(step)
+                yield step
+        frontier = nxt
 
 
 def g1_iso(n=2):
@@ -126,9 +148,10 @@ class TestWalk:
         expected = [w for size in range(1, length + 1)
                     for w in itertools.product(letters, repeat=size)
                     if all(x != -y for x, y in zip(w, w[1:]))]
-        walked = list(GroupSample(gens, length).walk())
-        assert [w for w, _ in walked] == expected
-        for w, m in walked:
+        sample = GroupSample(gens, length)
+        walked, traced = list(walk(sample)), sample.traces()
+        assert [w for w, _ in walked] == [w for w, _ in traced] == expected
+        for (w, m), (_, tr) in zip(walked, traced):
             mats = [gens[ltr - 1].entries if ltr > 0
                     else self.dense_inverse(gens[-ltr - 1]) for ltr in w]
             dense = mats[0]
@@ -137,6 +160,45 @@ class TestWalk:
             assert m.entries == dense
             assert [[type(x) for x in row] for row in m.entries] == \
                 [[type(x) for x in row] for row in dense]
+            # one trace per class of words, read off the first word of its class
+            want = adjoint_trace(Isometry(dense, sample.generators[0].form))
+            assert tr == want and type(tr) is type(want)
+
+
+class TestTraceCounts:
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"adjoint_trace": 0, "mat_mul": 0}
+        for module, name in ((arith, "adjoint_trace"), (lorentz, "mat_mul")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_trace_per_class(self, monkeypatch):
+        # 16 words in 6 classes, first met as a, b, aa, ab, aB and bb; the
+        # products are aa, ab, aB and bb
+        sample = GroupSample([g1_iso(), g2_conj()], 2)
+        calls = self.counted(monkeypatch)
+        assert len(sample.traces()) == 16
+        assert calls["adjoint_trace"] == 6
+        assert calls["mat_mul"] <= 4
+
+    def test_one_generator(self, monkeypatch):
+        # a, A | aa, AA | aaa, AAA
+        sample = GroupSample([g1_iso()], 3)
+        calls = self.counted(monkeypatch)
+        assert len(sample.traces()) == 6
+        assert calls["adjoint_trace"] == 3
+
+    def test_readers_share_one_walk(self, monkeypatch):
+        sample = GroupSample([g1_iso(), g2_conj()], 2)
+        calls = self.counted(monkeypatch)
+        trace_field_sample(sample)
+        assert calls["adjoint_trace"] == 6
+        integrality_scan(sample)
+        assert calls["adjoint_trace"] == 6
 
 
 class TestConjugateBetweenForms:

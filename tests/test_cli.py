@@ -13,8 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from smallsys import arith, cli, lorentz, polyalg
-from smallsys.arith import (GroupSample, adjoint_trace, conjugate_between_forms,
-                            integrality_scan)
+from smallsys.arith import GroupSample, conjugate_between_forms, integrality_scan
 from smallsys.cli import main
 from smallsys.combin import CyclicBinarySeq
 from smallsys.exactfield import SQRT2, KElem, TowerElem, sqrt_k
@@ -147,7 +146,7 @@ class TestVerify:
         # a word and its inverse have the same adjoint trace
         sample = GroupSample([block_g1(2).to_isometry(),
                               conjugate_between_forms(block_g2(2).to_isometry(), 3)], 2)
-        traces = [adjoint_trace(m) for _, m in sample.walk()]
+        traces = [tr for _, tr in sample.traces()]
         calls = []
         def counted(x, _fn=arith.minpoly_over_Q):
             calls.append(x)
@@ -220,7 +219,10 @@ class TestVerify:
         ("3", "2", 0, "0572a7d1b3c5ef5a12efa3994f9be548a5fceaf972ead9a148ed219a2d2f826f"),
         ("3", "6", 0, "bb94f8c9d61de5a95ecc19df38744b7a0bf58d98998ec4518b08ecbd8dcf352e"),
         ("3", "10", 0, "7d5a7ca07300d61616091baf52d37ef7abb9bb7231b5b77b94d4dfe8c30d440d"),
+        ("3", "3", 0, "700f908e9d83e17a26deb0dd81d61a2f75a11c89cfba6fd7b26d79651d961493"),
         ("17", "2", 0, "9e14e2c08ad70bbe0f2ee3e9c4c74259b9a3556ecead1f60f202864c1e3b4ff5"),
+        ("17", "3", 0, "e4342f4be4904131a374997d5bfee8aa888c78df8acd38ac507899dfbf63c486"),
+        ("17", "6", 0, "19887b04001d66bf6c4b2a77446f8d5f23674d51403215bf93606a8b4067c783"),
         ("5", "3", 0, "21532dd39ac19b239b2ec42dc8b72bd60edc25a570fbe7853dbda2599fa0ff69"),
         ("7", "4", 0, "0918c4a026b766b807768deca9d25ed54fadf29fdd6af14df36f3363262a818a"),
         ("12", "2", 1, "e523a135d52aec897af2d642e23becf9d8479dc3ede1ae987e2d8aa8a47a1975"),

@@ -246,8 +246,8 @@ def dense_sum_prod(row, col):
 
 
 class TestSumProd:
-    # rows and columns of one kind each; an int row is what Isometry.trace
-    # passes, a k row against a tower column is a KElem matrix times a tower one
+    # rows and columns of one kind each; an int row is a rational scalar row,
+    # a k row against a tower column is a KElem matrix times a tower one
     @pytest.mark.parametrize("every_term_zero", [False, True], ids=["some", "all"])
     @pytest.mark.parametrize("row_kind, col_kind", [
         ("k", "k"), ("tower", "tower"), ("k", "tower"), ("tower", "k"),
@@ -275,6 +275,39 @@ class TestSumProd:
         assert type(got) is type(want)
         if every_term_zero:
             assert not got
+
+
+class TestMatMul:
+    # B has unit, zero and sparse columns and A a zero row, so a copied
+    # column, a skipped term and an all-zero product entry each show
+    @pytest.mark.parametrize("a_kind, b_kind", [
+        ("k", "k"), ("tower", "tower"), ("k", "tower"), ("tower", "k")])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_triple_loop(self, a_kind, b_kind, data):
+        size = data.draw(st.integers(1, 6))
+        index = st.integers(0, size - 1)
+
+        def sparse(kind):
+            return [data.draw(st.one_of(st.just(KElem(0)), _FACTORS[kind]))
+                    for _ in range(size)]
+        A = [sparse(a_kind) for _ in range(size)]
+        A[data.draw(index)] = [KElem(0)] * size
+        cols = []
+        for _ in range(size):
+            shape = data.draw(st.sampled_from(["unit", "zero", "sparse"]))
+            if shape == "unit":
+                j = data.draw(index)
+                cols.append([KElem(int(r == j)) for r in range(size)])
+            else:
+                cols.append([KElem(0)] * size if shape == "zero" else sparse(b_kind))
+        B = [list(row) for row in zip(*cols)]
+        got = mat_mul(A, B)
+        want = tuple(tuple(dense_sum_prod(row, col) for col in cols) for row in A)
+        assert got == want
+        assert [[type(x) for x in row] for row in got] == \
+            [[type(x) for x in row] for row in want]
+        assert any(not x for row in got for x in row)
 
 
 class TestParamBlock:

@@ -16,7 +16,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactfield import K_ONE, KElem, TowerContext, as_tower_coords
+from .exactfield import K_ONE, KElem, as_tower_coords, sqrt_k
 from .lorentz import Isometry, QuadForm, sum_prod
 from .polyalg import minpoly_over_Q
 
@@ -33,12 +33,12 @@ def adjoint_trace(m: Isometry):
 def conjugate_between_forms(m: Isometry, a) -> Isometry:
     """D M D^{-1} with D = diag(sqrt a, 1, ..., 1): carries an isometry of
     diag(a, 1, ..., 1, -rt2) to one of the unit-coefficient form, with
-    entries in the tower k(sqrt a)."""
+    entries in the tower k(sqrt a), or in k when a is a square there."""
     a = Fraction(a)
     n = m.form.n
     if m.form != QuadForm.standard(KElem(a), n):
         raise ValueError("matrix is not an isometry of diag(a, 1, ..., 1, -rt2)")
-    d = [TowerContext.from_rational(a).sqrt_gen()] + [K_ONE] * n
+    d = [sqrt_k(a)] + [K_ONE] * n
     entries = tuple(tuple(d[i] * m.entries[i][j] / d[j] for j in range(n + 1))
                     for i in range(n + 1))
     # M preserves F2 = D F1 D, so D M D^{-1} preserves D^{-1} F2 D^{-1} = F1

@@ -4,14 +4,16 @@ Every value is immutable and every operation is a pure function, so all of
 this is safe to use from concurrent tasks.  Every value has one form.  An
 element of k is one integer triple (p + q sqrt2)/d with d > 0 and
 gcd(p, q, d) = 1, so field arithmetic and sign determination run on ints
-only, never on floating point; a tower element u + v sqrt(d) with v = 0 is
-the KElem u, and a TowerElem always has v != 0, so equal values compare and
-hash alike and a factor from k costs two multiplies, not five.  Numerical
-evaluation goes through ``RealInterval``, whose endpoints always enclose the
-exact value; they are dyadic, stored as int mantissas over 2^precision, so
-interval arithmetic runs on ints too.  ``escalate`` is the one rule that
-raises a precision.  The distinguished real embedding sends sqrt(2) and
-sqrt(d) to their positive roots.
+only, never on floating point.  A tower k(sqrt d) is entered through
+``sqrt_k``, which decides once that d is not a square in k; an element
+u + v sqrt(d) carries its radicand d, with v = 0 it is the KElem u, and a
+TowerElem always has v != 0, so equal values compare and hash alike and a
+factor from k costs two multiplies, not five.  Numerical evaluation goes
+through ``RealInterval``, whose endpoints always enclose the exact value;
+they are dyadic, stored as int mantissas over 2^precision, so interval
+arithmetic runs on ints too.  ``escalate`` is the one rule that raises a
+precision.  The distinguished real embedding sends sqrt(2) and sqrt(d) to
+their positive roots.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from mpmath import libmp
 
 
 class ContextMismatchError(ValueError):
-    """Raised when tower elements from different field contexts are mixed."""
+    """Raised when elements of two towers k(sqrt d) that lie outside k are mixed."""
 
 
 class PrecisionError(ArithmeticError):
@@ -552,99 +554,43 @@ def parse_kelem(text: str) -> KElem:
 # quadratic towers K = k(sqrt d)
 # ---------------------------------------------------------------------------
 
-class TowerContext:
-    """A fixed quadratic extension k(sqrt d), d in k positive and non-square.
-
-    Elements outside k from different contexts must not be mixed; arithmetic
-    checks this and raises ContextMismatchError, while equality across
-    contexts is simply False.  A value of k is a KElem in every tower, so it
-    combines with, and equals its value in, any of them.  The standard
-    instantiation is ``TowerContext.from_rational(a)`` for the field
-    k(sqrt a) with a a positive rational that is not a square in k.
-    """
-
-    __slots__ = ("radicand",)
-
-    def __init__(self, radicand: KElem):
-        radicand = as_kelem(radicand)
-        if radicand.sign() <= 0:
-            raise ValueError("tower radicand must be positive")
-        sq, _ = radicand.is_square()
-        if sq:
-            raise ValueError(f"radicand {radicand} is a square in k; not a quadratic extension")
-        object.__setattr__(self, "radicand", radicand)
-
-    @classmethod
-    def _of_nonsquare(cls, radicand: KElem) -> "TowerContext":
-        """The tower of a radicand its caller has already decided to be a
-        positive non-square of k, built without deciding it again."""
-        ctx = object.__new__(cls)
-        object.__setattr__(ctx, "radicand", radicand)
-        return ctx
-
-    def __setattr__(self, *_):
-        raise AttributeError("TowerContext is immutable")
-
-    @classmethod
-    def from_rational(cls, a) -> "TowerContext":
-        a = Fraction(a)
-        if a <= 0:
-            raise ValueError("a must be a positive rational")
-        return cls(KElem(a))
-
-    def __eq__(self, other):
-        return isinstance(other, TowerContext) and self.radicand == other.radicand
-
-    def __hash__(self):
-        return hash(self.radicand)
-
-    def __repr__(self):
-        return f"TowerContext(radicand={self.radicand!r})"
-
-    def elem(self, u, v=0):
-        """The value u + v*sqrt(d) in its one form: the KElem u when v = 0,
-        else a TowerElem of this tower.  u and v are int, Fraction or KElem;
-        anything else raises TypeError."""
-        return _tower(as_kelem(u), as_kelem(v), self)
-
-    def sqrt_gen(self) -> "TowerElem":
-        return self.elem(K_ZERO, K_ONE)
-
-
 _SCALARS = (int, Fraction, KElem)
 
 
 class TowerElem:
-    """An element u + v*sqrt(d) of a quadratic tower over k with v != 0.
+    """An element u + v*sqrt(d) of the tower k(sqrt d) with v != 0; d, a
+    positive non-square of k, is its ``radicand``.
 
-    A value with no sqrt(d) part is the KElem u, so every value of the tower
+    A tower is entered through ``sqrt_k``: u + v * sqrt_k(d) is built by the
+    operators.  A value with no sqrt(d) part is the KElem u, so every value
     has one form: equal values compare and hash alike, a TowerElem is never
-    zero and never equals a value of k.  Every operation returns its result
-    in that form; elements are made by ``TowerContext.elem``.
+    zero and never equals a value of k, and a value of k combines with any
+    tower.  Elements of two towers raise ContextMismatchError when mixed and
+    compare unequal.
     """
 
-    __slots__ = ("u", "v", "ctx")
+    __slots__ = ("u", "v", "radicand")
 
     def __setattr__(self, *_):
         raise AttributeError("TowerElem is immutable")
 
     def _check(self, o: "TowerElem"):
-        if o.ctx is not self.ctx and o.ctx != self.ctx:
+        if o.radicand is not self.radicand and o.radicand != self.radicand:
             raise ContextMismatchError(
-                f"mixing towers k(sqrt({o.ctx.radicand})) and k(sqrt({self.ctx.radicand}))")
+                f"mixing towers k(sqrt({o.radicand})) and k(sqrt({self.radicand}))")
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            return _tower(self.u + other, self.v, self.ctx)
+            return _tower(self.u + other, self.v, self.radicand)
         if not isinstance(other, TowerElem):
             return NotImplemented
         self._check(other)
-        return _tower(self.u + other.u, self.v + other.v, self.ctx)
+        return _tower(self.u + other.u, self.v + other.v, self.radicand)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _tower(-self.u, -self.v, self.ctx)
+        return _tower(-self.u, -self.v, self.radicand)
 
     def __sub__(self, other):
         if not isinstance(other, (TowerElem,) + _SCALARS):
@@ -656,28 +602,28 @@ class TowerElem:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            return _tower(self.u * other, self.v * other, self.ctx)
+            return _tower(self.u * other, self.v * other, self.radicand)
         if not isinstance(other, TowerElem):
             return NotImplemented
         self._check(other)
-        d = self.ctx.radicand
+        d = self.radicand
         return _tower(self.u * other.u + d * self.v * other.v,
-                      self.u * other.v + self.v * other.u, self.ctx)
+                      self.u * other.v + self.v * other.u, d)
 
     __rmul__ = __mul__
 
     def tower_norm(self) -> KElem:
-        return self.u * self.u - self.ctx.radicand * self.v * self.v
+        return self.u * self.u - self.radicand * self.v * self.v
 
     def inverse(self) -> "TowerElem":
         """conj / norm; the norm is nonzero because v != 0 and d is not a
         square in k."""
         n = self.tower_norm()
-        return _tower(self.u / n, -self.v / n, self.ctx)
+        return _tower(self.u / n, -self.v / n, self.radicand)
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
-            return _tower(self.u / other, self.v / other, self.ctx)
+            return _tower(self.u / other, self.v / other, self.radicand)
         if not isinstance(other, TowerElem):
             return NotImplemented
         self._check(other)
@@ -690,22 +636,22 @@ class TowerElem:
 
     def __eq__(self, other):
         if isinstance(other, TowerElem):
-            return self.ctx == other.ctx and self.u == other.u and self.v == other.v
+            return self.radicand == other.radicand and self.u == other.u and self.v == other.v
         return False if isinstance(other, _SCALARS) else NotImplemented
 
     def __hash__(self):
-        return hash((self.u, self.v, self.ctx))
+        return hash((self.u, self.v, self.radicand))
 
     def sign(self) -> int:
         """Exact sign, with sqrt(d) -> positive root (same logic as KElem)."""
         su, sv = self.u.sign(), self.v.sign()
         if su == sv or not su:
             return sv
-        cmp = (self.u * self.u - self.ctx.radicand * self.v * self.v).sign()
+        cmp = (self.u * self.u - self.radicand * self.v * self.v).sign()
         return cmp if su > 0 else -cmp   # cmp != 0: d is not a square in k
 
     def embed(self, precision: int = 64) -> RealInterval:
-        root = _sqrt_embed(self.ctx.radicand, precision)
+        root = _sqrt_embed(self.radicand, precision)
         return self.u.embed(precision) + self.v.embed(precision) * root
 
     def __float__(self):
@@ -715,23 +661,25 @@ class TowerElem:
         return f"({self.u.to_text()})+({self.v.to_text()})*rtA"
 
     def __repr__(self):
-        return f"TowerElem({self.u!r}, {self.v!r}, d={self.ctx.radicand!r})"
+        return f"TowerElem({self.u!r}, {self.v!r}, d={self.radicand!r})"
 
     def __str__(self):
         return self.to_text()
 
 
-_set_u, _set_v, _set_ctx = TowerElem.u.__set__, TowerElem.v.__set__, TowerElem.ctx.__set__
+_set_u, _set_v = TowerElem.u.__set__, TowerElem.v.__set__
+_set_radicand = TowerElem.radicand.__set__
 
 
-def _tower(u: KElem, v: KElem, ctx: TowerContext):
-    """u + v*sqrt(d) in its one form: u itself when v = 0."""
+def _tower(u: KElem, v: KElem, radicand: KElem):
+    """u + v*sqrt(radicand) in its one form: u itself when v = 0.  The
+    radicand must be a positive non-square of k, as ``sqrt_k`` decides."""
     if not v:
         return u
     x = object.__new__(TowerElem)
     _set_u(x, u)
     _set_v(x, v)
-    _set_ctx(x, ctx)
+    _set_radicand(x, radicand)
     return x
 
 
@@ -763,13 +711,14 @@ def as_tower_coords(x):
 
 def sqrt_k(x):
     """The non-negative square root of x >= 0 in k, in its one form: the KElem
-    root when x is a square in k, else sqrt_gen of the tower k(sqrt x).  A
-    negative x raises ValueError."""
+    root when x is a square in k, else the generator sqrt(x) of the tower
+    k(sqrt x).  This is the one way into a tower, and it decides once whether
+    x is a square.  A negative x raises ValueError."""
     x = as_kelem(x)
     if x.sign() < 0:
         raise ValueError(f"{x} < 0 has no real square root")
     square, root = x.is_square()
-    return root if square else TowerContext._of_nonsquare(x).sqrt_gen()
+    return root if square else _tower(K_ZERO, K_ONE, x)
 
 
 def embed(x, precision: int = 64) -> RealInterval:

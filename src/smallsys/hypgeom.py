@@ -54,9 +54,8 @@ class GeodesicHyperplane:
         e1 = [KElem(1)] + [KElem(0)] * form.n
         return cls(e1, form)
 
-    def image(self, iso) -> "GeodesicHyperplane":
-        entries = iso.entries if isinstance(iso, Isometry) else iso
-        return GeodesicHyperplane(mat_vec(entries, self.normal), self.form)
+    def image(self, iso: Isometry) -> "GeodesicHyperplane":
+        return GeodesicHyperplane(mat_vec(iso.entries, self.normal), self.form)
 
     def __repr__(self):
         return f"GeodesicHyperplane(n={self.form.n})"

@@ -30,8 +30,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .exactfield import (K_ONE, RealInterval, TowerElem, as_kelem, embed,
-                         escalate, sqrt_k)
+from .exactfield import (K_ONE, RealInterval, TowerElem, _tower, as_kelem,
+                         embed, escalate, sqrt_k)
 from .exactfield import PrecisionError  # noqa: F401  the Mahler measure raises it
 
 GRAEFFE_STEPS = 6       # iterates tried before the certified measure decides
@@ -215,10 +215,11 @@ def product(lam, mu, precision: int = 64):
     if not lam or not mu:
         return QPoly([0, 1]), RealInterval.exact(0, precision)
     iv = embed(lam, precision) * embed(mu, precision)
-    if isinstance(lam, TowerElem) and isinstance(mu, TowerElem) and lam.ctx != mu.ctx:
-        root = sqrt_k(lam.ctx.radicand * mu.ctx.radicand)
+    if (isinstance(lam, TowerElem) and isinstance(mu, TowerElem)
+            and lam.radicand != mu.radicand):
+        root = sqrt_k(lam.radicand * mu.radicand)
         if not isinstance(root, TowerElem):
-            mu = lam.ctx.elem(mu.u, mu.v * root / lam.ctx.radicand)
+            mu = _tower(mu.u, mu.v * root / lam.radicand, lam.radicand)
         elif lam.u or mu.u:
             t1, n1, t2, n2 = 2 * lam.u, lam.tower_norm(), 2 * mu.u, mu.tower_norm()
             quartic = [n1 * n1 * n2 * n2, -t1 * t2 * n1 * n2,
@@ -495,15 +496,16 @@ def _at_most(key: ZPoly, bound) -> bool:
 
 
 def _accepted(d: int, mu: Fraction, reciprocal: bool = False):
-    """(p, key) for the candidates of degree d with measure <= mu: key is the
-    class key of p, or None when p has measure one."""
+    """(p, one, key) for the candidates p of degree d with measure <= mu: one
+    is M(p) = 1, and key is the class key of p when the Graeffe walk left p
+    open and ``_at_most`` read it, else None."""
     powers = [(mu.numerator ** (1 << k), mu.denominator ** (1 << k))
               for k in range(GRAEFFE_STEPS + 1)]
     for poly in _candidates(d, mu.numerator, mu.denominator, reciprocal):
         one, verdict = _graeffe_walk(poly, powers)
-        key = None if one or verdict is False else _class_key(poly)
-        if verdict or (verdict is None and _at_most(key, mu)):
-            yield poly, key
+        key = None if verdict is not None else _class_key(poly)
+        if verdict or (key is not None and _at_most(key, mu)):
+            yield poly, one, key
 
 
 def _bounded_verdicts(D: int, mu: float):
@@ -512,10 +514,10 @@ def _bounded_verdicts(D: int, mu: float):
         raise ValueError("D and mu must be at least 1")
     out = {ZPoly([0] * j + [1]): True for j in range(1, D + 1)}
     for d in range(1, D + 1):
-        for poly, key in _accepted(d, Fraction(mu)):
+        for poly, one, _ in _accepted(d, Fraction(mu)):
             for j in range(D - d + 1):      # x^j p has the measure of p
                 shifted = ZPoly([0] * j + list(poly.coeffs))
-                out[shifted] = out[_mirror(shifted)] = key is None
+                out[shifted] = out[_mirror(shifted)] = one
     return out
 
 
@@ -551,7 +553,8 @@ def min_mahler_above_one(D: int):
     first = _enclosure(best, Fraction(1, 1 << 34))
     for d in range(1, D + 1) if D <= 2 else range(2, D + 1, 2):
         cap = Fraction(math.floor(first.hi * (1 << 40)) + 1, 1 << 40)
-        for _, key in _accepted(d, cap, D > 2):
+        for poly, one, key in _accepted(d, cap, D > 2):
+            key = None if one else key or _class_key(poly)
             if key is not None and not _at_most(best, key):
                 best, first = key, _enclosure(key, Fraction(1, 1 << 34))
     return float(first), best

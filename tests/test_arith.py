@@ -229,6 +229,19 @@ class TestConjugateBetweenForms:
         with pytest.raises(ValueError):
             conjugate_between_forms(g1_iso(), 3)
 
+    @pytest.mark.parametrize("a", [2, Fraction(9, 4)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_square_a_gives_an_isometry_over_k(self, a, n):
+        """At a square a of k, sqrt a lies in k, so D M D^-1 is an isometry of
+        the unit-coefficient form over k: every entry is a KElem, and the
+        checked Isometry constructor accepts the entries.  No command reaches
+        this case, since verify rejects a square a with exit 2."""
+        g = param_block(KElem(a), KElem(2), n).to_isometry()
+        out = conjugate_between_forms(g, a)
+        assert all(type(x) is KElem for row in out.entries for x in row)
+        checked = Isometry(out.entries, QuadForm.standard(1, n))
+        assert checked.entries == out.entries
+
 
 class TestTraceFieldSample:
     def test_identity_sample_is_Q(self):

@@ -131,8 +131,7 @@ class TestVerify:
         assert calls[TowerElem] <= 400
 
     def test_sqrt_k_decides_a_non_square_once(self, monkeypatch):
-        # the tower of a radicand sqrt_k has decided is built without
-        # deciding it again; before, TowerContext ran is_square a second time
+        # sqrt_k is the one way into a tower and decides its radicand once
         calls = [0]
         def counted(x, _fn=KElem.is_square):
             calls[0] += 1

@@ -12,7 +12,6 @@ from smallsys.exactfield import (
     KElem,
     PrecisionError,
     RealInterval,
-    TowerContext,
     TowerElem,
     embed,
     escalate,
@@ -124,7 +123,7 @@ class TestSqrtK:
         for x in (KElem(3), KElem(1, 1), KElem(Fraction(5, 3))):
             root = sqrt_k(x)
             assert isinstance(root, TowerElem)
-            assert root == TowerContext(x).sqrt_gen()
+            assert (root.u, root.v, root.radicand) == (0, 1, x)
             assert root * root == x and root.sign() == 1
 
     @pytest.mark.parametrize("x", [-1, KElem(1, -1), Fraction(-1, 9)])
@@ -227,52 +226,47 @@ class TestRealInterval:
 
 class TestTower:
     def test_context_validation(self):
+        # a square radicand gives its root in k, a non-square enters a tower
         with pytest.raises(ValueError):
-            TowerContext.from_rational(2)       # square in k
-        with pytest.raises(ValueError):
-            TowerContext.from_rational(Fraction(9, 4))
-        with pytest.raises(ValueError):
-            TowerContext.from_rational(-3)
-        TowerContext.from_rational(3)
-        TowerContext.from_rational(17)
+            sqrt_k(-3)
+        assert sqrt_k(2) == SQRT2
+        assert sqrt_k(Fraction(9, 4)) == Fraction(3, 2)
+        assert isinstance(sqrt_k(3), TowerElem)
+        assert isinstance(sqrt_k(17), TowerElem)
 
     def test_mixing_contexts_rejected(self):
-        c3 = TowerContext.from_rational(3)
-        c17 = TowerContext.from_rational(17)
         with pytest.raises(ContextMismatchError):
-            c3.sqrt_gen() + c17.sqrt_gen()
+            sqrt_k(3) + sqrt_k(17)
 
     def test_equality_across_contexts_is_false(self):
-        c3 = TowerContext.from_rational(3)
-        c5 = TowerContext.from_rational(5)
-        assert c3.sqrt_gen() != c5.sqrt_gen()
-        assert len({c3.sqrt_gen(), c5.sqrt_gen(), c3.sqrt_gen()}) == 2
+        r3, r5 = sqrt_k(3), sqrt_k(5)
+        assert r3 != r5
+        assert len({r3, r5, sqrt_k(3)}) == 2
         with pytest.raises(ContextMismatchError):
-            c3.sqrt_gen() * c5.sqrt_gen()
+            r3 * r5
 
     def test_field_axioms(self):
-        ctx = TowerContext.from_rational(3)
+        r3 = sqrt_k(3)
         rng = random.Random(29)
         for _ in range(200):
-            x = ctx.elem(rand_kelem(rng, 9), rand_kelem(rng, 9))
-            y = ctx.elem(rand_kelem(rng, 9), rand_kelem(rng, 9))
-            z = ctx.elem(rand_kelem(rng, 9), rand_kelem(rng, 9))
+            x = rand_kelem(rng, 9) + rand_kelem(rng, 9) * r3
+            y = rand_kelem(rng, 9) + rand_kelem(rng, 9) * r3
+            z = rand_kelem(rng, 9) + rand_kelem(rng, 9) * r3
             assert (x + y) * z == x * z + y * z
             if x:
                 assert x * (1 / x) == KElem(1)
 
-    def test_sqrt_gen_squares_to_radicand(self):
-        ctx = TowerContext.from_rational(3)
-        square = ctx.sqrt_gen() * ctx.sqrt_gen()
+    def test_sqrt_k_squares_to_radicand(self):
+        square = sqrt_k(3) * sqrt_k(3)
         assert square == KElem(3) and type(square) is KElem
 
     def test_sign_and_embed(self):
-        ctx = TowerContext.from_rational(3)
-        x = ctx.elem(KElem(-1), KElem(1))       # sqrt3 - 1 > 0
+        r3 = sqrt_k(3)
+        x = KElem(-1) + KElem(1) * r3           # sqrt3 - 1 > 0
         assert x.sign() == 1
-        y = ctx.elem(KElem(2), KElem(-1))       # 2 - sqrt3 > 0
+        y = KElem(2) + KElem(-1) * r3           # 2 - sqrt3 > 0
         assert y.sign() == 1
-        z = ctx.elem(KElem(1), KElem(-1))       # 1 - sqrt3 < 0
+        z = KElem(1) + KElem(-1) * r3           # 1 - sqrt3 < 0
         assert z.sign() == -1
         assert float(x.embed(64)) == pytest.approx(math.sqrt(3) - 1, abs=1e-12)
 
@@ -280,7 +274,7 @@ class TestTower:
     def test_rational_radicand_root_is_exact(self, a):
         # the root of a is rounded once, not after a itself is rounded
         for bits in (16, 53, 64, 128):
-            root = TowerContext.from_rational(a).sqrt_gen().embed(bits)
+            root = sqrt_k(a).embed(bits)
             s = math.isqrt((a.numerator << 2 * bits) // a.denominator)
             assert (root.lo, root.hi) == (Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits))
 
@@ -295,18 +289,18 @@ class TestTower:
         assert iv.lo <= fine.lo and fine.hi <= iv.hi
 
     def test_division(self):
-        ctx = TowerContext.from_rational(3)
-        g = ctx.sqrt_gen()
+        g = sqrt_k(3)
         assert (1 / g) * g == KElem(1)
-        assert 1 / g == ctx.elem(0, Fraction(1, 3))
+        assert 1 / g == Fraction(1, 3) * g
 
     @pytest.mark.parametrize("foreign", ["x", 1.5, None])
     def test_elem_rejects_a_foreign_type(self, foreign):
-        ctx = TowerContext.from_rational(3)
+        # u + v sqrt(3) is built from values of k only
+        r3 = sqrt_k(3)
         with pytest.raises(TypeError):
-            ctx.elem(foreign)
+            foreign + r3
         with pytest.raises(TypeError):
-            ctx.elem(1, foreign)
+            1 + foreign * r3
 
 
 class TestTextFormats:
@@ -394,11 +388,11 @@ class TestEscalate:
 @pytest.mark.parametrize("make", [
     lambda: QuadForm(["x", 1]),
     lambda: QuadForm([1.5]),
-    lambda: TowerContext(1.5),
+    lambda: sqrt_k(1.5),
     lambda: ZsqrtIdeal(2.0),
     lambda: param_block(1.5, 1, 2),
     lambda: ABlockElement("x", 0, 1, 2),
-], ids=["QuadForm-str", "QuadForm-float", "TowerContext", "ZsqrtIdeal",
+], ids=["QuadForm-str", "QuadForm-float", "sqrt_k", "ZsqrtIdeal",
         "param_block", "ABlockElement"])
 def test_constructors_reject_a_foreign_type(make):
     with pytest.raises(TypeError, match="int, Fraction or KElem"):

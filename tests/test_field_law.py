@@ -13,6 +13,7 @@ embedding; and that `parse_kelem` inverts `to_text`.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smallsys.exactfield import (ContextMismatchError, KElem, TowerContext, TowerElem,
-                                 parse_kelem)
+from smallsys.exactfield import (K_ZERO, ContextMismatchError, KElem, TowerElem, _tower,
+                                 parse_kelem, sqrt_k)
 
 SETTINGS = settings(max_examples=60, deadline=None)
-CONTEXTS = {a: TowerContext.from_rational(a) for a in (3, 17)}
+ROOTS = {a: sqrt_k(a) for a in (3, 17)}
 
 coords = st.one_of(
     st.integers(-60, 60),
@@ -35,9 +36,10 @@ scalars = st.one_of(coords, kelems)     # scalars from k: int, Fraction or KElem
 
 @st.composite
 def towers(draw, count):
-    """(context, elements): a drawn v = 0 gives a KElem, which has no context."""
-    ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
-    return ctx, [ctx.elem(draw(kelems), draw(kelems)) for _ in range(count)]
+    """(sqrt d, elements u + v sqrt d): a drawn v = 0 gives the KElem u, which
+    lies in every tower."""
+    root = ROOTS[draw(st.sampled_from(sorted(ROOTS)))]
+    return root, [draw(kelems) + draw(kelems) * root for _ in range(count)]
 
 
 def sym(x):
@@ -47,7 +49,7 @@ def sym(x):
         return sympy.Rational(x.numerator, x.denominator)
     if isinstance(x, KElem):
         return sympy.Rational(x.p, x.d) + sympy.Rational(x.q, x.d) * sympy.sqrt(2)
-    return sym(x.u) + sym(x.v) * sympy.sqrt(sym(x.ctx.radicand))
+    return sym(x.u) + sym(x.v) * sympy.sqrt(sym(x.radicand))
 
 
 def same(lhs, rhs):
@@ -61,7 +63,7 @@ def assert_canonical(x: KElem):
 
 
 def kelem_parts(x):
-    return [x.u, x.v] if hasattr(x, "ctx") else [x]
+    return [x.u, x.v] if isinstance(x, TowerElem) else [x]
 
 
 # -- values agree with the oracle -------------------------------------------
@@ -116,12 +118,12 @@ def test_kelem_field_laws(x, y, z):
 @SETTINGS
 @given(towers(3), scalars)
 def test_tower_field_laws(xs, s):
-    ctx, (x, y, z) = xs
+    root, (x, y, z) = xs
     # a scalar from k is the same value in the tower
-    assert x * s == x * ctx.elem(s) == s * x
+    assert x * s == x * (s + 0 * root) == s * x
     assert (x * s) * y == x * (s * y) and (x + y) * s == x * s + y * s
     if s:
-        assert x / s == x / ctx.elem(s)
+        assert x / s == x / (s + 0 * root)
         assert (x / s) * s == x
     assert x + y == y + x and x * y == y * x
     assert (x + y) + z == x + (y + z)
@@ -163,10 +165,10 @@ def test_kelem_results_are_canonical(x, y):
 @SETTINGS
 @given(towers(2), scalars)
 def test_tower_results_are_canonical(xs, s):
-    _, (x, y) = xs
+    root, (x, y) = xs
     results = [x + y, x - y, x * y, -x, x * s, s * x]
     if isinstance(x, TowerElem):
-        results += [x.ctx.elem(x.u, -x.v), x.tower_norm()]
+        results += [x.u - x.v * root, x.tower_norm()]
     if y:
         results += [x / y, y.inverse()]
     if s:
@@ -185,7 +187,7 @@ def test_tower_results_are_canonical(xs, s):
 small = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=2))
 small_kelems = st.builds(KElem, small, small)
 forms = st.one_of(small, small_kelems, st.builds(
-    TowerContext.elem, st.sampled_from(list(CONTEXTS.values())), small_kelems,
+    lambda root, u, v: u + v * root, st.sampled_from(list(ROOTS.values())), small_kelems,
     small_kelems))
 
 
@@ -196,22 +198,21 @@ def tower_coords(x):
 
 @SETTINGS
 @given(forms, forms)
-@example(KElem(7, 4), CONTEXTS[3].elem(KElem(7, 4)))
-@example(7, CONTEXTS[3].elem(7))
+@example(KElem(7, 4), KElem(7, 4) + 0 * ROOTS[3])
+@example(7, 7 + 0 * ROOTS[3])
 def test_one_form_per_value(x, y):
     if x == y:
         assert hash(x) == hash(y)
     assert (x == y) == (y == x)
-    ctxs = {z.ctx for z in (x, y) if isinstance(z, TowerElem)}
-    if len(ctxs) > 1:
+    radicands = {z.radicand for z in (x, y) if isinstance(z, TowerElem)}
+    if len(radicands) > 1:
         assert x != y
         with pytest.raises(ContextMismatchError):
             x * y
         return
-    if not ctxs:
+    if not radicands:
         return
-    (ctx,) = ctxs
-    d = ctx.radicand
+    (d,) = radicands
     (u1, v1), (u2, v2) = tower_coords(x), tower_coords(y)
     want = {"+": (u1 + u2, v1 + v2), "-": (u1 - u2, v1 - v2),
             "*": (u1 * u2 + d * v1 * v2, u1 * v2 + v1 * u2)}
@@ -223,23 +224,53 @@ def test_one_form_per_value(x, y):
     if isinstance(x, TowerElem):
         n = u1 * u1 - d * v1 * v1
         want["inverse"], got["inverse"] = (u1 / n, -v1 / n), x.inverse()
-        want["conjugate"], got["conjugate"] = (u1, -v1), ctx.elem(u1, -v1)
+        want["conjugate"], got["conjugate"] = (u1, -v1), u1 - v1 * sqrt_k(d)
         want["neg"], got["neg"] = (-u1, -v1), -x
     for op, (u, v) in want.items():
         r = got[op]
         assert (type(r) is KElem) == (v == 0), op
         assert tower_coords(r) == (u, v), op
         if v:
-            assert r.ctx == ctx and r.v
+            assert r.radicand == d and r.v
 
 
 @SETTINGS
-@given(kelems, st.sampled_from(sorted(CONTEXTS)))
+@given(kelems, st.sampled_from(sorted(ROOTS)))
 def test_values_of_k_stay_kelems(u, a):
-    ctx = CONTEXTS[a]
-    assert ctx.elem(u, 0) is u and ctx.elem(u) is u
-    square = ctx.sqrt_gen() * ctx.sqrt_gen()
+    root = ROOTS[a]
+    assert _tower(u, K_ZERO, root.radicand) is u
+    assert type(u + 0 * root) is KElem and u + 0 * root == u
+    square = root * root
     assert type(square) is KElem and square == a
+
+
+# two rational radicands and one outside Q
+TOWER_RADICANDS = [KElem(3), KElem(17), KElem(1, 1)]
+
+
+@SETTINGS
+@given(st.permutations(TOWER_RADICANDS), kelems, kelems, kelems, kelems)
+@example([KElem(1, 1), KElem(3)], KElem(0), KElem(1), KElem(2), KElem(0, 1))
+def test_tower_elements_carry_their_radicand(ds, u1, v1, u2, v2):
+    root, other = sqrt_k(ds[0]), sqrt_k(ds[1])
+    assert u1 + 0 * root == u1 and type(u1 + 0 * root) is KElem
+    x, y = u1 + v1 * root, u2 + v2 * root
+    results = [x + y, x - y, x * y, y * x, -x]
+    results += [t.inverse() for t in (x, y) if isinstance(t, TowerElem)]
+    if y:
+        results.append(x / y)
+    for r in results:
+        if isinstance(r, TowerElem):
+            assert r.radicand is root.radicand
+    # elements of two towers that lie outside k neither mix nor compare equal
+    z = u2 + v2 * other
+    if isinstance(x, TowerElem) and isinstance(z, TowerElem):
+        assert x != z and z != x
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ContextMismatchError):
+                op(x, z)
+            with pytest.raises(ContextMismatchError):
+                op(z, x)
 
 
 # -- sign and order ------------------------------------------------------------

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallsys import cli, lorentz
-from smallsys.exactfield import (KElem, RealInterval, SQRT2, TowerContext, embed,
-                                 parse_kelem)
+from smallsys.exactfield import (KElem, RealInterval, SQRT2, embed, parse_kelem,
+                                 sqrt_k)
 from smallsys.lorentz import (
     ABlockElement,
     DegenerateParameterError,
@@ -225,16 +225,16 @@ class TestIsometryChecks:
             Isometry(((KElem(2),),), QuadForm.standard(1, 1))
 
 
-TOWER17 = TowerContext.from_rational(17)
+ROOT17 = sqrt_k(17)
 _coords = st.one_of(st.integers(-30, 30),
                     st.fractions(min_value=-100, max_value=100, max_denominator=50))
 _FACTORS = {
     "int": st.integers(-9, 9),
     "k": st.builds(KElem, _coords, _coords),
-    "tower": st.builds(TOWER17.elem, st.builds(KElem, _coords, _coords),
+    "tower": st.builds(lambda u, v: u + v * ROOT17, st.builds(KElem, _coords, _coords),
                        st.builds(KElem, _coords, _coords)),
 }
-_ZEROS = {"int": 0, "k": KElem(0), "tower": TOWER17.elem(0)}
+_ZEROS = {"int": 0, "k": KElem(0), "tower": 0 * ROOT17}
 
 
 def dense_sum_prod(row, col):
@@ -634,8 +634,7 @@ class TestTowerConjugation:
     def test_g2_conjugated_into_unit_form(self):
         # diag(sqrt a, 1, ..., 1) g2 diag(sqrt a, 1, ..., 1)^{-1} preserves
         # the unit-coefficient form, with entries in the tower k(sqrt 3)
-        ctx = TowerContext.from_rational(3)
-        root = ctx.sqrt_gen()
+        root = sqrt_k(3)
         g2 = block_g2(3).to_entries()
         size = len(g2)
         d = [root if i == 0 else KElem(1) for i in range(size)]

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smallsys import polyalg
-from smallsys.exactfield import SQRT2, KElem, TowerContext, TowerElem, embed, sqrt_k
+from smallsys.exactfield import SQRT2, KElem, TowerElem, embed, sqrt_k
 from smallsys.polyalg import (
     PrecisionError,
     QPoly,
@@ -59,7 +59,7 @@ def sympy_value(sympy, lam):
         return sympy.Rational(x.a) + sympy.Rational(x.b) * r2
     if not isinstance(lam, TowerElem):
         return k(lam)
-    return k(lam.u) + k(lam.v) * sympy.sqrt(k(lam.ctx.radicand))
+    return k(lam.u) + k(lam.v) * sympy.sqrt(k(lam.radicand))
 
 
 def sympy_minpoly(sympy, val) -> QPoly:
@@ -186,11 +186,11 @@ class TestProduct:
         sympy = pytest.importorskip("sympy")
         for branch in (1, -1):
             lam = root(KElem(1, 1), KElem(-1), branch)
-            d = lam.ctx.radicand
+            d = lam.radicand
             for u, v in ((KElem(2, -1), KElem(1, 3)), (KElem(0), KElem(-1, 1)),
                          (KElem(Fraction(1, 3)), KElem(5))):
                 mu = u + v * sqrt_k(4 * d)
-                assert mu.ctx != lam.ctx
+                assert mu.radicand != lam.radicand
                 m, iv = product(lam, mu)
                 val = sympy_value(sympy, lam) * sympy_value(sympy, mu)
                 assert m.degree() <= 4
@@ -199,15 +199,29 @@ class TestProduct:
 
     def test_same_tower_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
-        ctx = TowerContext.from_rational(3)
-        cases = [(ctx.elem(KElem(1, 1), KElem(2)), ctx.elem(KElem(2, -1), KElem(1, 1))),
-                 (ctx.sqrt_gen(), ctx.sqrt_gen()),
-                 (LAM2, LAM2.ctx.elem(LAM2.u, -LAM2.v))]
+        r3 = sqrt_k(3)
+        cases = [(KElem(1, 1) + 2 * r3, KElem(2, -1) + KElem(1, 1) * r3),
+                 (r3, r3),
+                 (LAM2, LAM2.u - LAM2.v * sqrt_k(LAM2.radicand))]
         for lam, mu in cases:
             m, iv = product(lam, mu)
             val = sympy_value(sympy, lam) * sympy_value(sympy, mu)
             assert m == sympy_minpoly(sympy, val)
             assert iv.lo <= Fraction(str(sympy.N(val, 30))) <= iv.hi
+
+    def test_cross_tower_rewrite_decides_only_the_product(self, monkeypatch):
+        # mu is carried into lam's tower as it is; only d1 d2 = (2 d1)^2 is
+        # decided a square, never lam's or mu's radicand again
+        lam = root(KElem(1, 1), KElem(-1))
+        mu = KElem(2, -1) + KElem(1, 3) * sqrt_k(4 * lam.radicand)
+        calls = []
+        def counted(x, _fn=KElem.is_square):
+            calls.append(x)
+            return _fn(x)
+        monkeypatch.setattr(KElem, "is_square", counted)
+        m, _ = product(lam, mu)
+        assert calls == [4 * lam.radicand * lam.radicand]
+        assert m == QPoly([8689, 2326, -489, -38, 1])
 
     def test_interval_subset_of_input_products(self):
         rng = random.Random(59)
@@ -266,7 +280,7 @@ def product_pairs(draw):
         mu = draw(k_values(3).filter(bool))
     elif relation in ("same", "square"):
         w = draw(k_values(2).filter(bool)) if relation == "square" else 1
-        mu = draw(tower_values(lam.ctx.radicand * w * w))
+        mu = draw(tower_values(lam.radicand * w * w))
     else:
         mu = draw(tower_values())
     if relation == "pure":
@@ -681,8 +695,11 @@ class TestPowerSumEnumeration:
     def test_min_mahler_matches_the_general_walk(self, D):
         best = None
         for d in range(1, D + 1):
-            for _, key in polyalg._accepted(d, Fraction(13248, 10000)):
-                if key is not None and (best is None or not polyalg._at_most(best, key)):
+            for poly, one, _ in polyalg._accepted(d, Fraction(13248, 10000)):
+                if one:
+                    continue
+                key = polyalg._class_key(poly)
+                if best is None or not polyalg._at_most(best, key):
                     best = key
         want = float(polyalg._enclosure(best, Fraction(1, 1 << 34))), best
         assert min_mahler_above_one(D) == want
@@ -698,15 +715,31 @@ class TestPowerSumEnumeration:
             return real_key(p)
 
         def recorded(*args):
-            for poly, key in real_accepted(*args):
-                if key is not None:
+            for poly, one, key in real_accepted(*args):
+                if not one:
                     accepted.append(poly)
-                yield poly, key
+                yield poly, one, key
         monkeypatch.setattr(polyalg, "_class_key", counted_key)
         monkeypatch.setattr(polyalg, "_accepted", recorded)
         min_mahler_above_one(D)
         assert accepted and all(keyed[p] == 1 for p in accepted)
         assert set(keyed.values()) == {1}
+
+    def test_class_key_only_where_it_is_read(self, monkeypatch):
+        # enumerate_bounded reads no key: of the ten candidates above measure
+        # one that the walk accepts or leaves open at (4, 1.4), only the two
+        # left open are keyed, for _at_most
+        real_key, keyed = polyalg._class_key, []
+
+        def counted_key(p):
+            keyed.append(p)
+            return real_key(p)
+        monkeypatch.setattr(polyalg, "_class_key", counted_key)
+        enumerate_bounded(4, 1.4)
+        assert len(keyed) == 2
+        keyed.clear()
+        assert min_mahler_above_one(8)[1] == ZPoly([1, 0, 0, -1, -1, -1, 0, 0, 1])
+        assert len(keyed) == 4
 
     def test_measure_once_per_class(self, monkeypatch):
         self.check_measure_once(monkeypatch, 4, 1)

@@ -6,7 +6,11 @@ the incommensurable-family construction.
 A canonical word starts with its longest run of 1s and ends with a 2, so it
 is a sequence of blocks 1^r 2^s.  Ordering blocks by r descending, then s
 ascending, makes block order word order, and the generator recurses once
-per block rather than once per letter.
+per block rather than once per letter.  Its first block (r_0, s_0) bounds
+the rest twice over: the reversal read from block 0 starts (r_0, s_{k-1}),
+so every choice must leave the last block at least s_0 2s, and where no
+later block has r_0 1s that reading is the only rotation of the reversal
+to compare with, so one comparison settles the word without a scan.
 """
 
 from __future__ import annotations
@@ -73,52 +77,79 @@ def _bracelets_lex(length: int, limit: int | None = None) -> list[str]:
     is a necklace iff its block sequence is one, and Sawada's prenecklace
     recursion (TCS 2003) runs on blocks: one level per block, with the
     p-rule and the leaf test "k blocks, k % p == 0" as for letters, and the
-    last block taking the letters left.  With R1 1s and R2 2s left, a block
-    of r < R1 1s leaves R1 - r to blocks of at most r_0 1s with a 2 each,
-    so s <= R2 - ceil((R1 - r) / r_0).  A necklace is canonical iff it is
-    <= every rotation of its reversal (Sawada, SIAM J. Comput. 2001); read
-    from block j the reversal is (r_j, s_{j-1}), (r_{j-1}, s_{j-2}), ...,
-    so only the j with r_j = r_0 are compared."""
-    h = length // 2
-    a = [0] * (length + 2)      # a[2t], a[2t + 1] = -r, s of block t
-    a[-2:] = -h, 1              # block -1, the least: block 0's p-rule reads it
-    chunks = [""] * h           # chunks[t]: block t as letters
-    out = []
+    last block taking the letters left.  Block 0 = (r_0, s_0) is chosen in
+    the outer loops; the word of block 0 alone, 1^h 2^h, is the least word.
 
-    def extend(t, p, ones, twos):
-        """Extend the prenecklace of blocks 0..t-1, whose longest Lyndon
-        prefix has p blocks, by blocks >= block t - p, (rp, sp); True once
-        `limit` words are out."""
+    A necklace is canonical iff it is <= every rotation of its reversal
+    (Sawada, SIAM J. Comput. 2001).  Read from block j the reversal is
+    (r_j, s_{j-1}), (r_{j-1}, s_{j-2}), ..., so it can be below the word
+    only for the j with r_j = r_0, and for j = 0 it starts (r_0, s_{k-1}):
+    a canonical word's last block has at least s_0 2s.
+
+    *The bound on 2s.*  Every block is chosen so that the last block can
+    still have s_0 2s.  With R1 1s and R2 2s left after a block, at least
+    ceil(R1 / r_0) blocks follow, since none has more than r_0 1s; each has
+    a 2 and the last has s_0, so R2 >= ceil(R1 / r_0) + s_0 - 1.
+      - A later block (r, s), with R1, R2 counted before it, leaves R1 - r
+        and R2 - s: s <= R2 - ceil((R1 - r) / r_0) - (s_0 - 1).
+      - Block 0 = (r, s) leaves h - r and h - s with r_0 = r, s_0 = s:
+        h - s >= ceil((h - r) / r) + s - 1, so 2s <= h - ceil((h - r) / r) + 1.
+    A subtree cut this way holds no word whose last block has s_0 2s, so
+    no canonical word is lost.
+
+    *The reversal test.*  `reps` counts the blocks after block 0 with r_0
+    1s.  If there are none and the last block has fewer than r_0 1s, j = 0
+    is the only rotation that competes.  It is above the word at once if
+    s_{k-1} > s_0; otherwise, past their common -r_0, it reads the pairs
+    a[1:m] backwards, and one comparison decides.  Only where some later
+    block has r_0 1s are all the j with r_j = r_0 scanned."""
+    h = length // 2
+    a = [0] * length            # a[2t], a[2t + 1] = -r, s of block t
+    out = ["1" * h + "2" * h]   # block 0 alone, the least word
+    if limit == 1:
+        return out
+
+    def extend(t, p, ones, twos, word, reps):
+        """Extend `word`, the prenecklace of blocks 0..t-1, by blocks >=
+        block t - p, (rp, sp); its longest Lyndon prefix has p blocks, and
+        `reps` of blocks 1..t-1 have r_0 1s.  True once `limit` words are
+        out."""
         q = 2 * (t - p)
         rp, sp = -a[q], a[q + 1]
         k, m = t + 1, 2 * t + 2
-        # as last block, 1^ones 2^twos needs as many 2s as block 0 has:
-        # the reversal read from block 0 puts them second
-        if twos >= a[1] and (ones < rp or ones == rp and (
+        if twos >= s0 and (ones < rp or ones == rp and (
                 twos > sp or twos == sp and k % p == 0)):
             a[m - 2], a[m - 1] = -ones, twos
-            # the reversal read from block j starts at -r_j in the reversed
-            # pairs; their second copy ends the search
-            pairs, rev = a[:m], a[m - 1::-1] * 2
-            i = rev.index(a[0])
-            while i < m and pairs <= rev[i:i + m]:
-                i = rev.index(a[0], i + 2)
-            if i >= m:
-                chunks[t] = "1" * ones + "2" * twos
-                out.append("".join(chunks[:k]))
+            if reps or ones == r0:
+                # the reversal read from block j starts at -r_j in the
+                # reversed pairs; their second copy ends the search
+                pairs, rev = a[:m], a[m - 1::-1] * 2
+                i = rev.index(-r0)
+                while i < m and pairs <= rev[i:i + m]:
+                    i = rev.index(-r0, i + 2)
+                canonical = i >= m
+            else:
+                # only j = 0 competes: after -r_0 it reads a[1:m] backwards
+                canonical = twos > s0 or a[1:m] <= a[m - 1:0:-1]
+            if canonical:
+                out.append(word + "1" * ones + "2" * twos)
                 if len(out) == limit:
                     return True
         for r in range(rp if rp < ones else ones - 1, 0, -1):
-            a[m - 2], head = -r, "1" * r
-            # each later block holds at most r_0 of the ones - r 1s left
-            # and at least one 2
-            for s in range(sp if r == rp else 1, twos + (r - ones) // -a[0] + 1):
-                a[m - 1], chunks[t] = s, head + "2" * s
-                if extend(k, p if r == rp and s == sp else k, ones - r, twos - s):
+            a[m - 2], head, rep = -r, word + "1" * r, reps + (r == r0)
+            for s in range(sp if r == rp else 1,
+                           twos + (r - ones) // r0 - s0 + 2):
+                a[m - 1] = s
+                if extend(k, p if r == rp and s == sp else k, ones - r,
+                          twos - s, head + "2" * s, rep):
                     return True
         return False
 
-    extend(0, 1, h, h)
+    for r0 in range(h - 1, 0, -1):
+        for s0 in range(1, (h + 1 + (r0 - h) // r0) // 2 + 1):
+            a[0], a[1] = -r0, s0
+            if extend(1, 1, h - r0, h - s0, "1" * r0 + "2" * s0, 0):
+                return out
     return out
 
 
@@ -176,11 +207,7 @@ def select_inequivalent(m: int):
     large lengths stay cheap."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    length = 2 ** m
-    if burnside_count(length) < m:
-        raise AssertionError("fewer balanced bracelets than requested; "
-                             "counting bug")
-    out = [CyclicBinarySeq(w) for w in _bracelets_lex(length, m)]
+    out = [CyclicBinarySeq(w) for w in _bracelets_lex(2 ** m, m)]
     if len(out) < m:
         raise AssertionError("bracelet generation exhausted early; counting bug")
     return out

@@ -466,12 +466,20 @@ class TestBracelets:
         code, _, _ = run(["bracelets", "--length", "4", "--m", "2"], capsys)
         assert code == 2
 
-    # SHA-256 of the --json certificate, past the filtering reference's reach
+    # SHA-256 of the --json certificate: the benchmark's gap workload inputs,
+    # then lengths past the filtering reference's reach
     @pytest.mark.parametrize("argv, digest", [
+        (["--length", "16"], "55969b1de8012cdd5a240301c16eafd9c9bf4e3a585b56f9f9004362d00330a6"),
+        (["--length", "18"], "1dbfe824c42eed19865cfb74ca04ccde13c7468eb84330efd439dbb4591fff2f"),
+        (["--length", "20"], "c989b729ca5c05f106f0cf575517844bc4f945d4ff8958891445068414eaa32c"),
+        (["--m", "8"], "5ba16ae8d0b356f67507d421677257450f1e0309580a71ca9bfcf036f1850595"),
+        (["--m", "10"], "cc6361e29d129b60d266eb4fc459bc9246a543c61cb1cf396a8c0ad1decba9bd"),
+        (["--m", "12"], "421f537bfd3dd67f3d2c145d22df92e5552e125e9e60a0113de9dcd88667c279"),
         (["--length", "22"], "3a1a99e03dba5c6ba835397f25ae6ce2ea5a8e80a10dfd5bafc018d0a336809c"),
         (["--length", "24"], "b1af477ed2f940e44e9d1c59947fc72661cb02e25d7d42547f2089f9ee4f909e"),
         (["--m", "14"], "9c95482913e4bd5eaf596b5235ce8baa80c8fbfe1c0e6104801b40793147850c"),
-    ], ids=["length22", "length24", "m14"])
+    ], ids=["length16", "length18", "length20", "m8", "m10", "m12",
+            "length22", "length24", "m14"])
     def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, digest):
         path = tmp_path / "cert.json"
         assert run(["--quiet", "--json", str(path), "bracelets"] + argv, capsys)[0] == 0

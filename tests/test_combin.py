@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallsys import cli
+from smallsys import cli, combin
 from smallsys.combin import (
     CyclicBinarySeq,
+    _bracelets_lex,
     burnside_count,
     canonical_form,
     enumerate_balanced_bracelets,
@@ -151,9 +153,28 @@ class TestEnumeration:
         assert all(canonical_form(w) == w for w in words)
         assert all(u < w for u, w in zip(words, words[1:]))
 
-    @pytest.mark.parametrize("length", [22, 24])
+    @pytest.mark.parametrize("length", [22, 24, 26])
     def test_count_beyond_reference(self, length):
         assert len(enumerate_balanced_bracelets(length)) == burnside_count(length)
+
+    # SHA-256 of the space-joined word list, past the filtering reference's
+    # reach: every word in order, not only the count
+    @pytest.mark.parametrize("length, count, digest", [
+        (22, 16159, "e7d84dda991b97926365de17b54c0d66b26d40d6f9614c2d17793a5210838a9d"),
+        (24, 56822, "a9c556dc5509cd891756ff8edd625cd9f8fc913fd625aabd428feb6863c17c39"),
+    ], ids=["length22", "length24"])
+    def test_words_beyond_reference_pinned(self, length, count, digest):
+        words = _bracelets_lex(length)
+        assert len(words) == count
+        assert hashlib.sha256(" ".join(words).encode()).hexdigest() == digest
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda half: st.tuples(
+        st.just(2 * half), st.integers(1, burnside_count(2 * half)))))
+    def test_limit_stops_at_a_prefix(self, length_limit):
+        # the limit is checked only where a word is accepted, fast or scanned
+        length, limit = length_limit
+        assert _bracelets_lex(length, limit) == _bracelets_lex(length)[:limit]
 
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +192,7 @@ class TestBurnside:
             assert burnside_count(length) == len(enumerate_balanced_bracelets(length))
 
     def test_supports_selection(self):
-        for m in range(1, 11):
+        for m in range(1, 15):
             assert burnside_count(2 ** m) >= m
 
     def test_odd_rejected(self):
@@ -215,6 +236,14 @@ class TestSelectInequivalent:
             expected = ["1" * h + "2" * h] + [
                 "1" * (h - 1) + "2" * j + "1" + "2" * (h - j) for j in range(1, m)]
             assert [s.word for s in select_inequivalent(m)] == expected, m
+
+    def test_short_generator_raises(self, monkeypatch):
+        def short(length, limit):
+            return _bracelets_lex(length, limit)[:limit - 1]
+        monkeypatch.setattr(combin, "_bracelets_lex", short)
+        for m in (1, 3, 6):
+            with pytest.raises(AssertionError, match="exhausted early"):
+                select_inequivalent(m)
 
     def test_long_words_need_no_recursion(self):
         sel = select_inequivalent(14)

@@ -36,7 +36,6 @@ from .congr import ZsqrtIdeal, in_principal_congruence, is_integral_matrix
 from .exactfield import KElem, embed, escalate, parse_kelem, sqrt_k
 from .hypgeom import GeodesicHyperplane, dist_hyperplanes, systole_witness
 from .lorentz import (
-    QuadForm,
     SearchExhaustedError,
     block_g1,
     block_g2,
@@ -146,8 +145,6 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
     cert = Certificate("verify", {"a": a, "n": n, "precision": precision})
     is_standard = (a == 3)
 
-    f1 = QuadForm.standard(1, n)
-    f2 = QuadForm.standard(KElem(a), n)
     g1 = block_g1(n)
     if is_standard:
         g2 = block_g2(n)
@@ -156,7 +153,7 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
         t = math.isqrt(math.isqrt(a.numerator ** 2 // (2 * a.denominator ** 2))) + 1
         g2 = param_block(KElem(a), KElem(t), n)
 
-    iso1, iso2 = g1.to_isometry(f1), g2.to_isometry(f2)
+    iso1, iso2 = g1.to_isometry(), g2.to_isometry()
     cert.add("g1_isometry", "g1 preserves diag(1, ..., 1, -rt2) exactly",
              iso1.sheet_preserving,
              exact={"alpha": g1.alpha.to_text(), "gamma": g1.gamma.to_text()})
@@ -182,8 +179,8 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
                       "lambda2": embed(lam2, precision),
                       "length1": len1, "length2": len2})
 
-    h1 = GeodesicHyperplane.coordinate(f1)
-    h2 = GeodesicHyperplane.coordinate(f2)
+    h1 = GeodesicHyperplane.coordinate(iso1.form)
+    h2 = GeodesicHyperplane.coordinate(iso2.form)
     rel1 = dist_hyperplanes(h1, h1.image(iso1), precision)
     rel2 = dist_hyperplanes(h2, h2.image(iso2), precision)
     cert.add("hyperplane_distances",

@@ -72,12 +72,5 @@ def in_principal_congruence(m: Isometry, ideal: ZsqrtIdeal) -> bool:
     """Whether every entry of M - Id is divisible by the ideal generator."""
     if not is_integral_matrix(m):
         raise ValueError("matrix is not integral; congruence reduction undefined")
-    size = m.form.n + 1
-    for i in range(size):
-        for j in range(size):
-            e = _as_kelem(m.entries[i][j])
-            if i == j:
-                e = e - KElem(1)
-            if not ideal.divides(e):
-                return False
-    return True
+    return all(_is_integral_kelem((e - 1 if i == j else e) / ideal.generator)
+               for i, row in enumerate(m.entries) for j, e in enumerate(row))

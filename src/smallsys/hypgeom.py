@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactfield import KElem, RealInterval, embed
-from .lorentz import Isometry, QuadForm, mat_vec
+from .lorentz import Isometry, QuadForm, mat_vec, sum_prod
 
 
 class GeometryError(ValueError):
@@ -23,11 +23,7 @@ def bilinear(form: QuadForm, x, y):
     """Polarized pairing B(x, y) = sum c_i x_i y_i - sqrt2 x_t y_t."""
     if len(x) != form.n + 1 or len(y) != form.n + 1:
         raise ValueError("dimension mismatch")
-    total = None
-    for c, a, b in zip(form.diagonal(), x, y):
-        term = a * b * c
-        total = term if total is None else total + term
-    return total
+    return sum_prod([a * c for a, c in zip(x, form.diagonal())], y)
 
 
 class GeodesicHyperplane:

@@ -310,8 +310,8 @@ class ABlockElement:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def to_isometry(self, form: QuadForm | None = None) -> Isometry:
-        return Isometry(self.to_entries(), form or self.form())
+    def to_isometry(self) -> Isometry:
+        return Isometry(self.to_entries(), self.form())
 
     def __eq__(self, other):
         return (isinstance(other, ABlockElement) and self.alpha == other.alpha

@@ -19,6 +19,7 @@ float, and equal measures meet as equal keys: the least member under x -> -x
 and reversal of g, where g(x^k) is the cyclotomic-free core (M(g(x^k)) =
 M(g)).  Enclosures, and min_mahler_above_one, are computed once per process;
 from degree 3 on it walks only palindromic polynomials (Smyth 1971).
+ZPoly is the QPoly that stores ints, and every product runs in one loop, _mul.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ def _strip(coeffs):
     return tuple(coeffs)
 
 
+def _mul(a, b):
+    """The product of coefficient tuples a and b, constant first, on the
+    nonzero coefficients of a."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return out
+
+
 class QPoly:
     """A polynomial over Q, coefficients constant-first."""
 
@@ -57,22 +69,22 @@ class QPoly:
         object.__setattr__(self, "coeffs", _strip(Fraction(c) for c in coeffs))
 
     def __setattr__(self, *_):
-        raise AttributeError("QPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
+        return self.coeffs == (0,)
 
     def degree(self) -> int:
         return -1 if self.is_zero() else len(self.coeffs) - 1
 
-    def lc(self) -> Fraction:
+    def lc(self):
         return self.coeffs[-1]
 
     def is_monic(self) -> bool:
-        return self.lc() == 1 and not self.is_zero()
+        return self.lc() == 1
 
     def __eq__(self, other):
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -84,20 +96,12 @@ class QPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        return type(self)(out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QPoly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return QPoly([0])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j, d in enumerate(other.coeffs):
-                out[i + j] += c * d
-        return QPoly(out)
+            return type(self)([c * other for c in self.coeffs])
+        return type(self)(_mul(self.coeffs, other.coeffs))
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -106,13 +110,13 @@ class QPoly:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
     def __repr__(self):
-        return f"QPoly({list(self.coeffs)!r})"
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
 
 
-class ZPoly:
-    """A polynomial over Z, coefficients constant-first."""
+class ZPoly(QPoly):
+    """A QPoly that stores its integer coefficients as ints."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
@@ -121,51 +125,13 @@ class ZPoly:
             raise TypeError("ZPoly needs integer coefficients")
         object.__setattr__(self, "coeffs", _strip(ints))
 
-    def __setattr__(self, *_):
-        raise AttributeError("ZPoly is immutable")
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
-    def degree(self) -> int:
-        return -1 if self.is_zero() else len(self.coeffs) - 1
-
-    def lc(self) -> int:
-        return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return self.lc() == 1
-
-    def __eq__(self, other):
-        return isinstance(other, ZPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __lt__(self, other):
         return (self.degree(), self.coeffs) < (other.degree(), other.coeffs)
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return ZPoly([0])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j, d in enumerate(other.coeffs):
-                out[i + j] += c * d
-        return ZPoly(out)
 
     def shift_out_zero_roots(self):
         """Drop x^v factors; returns (v, reduced poly)."""
         v = next(i for i, c in enumerate(self.coeffs) if c or i == len(self.coeffs) - 1)
         return v, ZPoly(self.coeffs[v:])
-
-    def to_text(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
-
-    def __repr__(self):
-        return f"ZPoly({list(self.coeffs)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +213,8 @@ def is_algebraic_integer(obj) -> bool:
 def _graeffe(c):
     """Coefficients (constant first) of the monic polynomial whose roots are
     the squares of the roots of the monic one with coefficients c."""
-    d = len(c) - 1
-    neg = [-v if i % 2 else v for i, v in enumerate(c)]          # c(-x)
-    prod = [0] * (2 * d + 1)                                     # c(x) c(-x)
-    for i, a in enumerate(c):
-        for j, b in enumerate(neg):
-            prod[i + j] += a * b
-    return tuple(-v for v in prod[::2]) if d % 2 else tuple(prod[::2])
+    prod = _mul(c, [-v if i % 2 else v for i, v in enumerate(c)])    # c(x) c(-x)
+    return tuple(-v for v in prod[::2]) if (len(c) - 1) % 2 else tuple(prod[::2])
 
 
 def _graeffe_walk(p: ZPoly, powers):

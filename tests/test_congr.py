@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallsys.congr import ZsqrtIdeal, in_principal_congruence, is_integral_matrix
 from smallsys.exactfield import KElem, SQRT2
@@ -129,3 +131,31 @@ class TestPrincipalCongruence:
             m = random_congruence_element(rng)
             assert in_principal_congruence(m, RT2)
             assert in_principal_congruence(m.inverse(), RT2)
+
+
+def entrywise_congruence(m, ideal):
+    """The entrywise loop that in_principal_congruence replaced, kept as its
+    oracle: ideal.divides on each entry of M - Id."""
+    if not is_integral_matrix(m):
+        raise ValueError("matrix is not integral")
+    return all(ideal.divides(e - KElem(1) if i == j else e)
+               for i, row in enumerate(m.entries) for j, e in enumerate(row))
+
+
+SIGNED_PERMUTATIONS = [
+    Isometry(tuple(tuple(KElem(v) for v in row) for row in mat), F1)
+    for mat in (((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+                ((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                ((1, 0, 0), (0, -1, 0), (0, 0, -1)),
+                ((0, -1, 0), (1, 0, 0), (0, 0, 1)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([G1, G1.inverse()] + SIGNED_PERMUTATIONS),
+                min_size=1, max_size=6),
+       st.sampled_from([RT2, TWO, SEVEN]))
+def test_congruence_matches_the_entrywise_divides_loop(factors, level):
+    m = factors[0]
+    for f in factors[1:]:
+        m = m * f
+    assert in_principal_congruence(m, level) == entrywise_congruence(m, level)

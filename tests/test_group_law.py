@@ -31,7 +31,9 @@ def k_parameter(draw):
 
 
 def block_isometry(draw, c, n, form):
-    return param_block(c, draw(k_parameter()), n).to_isometry(form)
+    iso = param_block(c, draw(k_parameter()), n).to_isometry()
+    assert iso.form == form
+    return iso
 
 
 @st.composite

@@ -938,3 +938,65 @@ class TestPolyBasics:
     def test_negative_discriminant_has_no_real_root(self):
         with pytest.raises(ValueError):
             root(KElem(0), KElem(1))   # x^2 + 1 has no real root
+
+    def test_zpoly_is_the_integer_qpoly(self):
+        assert isinstance(ZPoly([1, 1]), QPoly)
+        assert ZPoly([1, 1]) != QPoly([1, 1])
+        assert QPoly([1]) != ZPoly([1])
+        assert ZPoly([1, 1]).coeffs == QPoly([1, 1]).coeffs
+
+    def test_products_keep_their_class(self):
+        p = ZPoly([-1, 1]) * ZPoly([1, 1])
+        assert type(p) is ZPoly and p.coeffs == (-1, 0, 1)
+        q = QPoly([1, 2]) * Fraction(1, 3)
+        assert type(q) is QPoly and q == QPoly([Fraction(1, 3), Fraction(2, 3)])
+        assert type(QPoly([1, 2]) * QPoly([0, 1])) is QPoly
+        assert ZPoly([0]) * ZPoly([3, 1]) == ZPoly([0])
+
+    @pytest.mark.parametrize("cls", [QPoly, ZPoly])
+    def test_repr_and_immutability_name_the_class(self, cls):
+        p = cls([2, 1])
+        assert repr(p) == f"{cls.__name__}({list(p.coeffs)!r})"
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            p.coeffs = (1,)
+
+
+def convolution(a, b):
+    """The product of coefficient lists a and b, term by term."""
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)]
+
+
+coefficients = st.one_of(st.integers(-9, 9),
+                         st.fractions(min_value=-9, max_value=9, max_denominator=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(coefficients, min_size=1, max_size=7),
+       st.lists(coefficients, min_size=1, max_size=7))
+@example([0], [3, 1])                   # zero times a polynomial
+@example([5], [0, 0, 2])                # a constant times 2x^2
+@example([0, 0, 1], [0])                # a polynomial times zero
+def test_mul_is_the_convolution(a, b):
+    assert polyalg._mul(tuple(a), tuple(b)) == convolution(a, b)
+
+
+def inline_graeffe(c):
+    """_graeffe as it was before it shared _mul, kept as its oracle."""
+    d = len(c) - 1
+    neg = [-v if i % 2 else v for i, v in enumerate(c)]
+    prod = [0] * (2 * d + 1)
+    for i, a in enumerate(c):
+        for j, b in enumerate(neg):
+            prod[i + j] += a * b
+    return tuple(-v for v in prod[::2]) if d % 2 else tuple(prod[::2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=0, max_size=9))
+@example([])                            # the constant 1
+@example([-1, -1, 0])                   # x^3 - x - 1, odd degree
+@example([1, 0, 0, 0])                  # x^4 + 1, even degree
+def test_graeffe_matches_the_inline_formula(tail):
+    c = tuple(tail) + (1,)
+    assert polyalg._graeffe(c) == inline_graeffe(c)

@@ -26,9 +26,8 @@ from .arith import (
     trace_field_sample,
 )
 from .combin import (
-    CyclicBinarySeq,
-    _bracelets_lex,
     burnside_count,
+    enumerate_balanced_bracelets,
     epsilon_budget,
     select_inequivalent,
 )
@@ -46,6 +45,10 @@ from .lorentz import (
     parse_isometry,
 )
 from .polyalg import epsilon_gap, min_mahler_above_one, minpoly_over_Q, product
+
+
+# bracelets --m writes m words of 2^m letters each: 21 MB at m = 20
+MAX_BRACELET_M = 20
 
 
 class InputError(ValueError):
@@ -304,25 +307,27 @@ def cmd_bracelets(length: int | None, m: int | None) -> Certificate:
     if m is not None:
         if m < 1:
             raise InputError("m must be at least 1")
+        if m > MAX_BRACELET_M:
+            raise InputError(f"m = {m} is above {MAX_BRACELET_M}: each of the "
+                             f"{m} words would have 2^{m} letters")
         cert = Certificate("bracelets", {"m": m})
         sel = select_inequivalent(m)
         cert.add("inequivalent_selection",
                  f"{m} pairwise inequivalent balanced cyclic sequences of "
                  f"length 2^{m}",
                  len(set(sel)) == m,
-                 exact={"sequences": ", ".join(str(s) for s in sel)})
+                 exact={"sequences": ", ".join(sel)})
         return cert
     if length < 2 or length % 2:
         raise InputError("length must be a positive even number")
     cert = Certificate("bracelets", {"length": length})
-    words = _bracelets_lex(length)
+    words = enumerate_balanced_bracelets(length)
     count = burnside_count(length)
     cert.add("burnside_agreement",
              "orbit enumeration and the Burnside count agree",
              len(words) == count,
              exact={"count": count,
-                    "sequences": ", ".join(str(CyclicBinarySeq(w))
-                                           for w in words[:16])
+                    "sequences": ", ".join(words[:16])
                     + (", ..." if len(words) > 16 else "")})
     return cert
 
@@ -411,30 +416,38 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the full standard-instance certificate")
     v.add_argument("--a", default="3", help="tower parameter (default 3)")
     v.add_argument("--n", type=int, default=2, help="dimension (default 2)")
+    v.set_defaults(run=lambda a: cmd_verify(_parse_rational(a.a), a.n, a.precision))
 
     s = sub.add_parser("search", help="find a block of small translation length")
     s.add_argument("--c", default="1", help="first spatial coefficient")
     s.add_argument("--epsilon", type=float, required=True)
     s.add_argument("--height-bound", type=int, default=10000)
+    s.set_defaults(run=lambda a: cmd_search(a.c, a.epsilon, a.height_bound,
+                                            a.precision))
 
     mh = sub.add_parser("mahler", help="minimum Mahler measure above 1")
     mh.add_argument("--D", type=int, required=True, help="degree bound")
+    mh.set_defaults(run=lambda a: cmd_mahler(a.D))
 
     b = sub.add_parser("bracelets", help="balanced bracelet enumeration")
     b.add_argument("--length", type=int)
     b.add_argument("--m", type=int)
+    b.set_defaults(run=lambda a: cmd_bracelets(a.length, a.m))
 
     c = sub.add_parser("congruence", help="principal congruence membership")
     c.add_argument("matrix", help="matrix file in the form-header serialization")
     c.add_argument("--level", required=True, help='level generator, e.g. "0+1*rt2"')
+    c.set_defaults(run=lambda a: cmd_congruence(a.matrix, a.level))
 
     mp = sub.add_parser("minpoly", help="minimal polynomial of a k-quadratic number")
     mp.add_argument("--trace", required=True)
     mp.add_argument("--norm", required=True)
+    mp.set_defaults(run=lambda a: cmd_minpoly(a.trace, a.norm, a.precision))
 
     bd = sub.add_parser("budget", help="epsilon budget for the m-family")
     bd.add_argument("--m", type=int, required=True)
     bd.add_argument("--D", type=int, required=True)
+    bd.set_defaults(run=lambda a: cmd_budget(a.m, a.D))
     return p
 
 
@@ -444,23 +457,7 @@ def main(argv=None) -> int:
         print("error: precision must be at least 16 bits", file=sys.stderr)
         return 2
     try:
-        if args.command == "verify":
-            cert = cmd_verify(_parse_rational(args.a), args.n, args.precision)
-        elif args.command == "search":
-            cert = cmd_search(args.c, args.epsilon,
-                              args.height_bound, args.precision)
-        elif args.command == "mahler":
-            cert = cmd_mahler(args.D)
-        elif args.command == "bracelets":
-            cert = cmd_bracelets(args.length, args.m)
-        elif args.command == "congruence":
-            cert = cmd_congruence(args.matrix, args.level)
-        elif args.command == "minpoly":
-            cert = cmd_minpoly(args.trace, args.norm, args.precision)
-        elif args.command == "budget":
-            cert = cmd_budget(args.m, args.D)
-        else:                                        # pragma: no cover
-            raise InputError(f"unknown command {args.command!r}")
+        cert = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
-"""Balanced cyclic sequences over {1, 2} up to dihedral symmetry, generated
+"""Balanced cyclic words over {1, 2} up to dihedral symmetry, generated
 directly in lexicographic order one run 1^r 2^s at a time, Burnside
 cross-counts, glued-geodesic length accounting, and the epsilon budget for
-the incommensurable-family construction.
+the incommensurable-family construction.  A word is a plain str over "12".
 
 A canonical word starts with its longest run of 1s and ends with a 2, so it
 is a sequence of blocks 1^r 2^s.  Ordering blocks by r descending, then s
@@ -19,51 +19,11 @@ import math
 from fractions import Fraction
 
 
-class CyclicBinarySeq:
-    """A cyclic word over {1, 2}; canonical form is the lexicographic minimum
-    over all rotations and reflections."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word):
-        if not isinstance(word, str):
-            word = "".join(str(c) for c in word)
-        if not word or word.strip("12"):
-            raise ValueError(f"word must be nonempty over {{1,2}}, got {word!r}")
-        object.__setattr__(self, "word", word)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CyclicBinarySeq is immutable")
-
-    def __len__(self):
-        return len(self.word)
-
-    def __eq__(self, other):
-        return isinstance(other, CyclicBinarySeq) and self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
-
-    def __lt__(self, other):
-        return self.word < other.word
-
-    def __str__(self):
-        return self.word
-
-    def __repr__(self):
-        return f"CyclicBinarySeq({self.word!r})"
-
-    def dihedral_images(self):
-        w = self.word
-        for r in range(len(w)):
-            rot = w[r:] + w[:r]
-            yield rot
-            yield rot[::-1]
-
-
-def canonical_form(seq: CyclicBinarySeq) -> CyclicBinarySeq:
-    """Lexicographic minimum over the 2L dihedral images; idempotent."""
-    return CyclicBinarySeq(min(seq.dihedral_images()))
+def canonical_form(word: str) -> str:
+    """Lexicographic minimum over the rotations of the word and their
+    reversals; idempotent."""
+    rotations = [word[r:] + word[:r] for r in range(len(word))]
+    return min(rotations + [rot[::-1] for rot in rotations])
 
 
 def _bracelets_lex(length: int, limit: int | None = None) -> list[str]:
@@ -153,12 +113,12 @@ def _bracelets_lex(length: int, limit: int | None = None) -> list[str]:
     return out
 
 
-def enumerate_balanced_bracelets(length: int):
-    """All canonical balanced sequences, sorted: generated, not filtered
-    from every balanced word.  The count matches burnside_count(length)."""
+def enumerate_balanced_bracelets(length: int) -> list[str]:
+    """All canonical balanced words, sorted: generated, not filtered from
+    every balanced word.  The count matches burnside_count(length)."""
     if length % 2 != 0 or length < 2:
         raise ValueError("length must be a positive even number")
-    return [CyclicBinarySeq(w) for w in _bracelets_lex(length)]
+    return _bracelets_lex(length)
 
 
 def _totient(n: int) -> int:
@@ -201,25 +161,25 @@ def burnside_count(length: int) -> int:
     return total // (2 * L)
 
 
-def select_inequivalent(m: int):
-    """The first m balanced canonical sequences of length 2^m in
-    lexicographic order; the generator stops after m, at depth two, so
-    large lengths stay cheap."""
+def select_inequivalent(m: int) -> list[str]:
+    """The first m balanced canonical words of length 2^m in lexicographic
+    order; the generator stops after m, at depth two, so large lengths stay
+    cheap."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    out = [CyclicBinarySeq(w) for w in _bracelets_lex(2 ** m, m)]
+    out = _bracelets_lex(2 ** m, m)
     if len(out) < m:
         raise AssertionError("bracelet generation exhausted early; counting bug")
     return out
 
 
-def glued_geodesic_length(seq: CyclicBinarySeq, len1: float, len2: float) -> float:
+def glued_geodesic_length(word: str, len1: float, len2: float) -> float:
     """Total length of the glued closed geodesic: each letter contributes the
     doubled orthogeodesic of its piece, sum over the cyclic word."""
     if len1 <= 0 or len2 <= 0:
         raise ValueError("lengths must be positive")
     per = {"1": 2.0 * len1, "2": 2.0 * len2}
-    return sum(per[ch] for ch in seq.word)
+    return sum(per[ch] for ch in word)
 
 
 def epsilon_budget(m: int, eps_2n: float) -> Fraction:

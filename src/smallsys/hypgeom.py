@@ -27,19 +27,20 @@ def bilinear(form: QuadForm, x, y):
 
 
 class GeodesicHyperplane:
-    """{B(u, .) = 0} for an exact spacelike normal u (f(u) > 0)."""
+    """{B(u, .) = 0} for an exact spacelike normal u; norm holds f(u) > 0."""
 
-    __slots__ = ("normal", "form")
+    __slots__ = ("normal", "form", "norm")
 
     def __init__(self, normal, form: QuadForm):
         normal = tuple(normal)
         if len(normal) != form.n + 1:
             raise ValueError("dimension mismatch")
-        norm_val = bilinear(form, normal, normal)
-        if norm_val.sign() != 1:
+        norm = bilinear(form, normal, normal)
+        if norm.sign() != 1:
             raise GeometryError("normal vector is not spacelike")
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "form", form)
+        object.__setattr__(self, "norm", norm)
 
     def __setattr__(self, *_):
         raise AttributeError("GeodesicHyperplane is immutable")
@@ -77,10 +78,8 @@ def dist_hyperplanes(h1: GeodesicHyperplane, h2: GeodesicHyperplane,
     """
     if h1.form != h2.form:
         raise ValueError("hyperplanes of different forms")
-    form = h1.form
-    b = bilinear(form, h1.normal, h2.normal)
-    q = (b * b) / (bilinear(form, h1.normal, h1.normal)
-                   * bilinear(form, h2.normal, h2.normal))
+    b = bilinear(h1.form, h1.normal, h2.normal)
+    q = (b * b) / (h1.norm * h2.norm)
     s = (q - 1).sign()
     root = embed(q, precision).sqrt()
     if s > 0:

@@ -249,14 +249,6 @@ def _graeffe_walk(p: ZPoly, powers):
         coeffs = _graeffe(coeffs)
 
 
-def is_measure_one(p: ZPoly) -> bool:
-    """Kronecker's exact test, the first verdict of the Graeffe walk: monic p
-    has Mahler measure 1 iff its roots are zero or roots of unity."""
-    if not p.is_monic():
-        raise ValueError("measure-one test expects a monic polynomial")
-    return _graeffe_walk(p, ())[0]
-
-
 def _divide_exact(c, m):
     """The quotient of c by m when m divides c exactly over Z, else None
     (coefficients constant first, on ints)."""
@@ -340,9 +332,10 @@ def _smith_measure(c, prec: int):
 
 @functools.cache
 def _enclosure(p: ZPoly, tol) -> RealInterval:
-    """The interval, narrower than tol, whose midpoint mahler_measure returns:
-    x^j dropped, the product of the squarefree layers' Smith measures at the
-    first precision from 64 bits that isolates their roots narrowly enough."""
+    """The Mahler measure |lc| * prod max(1, |root|) of p as an interval
+    narrower than tol: x^j dropped, the product of the squarefree layers'
+    Smith measures at the first precision from 64 bits that isolates their
+    roots narrowly enough."""
     if p.is_zero():
         raise ValueError("Mahler measure of the zero polynomial")
     if tol <= 0:
@@ -357,11 +350,6 @@ def _enclosure(p: ZPoly, tol) -> RealInterval:
         if None not in measures and (out := math.prod(measures)).width() < tol:
             return out
     return escalate(decide, 64, "Mahler measure did not converge")
-
-
-def mahler_measure(p: ZPoly, tol: float) -> float:
-    """|lc| * prod max(1, |root|), certified to absolute error < tol."""
-    return float(_enclosure(p, tol))
 
 
 def _mirror(p: ZPoly) -> ZPoly:

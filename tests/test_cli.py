@@ -12,10 +12,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from smallsys import arith, cli, lorentz, polyalg
+from smallsys import arith, cli, combin, lorentz, polyalg
 from smallsys.arith import GroupSample, conjugate_between_forms, integrality_scan
 from smallsys.cli import main
-from smallsys.combin import CyclicBinarySeq
 from smallsys.exactfield import SQRT2, KElem, TowerElem, sqrt_k
 from smallsys.lorentz import block_g1, block_g2
 from smallsys.polyalg import PrecisionError
@@ -448,17 +447,32 @@ class TestBracelets:
         assert code == 0
         assert "1122, 1212" in out
 
-    def test_length_wraps_only_the_printed_words(self, capsys, monkeypatch):
-        made = []
+    def test_length_calls_the_public_generator_once(self, capsys, monkeypatch):
+        lengths = []
 
-        def counted(word):
-            made.append(word)
-            return CyclicBinarySeq(word)
-        monkeypatch.setattr(cli, "CyclicBinarySeq", counted)
+        def counted(length):
+            lengths.append(length)
+            return combin.enumerate_balanced_bracelets(length)
+        monkeypatch.setattr(cli, "enumerate_balanced_bracelets", counted)
         code, out, _ = run(["bracelets", "--length", "20"], capsys)
         assert code == 0
         assert "count = 4752" in out
-        assert len(made) == 16
+        assert lengths == [20]
+
+    @pytest.mark.parametrize("m", [21, 40])
+    def test_m_above_the_limit_is_input_error(self, capsys, monkeypatch, m):
+        def allocates(m):
+            raise AssertionError("select_inequivalent called")
+        monkeypatch.setattr(cli, "select_inequivalent", allocates)
+        code, out, err = run(["bracelets", "--m", str(m)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: m = {m} is above 20: each of the {m} words "
+                       f"would have 2^{m} letters\n")
+
+    def test_m_at_the_limit_is_generated(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "select_inequivalent",
+                            lambda m: [str(i) for i in range(m)])
+        assert run(["--quiet", "bracelets", "--m", "20"], capsys)[0] == 0
 
     def test_requires_one_mode(self, capsys):
         code, _, _ = run(["bracelets"], capsys)

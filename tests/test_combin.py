@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from smallsys import cli, combin
 from smallsys.combin import (
-    CyclicBinarySeq,
     _bracelets_lex,
     burnside_count,
     canonical_form,
@@ -65,8 +64,7 @@ def reference_bracelets(length):
     """Every balanced word filtered by the O(L^2) canonical test, sorted."""
     if length % 2 != 0 or length < 2:
         raise ValueError("length must be a positive even number")
-    return [CyclicBinarySeq(w) for w in reference_balanced_words(length)
-            if reference_is_canonical(w)]
+    return [w for w in reference_balanced_words(length) if reference_is_canonical(w)]
 
 
 def reference_select(m):
@@ -74,7 +72,7 @@ def reference_select(m):
     if m < 1:
         raise ValueError("m must be at least 1")
     canonical = filter(reference_is_canonical, reference_balanced_words(2 ** m))
-    return [CyclicBinarySeq(w) for w in itertools.islice(canonical, m)]
+    return list(itertools.islice(canonical, m))
 
 
 def reference_burnside_count(L):
@@ -97,47 +95,58 @@ def reference_burnside_count(L):
     return total // (2 * L)
 
 
+def is_balanced_word(word, length):
+    return (type(word) is str and len(word) == length and not word.strip("12")
+            and word.count("1") == length // 2)
+
+
 class TestCanonicalForm:
     def test_alternating_fixed(self):
-        assert str(canonical_form(CyclicBinarySeq("1212"))) == "1212"
+        assert canonical_form("1212") == "1212"
 
     def test_rotated_example(self):
-        assert str(canonical_form(CyclicBinarySeq("2112"))) == "1122"
+        assert canonical_form("2112") == "1122"
 
     def test_single_letter(self):
-        assert str(canonical_form(CyclicBinarySeq("1"))) == "1"
+        assert canonical_form("1") == "1"
 
     def test_idempotent_and_invariant(self):
         rng = random.Random(139)
         for _ in range(100):
             word = "".join(rng.choice("12") for _ in range(rng.randint(1, 10)))
-            seq = CyclicBinarySeq(word)
-            canon = canonical_form(seq)
+            canon = canonical_form(word)
             assert canonical_form(canon) == canon
-            for img in seq.dihedral_images():
-                assert canonical_form(CyclicBinarySeq(img)) == canon
+            for r in range(len(word)):
+                rot = word[r:] + word[:r]
+                assert canonical_form(rot) == canonical_form(rot[::-1]) == canon
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CyclicBinarySeq("102")
-        with pytest.raises(ValueError):
-            CyclicBinarySeq("")
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(1, 8))
+    def test_enumerated_words_are_canonical_balanced_strings(self, half):
+        words = enumerate_balanced_bracelets(2 * half)
+        assert all(is_balanced_word(w, 2 * half) for w in words)
+        assert all(canonical_form(w) == w for w in words)
+        assert all(u < w for u, w in zip(words, words[1:]))
+
+    def test_selected_words_are_balanced_strings(self):
+        for m in range(1, 13):
+            assert all(is_balanced_word(w, 2 ** m) for w in select_inequivalent(m))
 
 
 class TestEnumeration:
     def test_length_two(self):
-        assert [str(s) for s in enumerate_balanced_bracelets(2)] == ["12"]
+        assert enumerate_balanced_bracelets(2) == ["12"]
 
     def test_length_four(self):
-        assert [str(s) for s in enumerate_balanced_bracelets(4)] == ["1122", "1212"]
+        assert enumerate_balanced_bracelets(4) == ["1122", "1212"]
 
     def test_length_eight_count(self):
         assert len(enumerate_balanced_bracelets(8)) == 8
 
     def test_matches_brute_force(self):
         for length in (2, 4, 6, 8, 10, 12, 14, 16):
-            got = [str(s) for s in enumerate_balanced_bracelets(length)]
-            assert got == brute_force_balanced_bracelets(length)
+            assert enumerate_balanced_bracelets(length) == \
+                brute_force_balanced_bracelets(length)
 
     def test_matches_reference_filter(self):
         for length in range(2, 21, 2):
@@ -147,9 +156,9 @@ class TestEnumeration:
     @given(st.integers(1, 9).flatmap(
         lambda half: st.permutations("1" * half + "2" * half)))
     def test_orbit_of_a_random_word_is_enumerated(self, letters):
-        seq = CyclicBinarySeq("".join(letters))
-        words = enumerate_balanced_bracelets(len(seq))
-        assert canonical_form(seq) in words
+        word = "".join(letters)
+        words = enumerate_balanced_bracelets(len(word))
+        assert canonical_form(word) in words
         assert all(canonical_form(w) == w for w in words)
         assert all(u < w for u, w in zip(words, words[1:]))
 
@@ -206,10 +215,10 @@ class TestBurnside:
 
 class TestSelectInequivalent:
     def test_m1(self):
-        assert [str(s) for s in select_inequivalent(1)] == ["12"]
+        assert select_inequivalent(1) == ["12"]
 
     def test_m2(self):
-        assert [str(s) for s in select_inequivalent(2)] == ["1122", "1212"]
+        assert select_inequivalent(2) == ["1122", "1212"]
 
     def test_m3_prefix_of_enumeration(self):
         sel = select_inequivalent(3)
@@ -223,7 +232,7 @@ class TestSelectInequivalent:
             assert len(set(sel)) == m
             for s in sel:
                 assert len(s) == 2 ** m
-                assert s.word.count("1") == len(s) // 2
+                assert s.count("1") == len(s) // 2
                 assert canonical_form(s) == s
 
     def test_matches_reference_scan(self):
@@ -235,7 +244,7 @@ class TestSelectInequivalent:
             h = 2 ** (m - 1)
             expected = ["1" * h + "2" * h] + [
                 "1" * (h - 1) + "2" * j + "1" + "2" * (h - j) for j in range(1, m)]
-            assert [s.word for s in select_inequivalent(m)] == expected, m
+            assert select_inequivalent(m) == expected, m
 
     def test_short_generator_raises(self, monkeypatch):
         def short(length, limit):
@@ -248,16 +257,15 @@ class TestSelectInequivalent:
     def test_long_words_need_no_recursion(self):
         sel = select_inequivalent(14)
         assert len(sel) == 14 and len(sel[-1]) == 2 ** 14
-        assert sel[0].word == "1" * 2 ** 13 + "2" * 2 ** 13
+        assert sel[0] == "1" * 2 ** 13 + "2" * 2 ** 13
 
 
 class TestLengthsAndBudget:
     def test_two_letter_word(self):
-        s = CyclicBinarySeq("12")
-        assert glued_geodesic_length(s, 0.3, 0.5) == pytest.approx(2 * 0.3 + 2 * 0.5)
+        assert glued_geodesic_length("12", 0.3, 0.5) == pytest.approx(2 * 0.3 + 2 * 0.5)
 
     def test_all_ones(self):
-        assert glued_geodesic_length(CyclicBinarySeq("1111"), 0.1, 9.9) == pytest.approx(0.8)
+        assert glued_geodesic_length("1111", 0.1, 9.9) == pytest.approx(0.8)
 
     def test_balanced_equal_lengths(self):
         for length in (2, 4, 8):
@@ -296,7 +304,6 @@ class TestBraceletsCommand:
 
         got = certificate()
         assert got[0] == 0
-        monkeypatch.setattr(cli, "_bracelets_lex", lambda length: [
-            s.word for s in reference_bracelets(length)])
+        monkeypatch.setattr(cli, "enumerate_balanced_bracelets", reference_bracelets)
         monkeypatch.setattr(cli, "select_inequivalent", reference_select)
         assert certificate() == got

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from smallsys import hypgeom
 from smallsys.exactfield import KElem, SQRT2
 from smallsys.hypgeom import (
     GeodesicHyperplane,
@@ -109,6 +110,20 @@ class TestHyperplanes:
         rel = dist_hyperplanes(h1, h2)
         assert rel.kind == "intersecting"
         assert float(rel.angle) == pytest.approx(math.pi / 2, abs=1e-9)
+
+    def test_norm_is_computed_once(self, monkeypatch):
+        h = GeodesicHyperplane.coordinate(F2)
+        image = h.image(block_g2().to_isometry())
+        for plane in (h, image):
+            assert plane.norm == bilinear(F2, plane.normal, plane.normal)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bilinear(*args)
+        monkeypatch.setattr(hypgeom, "bilinear", counted)
+        assert dist_hyperplanes(h, image).kind == "disjoint"
+        assert len(calls) == 1
 
     def test_timelike_normal_rejected(self):
         with pytest.raises(GeometryError):

@@ -19,8 +19,6 @@ from smallsys.polyalg import (
     enumerate_bounded,
     epsilon_gap,
     is_algebraic_integer,
-    is_measure_one,
-    mahler_measure,
     min_mahler_above_one,
     minpoly_over_Q,
     product,
@@ -340,22 +338,25 @@ def cyclotomic_products_up_to_degree(D):
 
 class TestMahlerMeasure:
     def test_linear(self):
-        assert mahler_measure(ZPoly([-2, 1]), 1e-9) == pytest.approx(2.0, abs=1e-9)
+        assert float(polyalg._enclosure(ZPoly([-2, 1]), 1e-9)) == pytest.approx(
+            2.0, abs=1e-9)
 
     def test_cyclotomic(self):
-        assert mahler_measure(ZPoly([1, 1, 1]), 1e-9) == pytest.approx(1.0, abs=1e-9)
+        assert float(polyalg._enclosure(ZPoly([1, 1, 1]), 1e-9)) == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_plastic(self):
-        assert mahler_measure(ZPoly([-1, -1, 0, 1]), 1e-7) == pytest.approx(
+        assert float(polyalg._enclosure(ZPoly([-1, -1, 0, 1]), 1e-7)) == pytest.approx(
             PLASTIC, abs=1e-7)
 
     def test_repeated_roots_exact(self):
         # (x^2+1)^2 and (x-1)^4 read above 1 in bare double precision
-        assert mahler_measure(ZPoly([1, 0, 2, 0, 1]), 1e-9) == pytest.approx(1.0, abs=1e-9)
-        assert mahler_measure(ZPoly([1, -4, 6, -4, 1]), 1e-9) == pytest.approx(1.0, abs=1e-9)
-        assert is_measure_one(ZPoly([1, 0, 2, 0, 1]))
-        assert is_measure_one(ZPoly([1, -4, 6, -4, 1]))
-        assert not is_measure_one(ZPoly([-1, -1, 1]))
+        for coeffs in ([1, 0, 2, 0, 1], [1, -4, 6, -4, 1]):
+            assert float(polyalg._enclosure(ZPoly(coeffs), 1e-9)) == pytest.approx(
+                1.0, abs=1e-9)
+        assert polyalg._graeffe_walk(ZPoly([1, 0, 2, 0, 1]), ())[0]
+        assert polyalg._graeffe_walk(ZPoly([1, -4, 6, -4, 1]), ())[0]
+        assert not polyalg._graeffe_walk(ZPoly([-1, -1, 1]), ())[0]
 
     def test_invariance_mirror_and_reversal(self):
         rng = random.Random(61)
@@ -365,21 +366,22 @@ class TestMahlerMeasure:
             if pal[0] == 0 or pal[-1] == 0:
                 continue
             p = ZPoly(pal)
-            m = mahler_measure(p, 1e-8)
+            m = float(polyalg._enclosure(p, 1e-8))
             mirror = ZPoly([c if (p.degree() - i) % 2 == 0 else -c
                             for i, c in enumerate(p.coeffs)])
             rev = ZPoly(list(reversed(p.coeffs)))
-            assert mahler_measure(mirror, 1e-8) == pytest.approx(m, abs=1e-6)
-            assert mahler_measure(rev, 1e-8) == pytest.approx(m, abs=1e-6)
+            for q in (mirror, rev):
+                assert float(polyalg._enclosure(q, 1e-8)) == pytest.approx(m, abs=1e-6)
 
     def test_scalar_multiple(self):
-        assert mahler_measure(ZPoly([-6, 3]), 1e-9) == pytest.approx(6.0, abs=1e-8)
+        assert float(polyalg._enclosure(ZPoly([-6, 3]), 1e-9)) == pytest.approx(
+            6.0, abs=1e-8)
 
     @pytest.mark.parametrize("coeffs, want", [
         ([5], 5), ([0, 0, 3], 3), ([0, 0, 0, -2], 2)])
     def test_constant_times_a_power_of_x(self, coeffs, want):
         assert polyalg._enclosure(ZPoly(coeffs), 1e-10).width() == 0
-        assert mahler_measure(ZPoly(coeffs), 1e-10) == want
+        assert float(polyalg._enclosure(ZPoly(coeffs), 1e-10)) == want
 
     @pytest.mark.parametrize("coeffs, want", [
         ([-8, 12, -6, 1], 8.0),                       # (x - 2)^3
@@ -389,7 +391,8 @@ class TestMahlerMeasure:
     def test_repeated_non_cyclotomic_factors(self, coeffs, want):
         # polyroots never converges on a repeated root; the squarefree layers
         # hand it each distinct root once per multiplicity
-        assert mahler_measure(ZPoly(coeffs), 1e-10) == pytest.approx(want, abs=1e-10)
+        assert float(polyalg._enclosure(ZPoly(coeffs), 1e-10)) == pytest.approx(
+            want, abs=1e-10)
 
     def test_squarefree_layers(self):
         # (x - 2)^3 (x^2 - x - 1) (2x + 1)^2
@@ -411,7 +414,7 @@ class TestMahlerMeasure:
             return [r + mpmath.mpf(1e-6) for r in real(*args, **kwargs)]
         monkeypatch.setattr(polyalg.mpmath, "polyroots", shifted)
         with pytest.raises(PrecisionError):
-            mahler_measure(ZPoly([-1, -1, 1]), 1e-10)
+            polyalg._enclosure(ZPoly([-1, -1, 1]), 1e-10)
 
     @staticmethod
     def _failing_polyroots(monkeypatch, failures):
@@ -432,7 +435,7 @@ class TestMahlerMeasure:
     def test_failed_root_solve_escalates_precision(self, monkeypatch,
                                                    fresh_mahler_caches):
         tried = self._failing_polyroots(monkeypatch, 1)
-        assert mahler_measure(ZPoly([-1, -1, 1]), 1e-10) == pytest.approx(
+        assert float(polyalg._enclosure(ZPoly([-1, -1, 1]), 1e-10)) == pytest.approx(
             GOLDEN, abs=1e-10)
         assert tried == [64, 128]
 
@@ -440,7 +443,7 @@ class TestMahlerMeasure:
                                                     fresh_mahler_caches):
         tried = self._failing_polyroots(monkeypatch, float("inf"))
         with pytest.raises(PrecisionError):
-            mahler_measure(ZPoly([-1, -1, 1]), 1e-10)
+            polyalg._enclosure(ZPoly([-1, -1, 1]), 1e-10)
         assert tried == [64, 128, 256, 512, 1024, 2048, 4096]
 
 
@@ -606,7 +609,7 @@ def box_verdicts(D, mu):
         one = reference_measure_one(poly)
         verdict = one or reference_graeffe_verdict(poly, powers)
         if verdict is None:
-            measure = mahler_measure(poly, 1e-12)
+            measure = float(polyalg._enclosure(poly, 1e-12))
             assert abs(measure - mu) > ORACLE_SLACK, poly
             verdict = measure <= mu
         if verdict:
@@ -622,7 +625,7 @@ def box_min_mahler(D):
     on the plastic number 1.32472 lies below it, so the result is the same
     and the D = 5 box stays small."""
     for cap in (1.3248, 1.7, 2.0001):
-        measured = [(mahler_measure(poly, 1e-10), poly)
+        measured = [(float(polyalg._enclosure(poly, 1e-10)), poly)
                     for poly, one in box_verdicts(D, cap).items() if not one]
         if measured:
             best = min(m for m, _ in measured)
@@ -649,7 +652,7 @@ class TestPowerSumEnumeration:
             one = reference_measure_one(poly)
             want = (one, one or reference_graeffe_verdict(poly, powers))
             assert polyalg._graeffe_walk(poly, powers) == want, poly
-            assert is_measure_one(poly) == one
+            assert polyalg._graeffe_walk(poly, ())[0] == one
 
     @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
     def test_min_mahler_matches_box(self, D):
@@ -902,7 +905,6 @@ def test_enclosure_contains_the_measure(p):
     assert iv.width() < 1e-10
     man, exp = sympy_measure_256(sympy, p).man_exp
     assert Fraction(man) * Fraction(2) ** exp in iv
-    assert mahler_measure(p, 1e-10) == float(iv)
 
 
 def test_cyclotomic_polynomials_match_sympy():

@@ -13,7 +13,7 @@ inversion, once, and the field and integrality readers share it.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactfield import K_ONE, KElem, as_tower_coords, sqrt_k
@@ -123,12 +123,12 @@ def word_to_text(word) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
-    """Smallest level of Q < k < K containing every sampled adjoint trace,
-    with one witness per proper field generator present."""
-    level: str                                   # "Q" | "k" | "K"
-    witnesses: tuple = ()                        # ((word_text, trace), ...)
+class FieldDescriptor(namedtuple("FieldDescriptor", "level witnesses", defaults=((),))):
+    """Smallest level, "Q", "k" or "K", of Q < k < K containing every sampled
+    adjoint trace, with one witness (word_text, trace) per proper field
+    generator present."""
+
+    __slots__ = ()
 
 
 def trace_field_sample(sample: GroupSample) -> FieldDescriptor:
@@ -165,10 +165,7 @@ def integrality_scan(sample: GroupSample):
     return out
 
 
-@dataclass(frozen=True)
-class NonQAReport:
-    passed: bool
-    failures: tuple = ()
+NonQAReport = namedtuple("NonQAReport", "passed failures", defaults=((),))
 
 
 def non_qa_certificate(a, subgroup_field: FieldDescriptor,

@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (
@@ -75,11 +74,13 @@ def _fmt(x) -> str:
     return f"{sign}{head}.{tail:012d}" + (f"e{e:+03d}" if e else "")
 
 
-@dataclass
 class Certificate:
-    command: str
-    inputs: dict
-    checks: list = field(default_factory=list)
+    """A command's inputs and the checks it has added so far."""
+
+    __slots__ = ("command", "inputs", "checks")
+
+    def __init__(self, command: str, inputs: dict):
+        self.command, self.inputs, self.checks = command, inputs, []
 
     def add(self, name: str, claim: str, ok, exact=None, numeric=None,
             skip: bool = False):

@@ -18,11 +18,10 @@ their positive roots.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
-
-from mpmath import libmp
 
 
 class ContextMismatchError(ValueError):
@@ -64,18 +63,148 @@ def _isqrt_up(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-def _libmp_dir(fn, man: int, prec: int, upper: bool) -> int:
-    """One transcendental endpoint fn(man / 2^prec), padded outward past
-    libmp's rounding by max(|value|, 1) / 2^(prec+8) and rounded outward to a
-    mantissa over 2^prec."""
-    work = prec + 16
-    rnd = "c" if upper else "f"
-    sign, m, exp, _ = fn(libmp.from_man_exp(man, -prec, work, rnd), work, rnd)
-    # the value is n / 2^sh, so 2^prec (value +- pad) is (n 2^(prec+8) +- pad') / 2^(sh+8)
-    sh = max(0, -exp)
-    n = (-m if sign else m) << (exp + sh)
-    pad, n = max(abs(n), 1 << sh), n << (prec + 8)
-    return _ceil_shift(n + pad, sh + 8) if upper else (n - pad) >> (sh + 8)
+# Transcendental endpoints run in fixed point: an int v stands for v / 2^w at
+# a working precision w = prec + guard bits, and each kernel returns (v, err,
+# w) with |v - 2^w f(x)| <= err units (ulps at w bits).  ``_outward`` pads the
+# endpoint by err and by max(|v|, 1) / 2^(prec+8), then rounds it outward to a
+# mantissa over 2^prec.
+
+@functools.cache
+def _odd_recips(w: int, n: int) -> tuple:
+    """2^w // (2j + 1) for j = n, n - 1, ..., 0."""
+    return tuple((1 << w) // (2 * j + 1) for j in range(n, -1, -1))
+
+
+def _odd_series(z: int, w: int, alt: bool) -> int:
+    """2^w atan(z / 2^w) (alt) or 2^w atanh(z / 2^w) for |z| < 2^w / 2, the
+    odd series summed by Horner's rule to the term below 2^-w, within 5 units.
+    The running sum s_j <= 4/3 gains at most 1 + 4/3 + 1 units a step and
+    keeps a quarter of its error, so it stays within 40/9; times z it is
+    within 40/18 + 1, and the dropped tail is below 1."""
+    neg, z = z < 0, abs(z)
+    gap = w - z.bit_length()            # |z| < 2^-gap as a value
+    if gap >= w:
+        return 0
+    c = _odd_recips(w, -(-w // (2 * gap)))
+    z2, acc = z * z >> w, c[0]
+    for r in c[1:]:
+        acc = r - (acc * z2 >> w) if alt else r + (acc * z2 >> w)
+    acc = acc * z >> w
+    return -acc if neg else acc
+
+
+@functools.cache
+def _ln2(w: int) -> int:
+    """2^w ln 2 within 2 units: 2 atanh(1/3) at w + 4 bits."""
+    return _odd_series((1 << w + 4) // 3, w + 4, False) >> 3
+
+
+@functools.cache
+def _pi(w: int) -> int:
+    """2^w pi within 2 units: Machin's 16 atan(1/5) - 4 atan(1/239) at w + 8
+    bits."""
+    w8 = w + 8
+    return (4 * _odd_series((1 << w8) // 5, w8, True)
+            - _odd_series((1 << w8) // 239, w8, True)) >> 6
+
+
+def _log_fix(man: int, prec: int):
+    """log(man / 2^prec) for man > 0, as (v, err, w).  With man / 2^prec =
+    2^e t, t in [1/sqrt2, sqrt2) within 2 units, k square roots by isqrt take
+    t to t_k, whose log stays within 3 units, and log t = 2^(k+1) atanh(z) for
+    z = (t_k - 1) / (t_k + 1), |z| < 2^-(k+2).  z's floor and the series add
+    2 and 10 units of log t_k, and scaling back multiplies the 15 by 2^k;
+    e ln 2 adds 2 |e|.  So err = 2^(k+4) + 2 |e| units."""
+    w = prec + 24
+    k = math.isqrt(w) >> 2
+    w += k
+    b = man.bit_length()
+    t = man << w - b if b <= w else man >> b - w
+    e = b - prec
+    if t * t << 1 < 1 << 2 * w:
+        t, e = t << 1, e - 1
+    for _ in range(k):
+        t = math.isqrt(t << w)
+    one = 1 << w
+    s = _odd_series(((t - one) << w) // (t + one), w, False)
+    return e * _ln2(w) + (s << k + 1), (16 << k) + 2 * abs(e), w
+
+
+def _sinh_fix(man: int, prec: int):
+    """sinh(man / 2^prec) as (v, err, w); sinh is odd, so x = |man| / 2^prec.
+    For x < 1 the odd series x^(2j+1) / (2j+1)! in fixed point: each term is
+    within 3 units, so n terms are within 3n + 4 with the tail, and a tiny x
+    loses no bits.  Above, e^x = 2^q e^r with r = x - q ln 2 in [0, ln 2)
+    within 2q units.  e^(r/2^s) by n terms of the exp series is within
+    3n + 3 + 2q/2^s units, relative, and s squarings give e^r within
+    eps = 2^s (3n + 4) + 2q.  Then e^x is within eps 2^(q+1), e^-x within
+    eps + 2, and their half difference within err = eps 2^(q+1) + 2."""
+    x = abs(man)
+    if x < 1 << prec:
+        w = prec + 24
+        x <<= 24
+        x2, v, n = x * x >> w, 0, 0
+        while x:
+            v += x
+            n += 1
+            x = (x * x2 >> w) // (2 * n * (2 * n + 1))
+        err = 3 * n + 4
+    else:
+        s = 8
+        w = prec + 24 + s + (x >> prec).bit_length()
+        x <<= w - prec
+        ln2 = _ln2(w)
+        q = x // ln2
+        r = (x - q * ln2) >> s
+        term = m = 1 << w
+        n = 0
+        while term:
+            n += 1
+            term = (term * r >> w) // n
+            m += term
+        for _ in range(s):
+            m = m * m >> w
+        v = ((m << q) - ((1 << 2 * w) // m >> q)) >> 1
+        err = ((((3 * n + 4) << s) + 2 * q) << q + 1) + 2
+    return (-v if man < 0 else v), err, w
+
+
+def _acos_fix(man: int, prec: int):
+    """acos(man / 2^prec) for |man| <= 2^prec, as (v, err, w).  With x the
+    value and y = sqrt(1 - x^2) from isqrt (within 1 unit), acos x is
+    pi/2 - atan(x / y) when |x| <= y, else atan(y / x) for x > 0 and
+    pi + atan(y / x) for x < 0, each quotient at most 1 and within 3 units.
+    k half-angle steps atan z = 2 atan(z / (1 + sqrt(1 + z^2))) keep its
+    angle within 3 units and leave |z| < 1/2; the series adds 5, and pi 2,
+    so err = 2^(k+3) + 2 units."""
+    w = prec + 24
+    k = math.isqrt(w) >> 2
+    w += k
+    one, x = 1 << w, man << w - prec
+    y = math.isqrt((one << w) - x * x)
+    if abs(x) <= y:
+        z, base, sign = (x << w) // y, _pi(w) >> 1, -1
+    else:
+        z, base, sign = (y << w) // x, 0 if x > 0 else _pi(w), 1
+    for _ in range(k):
+        z = (z << w) // (one + math.isqrt((one << w) + z * z))
+    return base + sign * (_odd_series(z, w, True) << k), (8 << k) + 2, w
+
+
+def _outward(fixed, prec: int, upper: bool) -> int:
+    """A kernel's (v, err, w) rounded outward to a mantissa over 2^prec, past
+    err and a pad of max(|v|, 1) / 2^(prec+8)."""
+    v, err, w = fixed
+    pad = err + (max(abs(v), 1 << w) >> prec + 8) + 1
+    return _ceil_shift(v + pad, w - prec) if upper else (v - pad) >> w - prec
+
+
+def _endpoints(fix, low: int, high: int, prec: int):
+    """The mantissas of fix(low) rounded down and fix(high) rounded up; a
+    point runs the kernel once."""
+    a = fix(low, prec)
+    b = a if high == low else fix(high, prec)
+    return _outward(a, prec, False), _outward(b, prec, True)
 
 
 class RealInterval:
@@ -85,7 +214,7 @@ class RealInterval:
     lo = man_lo / 2^precision and hi = man_hi / 2^precision, so every
     operation works on plain ints.  A result is rounded outward to the smaller
     precision of its operands (a transcendental endpoint is padded outward past
-    libmp's rounding first); ``lo`` and ``hi`` are read-only Fraction views.
+    its kernel's error first); ``lo`` and ``hi`` are read-only Fraction views.
     """
 
     __slots__ = ("man_lo", "man_hi", "precision")
@@ -219,13 +348,11 @@ class RealInterval:
         if self.man_lo <= 0:
             raise ValueError("log needs a positive interval")
         p = self.precision
-        return _interval(_libmp_dir(libmp.mpf_log, self.man_lo, p, False),
-                         _libmp_dir(libmp.mpf_log, self.man_hi, p, True), p)
+        return _interval(*_endpoints(_log_fix, self.man_lo, self.man_hi, p), p)
 
     def sinh(self) -> "RealInterval":
         p = self.precision
-        return _interval(_libmp_dir(libmp.mpf_sinh, self.man_lo, p, False),
-                         _libmp_dir(libmp.mpf_sinh, self.man_hi, p, True), p)
+        return _interval(*_endpoints(_sinh_fix, self.man_lo, self.man_hi, p), p)
 
     def acos(self) -> "RealInterval":
         p = self.precision
@@ -233,8 +360,8 @@ class RealInterval:
         hi = min(self.man_hi, 1 << p)
         if lo > hi:
             raise ValueError("acos needs an interval meeting [-1, 1]")
-        return _interval(max(_libmp_dir(libmp.mpf_acos, hi, p, False), 0),
-                         max(_libmp_dir(libmp.mpf_acos, lo, p, True), 0), p)
+        lo, hi = _endpoints(_acos_fix, hi, lo, p)     # acos falls
+        return _interval(max(lo, 0), max(hi, 0), p)
 
 
 # the slots are written through their descriptors, past the __setattr__ guard

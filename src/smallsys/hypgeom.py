@@ -9,7 +9,7 @@ only the final distance or angle is a certified interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactfield import KElem, RealInterval, embed
 from .lorentz import Isometry, QuadForm, mat_vec, sum_prod
@@ -58,12 +58,13 @@ class GeodesicHyperplane:
         return f"GeodesicHyperplane(n={self.form.n})"
 
 
-@dataclass(frozen=True)
-class HyperplaneRelation:
-    kind: str                      # disjoint | asymptotic | intersecting
-    cosh_sq: object                # exact B(u,u')^2 / (f(u) f(u')) in the field
-    distance: RealInterval | None = None
-    angle: RealInterval | None = None
+class HyperplaneRelation(namedtuple("HyperplaneRelation", "kind cosh_sq distance angle",
+                                    defaults=(None, None))):
+    """kind is "disjoint", "asymptotic" or "intersecting"; cosh_sq is the
+    exact B(u,u')^2 / (f(u) f(u')) in the field; distance and angle are
+    RealIntervals, or None."""
+
+    __slots__ = ()
 
 
 def dist_hyperplanes(h1: GeodesicHyperplane, h2: GeodesicHyperplane,

@@ -12,12 +12,13 @@ polynomial, so that is their product, the k/Q norm of f.  The Mahler
 enumeration walks, on integers, the binomial box cut by the power-sum
 bound |s_k| <= d - 1 + mu^k, and decides each candidate there (Kronecker
 test, then Graeffe and Landau bounds against the exact cap); the measure
-decides the few left open, enclosed on ints by Smith's disks about mpmath's
-roots of the squarefree layers an integer gcd splits off.  Every verdict
-against a cap or the best so far is decided on those enclosures, never on a
-float, and equal measures meet as equal keys: the least member under x -> -x
-and reversal of g, where g(x^k) is the cyclotomic-free core (M(g(x^k)) =
-M(g)).  Enclosures, and min_mahler_above_one, are computed once per process;
+decides the few left open, enclosed on ints by Smith's disks about the
+roots of the squarefree layers an integer gcd splits off, which Aberth's
+iteration in floats and Durand-Kerner steps on Gaussian ints approximate.
+Every verdict against a cap or the best so far is decided on those
+enclosures, never on a float, and equal measures meet as equal keys: the
+least member under x -> -x and reversal of g, where g(x^k) is the
+cyclotomic-free core (M(g(x^k)) = M(g)).  Enclosures, and min_mahler_above_one, are computed once per process;
 from degree 3 on it walks only palindromic polynomials (Smyth 1971).
 ZPoly is the QPoly that stores ints, and every product runs in one loop, _mul.
 """
@@ -29,13 +30,12 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
-
 from .exactfield import (K_ONE, RealInterval, TowerElem, _tower, as_kelem,
                          embed, escalate, sqrt_k)
 from .exactfield import PrecisionError  # noqa: F401  the Mahler measure raises it
 
 GRAEFFE_STEPS = 6       # iterates tried before the certified measure decides
+ROOT_STEPS = 100        # iterations each root-finding stage may take
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +293,90 @@ def _squarefree_layers(c):
     return [_divide_exact(c, g)] + _squarefree_layers(g)
 
 
+def _scaled_value(c, x, y, w: int):
+    """2^(w d) c(z) for z = (x + iy) / 2^w and c of degree d (constant
+    first), as the Gaussian int (re, im), by Horner's rule."""
+    d = len(c) - 1
+    vr, vi = c[-1], 0
+    for k in range(d - 1, -1, -1):
+        vr, vi = vr * x - vi * y + (c[k] << w * (d - k)), vr * y + vi * x
+    return vr, vi
+
+
+def _float_roots(c):
+    """Approximate roots of the squarefree integer polynomial c (constant
+    first) in complex floats, by Aberth's iteration from a circle about 0 of
+    radius 2 max |c_k / c_d|^(1/(d-k)), which holds every root (Fujiwara),
+    until each step moves every root by less than 2^-40 of max(1, |z|);
+    None when floats overflow or divide by zero."""
+    d = len(c) - 1
+    try:
+        a = [float(v) for v in c]
+        r = 2 * max(abs(a[k] / a[d]) ** (1 / (d - k)) for k in range(d))
+        z = [r * complex(math.cos(t), math.sin(t))
+             for t in (2 * math.pi * j / d + 0.4 for j in range(d))]
+        for _ in range(ROOT_STEPS):
+            worst = 0.0
+            for i, zi in enumerate(z):
+                p, dp = a[d], 0.0
+                for v in a[d - 1::-1]:
+                    p, dp = p * zi + v, dp * zi + p
+                w = p / dp
+                w /= 1 - w * sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                z[i] = zi - w
+                worst = max(worst, abs(w) / max(1.0, abs(zi)))
+            if worst < 2 ** -40:
+                break
+    except ArithmeticError:
+        return None
+    return z if all(math.isfinite(v.real + v.imag) for v in z) else None
+
+
+def _roots(c, prec: int):
+    """The roots of the squarefree integer polynomial c (constant first) as
+    Gaussian dyadics (x + iy) / 2^prec, listed as (x, y), or None when they
+    do not settle.  ``_float_roots`` starts them; Durand-Kerner steps z_i -=
+    c(z_i) / (lc prod_{j != i} (z_i - z_j)) on Gaussian ints over 2^(prec+4),
+    exact for the current z, refine them until no correction exceeds one
+    unit.  Smith's disks certify whatever comes back, so a poor root costs
+    a higher precision, never a wrong measure."""
+    z = _float_roots(c)
+    if z is None:
+        return None
+    lc, w = c[-1], prec + 4
+    z = [tuple((n << w) // m for n, m in map(float.as_integer_ratio, (v.real, v.imag)))
+         for v in z]
+    for _ in range(ROOT_STEPS):
+        settled = True
+        for i, (x, y) in enumerate(z):
+            nr, ni = _scaled_value(c, x, y, w)
+            dr, di = lc, 0          # lc 2^(w (d-1)) prod (z_i - z_j)
+            for j, (u, v) in enumerate(z):
+                if j != i:
+                    dr, di = dr * (x - u) - di * (y - v), dr * (y - v) + di * (x - u)
+            norm = dr * dr + di * di
+            if not norm:
+                return None
+            # the correction n / d to the nearest Gaussian int
+            qr = (2 * (nr * dr + ni * di) + norm) // (2 * norm)
+            qi = (2 * (ni * dr - nr * di) + norm) // (2 * norm)
+            z[i] = (x - qr, y - qi)
+            settled = settled and abs(qr) <= 1 and abs(qi) <= 1
+        if settled:
+            return [((x + 8) >> 4, (y + 8) >> 4) for x, y in z]
+    return None
+
+
 def _smith_measure(c, prec: int):
     """|lc| prod max(1, |root|) of the squarefree integer polynomial c as a
-    RealInterval at 2 prec bits, or None when mpmath's roots at prec bits,
-    rounded to Gaussian dyadics z_i = (x + iy) / 2^prec, do not isolate the
-    roots.  By Smith (1970) the disks about z_i of radius r_i = d |c(z_i)| /
+    RealInterval at 2 prec bits, or None when ``_roots`` at prec bits, the
+    Gaussian dyadics z_i = (x + iy) / 2^prec, do not isolate the roots.  By
+    Smith (1970) the disks about z_i of radius r_i = d |c(z_i)| /
     (|lc| prod_{j != i} |z_i - z_j|) cover the roots of c, and each of them
     holds exactly one when they are pairwise disjoint."""
     d, q = len(c) - 1, 2 * prec
-    with mpmath.workprec(prec):
-        try:
-            roots = mpmath.polyroots(c[::-1], maxsteps=200)
-        except mpmath.libmp.NoConvergence:
-            return None
-        z = [(int(mpmath.ldexp(r.real, prec)), int(mpmath.ldexp(r.imag, prec)))
-             for r in roots]
-    if len(set(z)) < d:
+    z = _roots(c, prec)
+    if z is None or len(set(z)) < d:
         return None
 
     def sqrt(num, den):
@@ -316,9 +384,7 @@ def _smith_measure(c, prec: int):
     sq = [[(x - u) ** 2 + (y - v) ** 2 for u, v in z] for x, y in z]
     radii, out = [], abs(c[-1])
     for i, (x, y) in enumerate(z):
-        vr, vi = c[-1], 0           # 2^(prec d) c(z_i) by Horner's rule
-        for k in range(d - 1, -1, -1):
-            vr, vi = vr * x - vi * y + (c[k] << prec * (d - k)), vr * y + vi * x
+        vr, vi = _scaled_value(c, x, y, prec)
         dist = math.prod(s for j, s in enumerate(sq[i]) if j != i)
         r = sqrt(d * d * (vr * vr + vi * vi), c[-1] ** 2 * dist << q)
         m = sqrt(x * x + y * y, 1 << q)                 # |z_i|

@@ -277,7 +277,9 @@ class TestSearch:
          "800c0cb9f28f83205247ae91f08c7fee9f5b00312b867bee1860f364cee10a78"),
         (["search", "--c", "1", "--epsilon", "0.001", "--height-bound", "25"], 1,
          "46b3af32318cc138cecac36fe21cf490f52109a452a88523f22967a16fe90123"),
-    ], ids=["tower-lambda", "tower-lambda-exhausted"])
+        (["search", "--c", "1", "--epsilon", "1e-300"], 1,
+         "04a70b2d0daf3c89d5dfcaadbbfddfcf37a8a7dd819003a433d69f67f9a0817d"),
+    ], ids=["tower-lambda", "tower-lambda-exhausted", "tiny-epsilon-exhausted"])
     def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, code, digest):
         path = tmp_path / "cert.json"
         assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == code
@@ -371,10 +373,12 @@ class TestMahler:
          "4ca2b2203210a81821f71e8ee93a8be3cfa0bdb364c8dd46fddf74578515c986"),
         (["mahler", "--D", "8"],
          "04559736afaf47a27c2f1789a92b57f504bbeadd0b2bc0fabff201d041f95a5d"),
+        (["mahler", "--D", "12"],
+         "62a295258314cde06aea70b25e509639c58820af7fa244cbc49eb6b3df66f346"),
         (["budget", "--m", "3", "--D", "4"],
          "f848774baa5d88386ea10288832a0d42e0de59ec8446b7af98d0238a92f78a27"),
     ], ids=["mahler-2", "mahler-3", "mahler-4", "mahler-5", "mahler-6",
-            "mahler-7", "mahler-8", "budget-3-4"])
+            "mahler-7", "mahler-8", "mahler-12", "budget-3-4"])
     def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, digest):
         path = tmp_path / "cert.json"
         assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == 0
@@ -424,13 +428,24 @@ class TestInternalFailure:
         assert err == "internal error: PrecisionError: Mahler measure did not converge\n"
         assert out == ""
 
-    def test_import_leaves_numpy_unloaded(self):
-        code = "import sys, smallsys.cli; print('numpy' in sys.modules)"
+    @staticmethod
+    def loaded_by_import(*names):
+        """Those of the named modules that a fresh interpreter holds after
+        importing smallsys.cli."""
+        code = f"import sys, smallsys.cli; print([m for m in {names!r} if m in sys.modules])"
         src = os.path.dirname(os.path.dirname(cli.__file__))
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}).stdout
-        assert out.strip() == "False"
+        return out.strip()
+
+    def test_import_leaves_numpy_unloaded(self):
+        assert self.loaded_by_import("numpy") == "[]"
+
+    # every command starts a fresh interpreter, and these imports cost tens of
+    # milliseconds there that no command needs
+    def test_import_leaves_mpmath_dataclasses_and_inspect_unloaded(self):
+        assert self.loaded_by_import("mpmath", "dataclasses", "inspect") == "[]"
 
 
 class TestBracelets:

@@ -11,18 +11,23 @@ about 2^-256 relative, is allowed for.
 `ReferenceInterval` is the interval class with exact `Fraction` endpoints
 that `RealInterval` replaced.  `RealInterval` keeps each endpoint as an int
 mantissa over 2^precision and rounds at the same places, so for every
-operation and for `KElem.embed` it must return exactly the reference's
-endpoints, with the operands' precisions mixed.
+arithmetic operation, for sqrt and for `KElem.embed` it must return exactly
+the reference's endpoints, with the operands' precisions mixed.  Its log,
+sinh and acos run on its own fixed-point kernels, padded as the reference
+pads libmp's value, so each of their endpoints must lie within one ulp of
+the reference's.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
+from smallsys import exactfield
 from smallsys.exactfield import SQRT2, KElem, RealInterval
 from smallsys.hypgeom import GeodesicHyperplane, dist_hyperplanes
 from smallsys.lorentz import param_block
@@ -228,10 +233,15 @@ def oracle_slack(v):
     return abs(v) / 2 ** 240 + Fraction(1, 2 ** 240)
 
 
+def to_fraction(value) -> Fraction:
+    """An mpf's exact value."""
+    sign, man, exp, _ = value._mpf_         # man_exp drops the sign
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
 def assert_encloses(iv: RealInterval, value):
     """iv contains the mpmath value, up to the oracle's rounding error."""
-    sign, man, exp, _ = value._mpf_         # man_exp drops the sign
-    v = (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+    v = to_fraction(value)
     slack = oracle_slack(v)
     assert iv.lo - slack <= v <= iv.hi + slack, (iv, value)
 
@@ -276,6 +286,63 @@ def test_hyperplane_distance_encloses(c, a, b, precision):
 @given(rationals(-1, 1), rationals(-1, 1), PRECISIONS)
 def test_acos_encloses(x, y, precision):
     check("acos", mpmath.acos, x, y, precision)
+
+
+def ulp_from(x):
+    """The points one ulp above and below x at each precision k."""
+    return [lambda k: x + Fraction(1, 2 ** k), lambda k: x - Fraction(1, 2 ** k)]
+
+
+def point(x):
+    return lambda k: Fraction(x)
+
+
+# log near 1, sinh of tiny and of large arguments, and acos at -1, 0 and 1,
+# at precisions from the least allowed to the escalation ceiling
+@pytest.mark.parametrize("bits", [16, 64, 128, 4096])
+@pytest.mark.parametrize("method, oracle, points", [
+    ("log", mpmath.log, [point(1), point(Fraction(1001, 1000))] + ulp_from(1)),
+    ("sinh", mpmath.sinh, [point(Fraction(1, 2 ** 60)), point(Fraction(-1, 2 ** 61)),
+                           point(Fraction(1, 2 ** 300)), point(64), point(-64),
+                           point(Fraction(1001, 10))]),
+    ("acos", mpmath.acos, [point(-1), point(0), point(1)] + ulp_from(1)[1:]
+     + ulp_from(-1)[:1]),
+], ids=["log", "sinh", "acos"])
+def test_kernels_at_the_edges(method, oracle, points, bits):
+    """Each result encloses the oracle's values, at bits + 64, at the input's
+    endpoints, and its endpoints lie within two ulps of them: 2^-bits, or
+    bits significant bits beyond 1."""
+    for at in points:
+        arg = RealInterval(at(bits), at(bits), bits)
+        iv = getattr(arg, method)()
+        with mpmath.workprec(bits + 64):
+            lo, hi = sorted(to_fraction(oracle(mpmath.mpf(v.numerator) / v.denominator))
+                            for v in (arg.lo, arg.hi))
+        ulp = max(abs(hi), Fraction(1)) / 2 ** bits
+        slack = ulp / 2 ** 40
+        assert iv.lo - slack <= lo and hi <= iv.hi + slack, (at(bits), iv)
+        assert lo - iv.lo <= 2 * ulp and iv.hi - hi <= 2 * ulp, (at(bits), iv)
+
+
+# each kernel's (v, err, w): |v - 2^w f(man / 2^prec)| <= err, the bound its
+# docstring derives, against mpmath at w + 64 bits
+KERNELS = [(exactfield._log_fix, mpmath.log, lambda k: (1, 1 << k + 20)),
+           (exactfield._sinh_fix, mpmath.sinh, lambda k: (-100 << k, 100 << k)),
+           (exactfield._acos_fix, mpmath.acos, lambda k: (-1 << k, 1 << k))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNELS), st.sampled_from([16, 64, 128, 1024]), st.data())
+def test_kernels_stay_within_their_stated_error(kernel, bits, data):
+    fix, oracle, bounds = kernel
+    lo, hi = bounds(bits)
+    edges = [1, (1 << bits) - 1, 1 << bits, (1 << bits) + 1, -(1 << bits), lo, hi]
+    man = data.draw(st.one_of(st.integers(lo, hi),
+                              st.sampled_from([m for m in edges if lo <= m <= hi])))
+    v, err, w = fix(man, bits)
+    with mpmath.workprec(w + 64):
+        want = to_fraction(oracle(mpmath.mpf(man) / 2 ** bits)) * 2 ** w
+    assert abs(v - want) <= err, (man, v - want, err)
 
 
 @SETTINGS
@@ -362,26 +429,39 @@ def test_queries_match_the_reference(x, y, s):
     assert a.strictly_less(b) == ra.strictly_less(rb)
 
 
+def assert_within_an_ulp(fn, reference):
+    """fn's endpoints lie within one ulp of the reference's: 2^-precision,
+    or precision significant bits beyond 1, since libmp rounds the
+    reference's value to precision + 16 of them.  Errors must agree."""
+    got, want = outcome(fn), outcome(reference)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want
+        return
+    assert got[2] == want[2]
+    for x, y in zip(got[:2], want[:2]):
+        assert abs(x - y) <= max(abs(y), Fraction(1)) / 2 ** want[2], (got, want)
+
+
 @MATCH
 @given(st.one_of(intervals(1000), intervals(1, 20)))
 def test_sqrt_and_log_match_the_reference(x):
     a, ra = pair(*x)
-    for method in ("sqrt", "log"):
-        assert outcome(getattr(a, method)) == outcome(getattr(ra, method))
+    assert outcome(a.sqrt) == outcome(ra.sqrt)
+    assert_within_an_ulp(a.log, ra.log)
 
 
 @MATCH
 @given(intervals(50))
 def test_sinh_matches_the_reference(x):
     a, ra = pair(*x)
-    assert outcome(a.sinh) == outcome(ra.sinh)
+    assert_within_an_ulp(a.sinh, ra.sinh)
 
 
 @MATCH
 @given(intervals(2))
 def test_acos_matches_the_reference(x):
     a, ra = pair(*x)
-    assert outcome(a.acos) == outcome(ra.acos)
+    assert_within_an_ulp(a.acos, ra.acos)
 
 
 @MATCH

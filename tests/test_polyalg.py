@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smallsys import polyalg
-from smallsys.exactfield import SQRT2, KElem, TowerElem, embed, sqrt_k
+from smallsys.exactfield import SQRT2, KElem, TowerElem, embed, escalate, sqrt_k
 from smallsys.polyalg import (
     PrecisionError,
     QPoly,
@@ -389,8 +389,8 @@ class TestMahlerMeasure:
         ([1, 2, 1, -2, -2, 0, 1], PLASTIC ** 2),      # (x^3 - x - 1)^2
     ], ids=["cube", "golden-square", "plastic-square"])
     def test_repeated_non_cyclotomic_factors(self, coeffs, want):
-        # polyroots never converges on a repeated root; the squarefree layers
-        # hand it each distinct root once per multiplicity
+        # a root iteration never converges on a repeated root; the squarefree
+        # layers hand it each distinct root once per multiplicity
         assert float(polyalg._enclosure(ZPoly(coeffs), 1e-10)) == pytest.approx(
             want, abs=1e-10)
 
@@ -403,45 +403,44 @@ class TestMahlerMeasure:
             ZPoly([-2, 1]) * ZPoly([-1, -1, 1]) * ZPoly([1, 2]),
             ZPoly([-2, 1]) * ZPoly([1, 2]), ZPoly([-2, 1])]
 
-    # each test below patches mpmath.polyroots, so an enclosure that an
+    # each test below patches polyalg._roots, so an enclosure that an
     # earlier test cached must not answer for it: fresh_mahler_caches
     def test_inexact_roots_raise(self, monkeypatch, fresh_mahler_caches):
         # every root off by 1e-6 at every precision: the Smith disks stay
         # about 1e-6 wide, so no precision meets the tolerance
-        real = polyalg.mpmath.polyroots
+        real = polyalg._roots
 
-        def shifted(*args, **kwargs):
-            return [r + mpmath.mpf(1e-6) for r in real(*args, **kwargs)]
-        monkeypatch.setattr(polyalg.mpmath, "polyroots", shifted)
+        def shifted(c, prec):
+            return [(x + (1 << prec) // 10 ** 6, y) for x, y in real(c, prec)]
+        monkeypatch.setattr(polyalg, "_roots", shifted)
         with pytest.raises(PrecisionError):
             polyalg._enclosure(ZPoly([-1, -1, 1]), 1e-10)
 
     @staticmethod
-    def _failing_polyroots(monkeypatch, failures):
-        """Make mpmath.polyroots raise NoConvergence on its first `failures`
-        calls; returns the list of working precisions it was called at."""
-        real = polyalg.mpmath.polyroots
+    def _failing_roots(monkeypatch, failures):
+        """Make polyalg._roots return None, as when its iteration does not
+        settle, on its first `failures` calls; returns the list of
+        precisions it was called at."""
+        real = polyalg._roots
         tried = []
 
-        def polyroots(*args, **kwargs):
-            tried.append(mpmath.mp.prec)
-            if len(tried) <= failures:
-                raise mpmath.libmp.NoConvergence("forced")
-            return real(*args, **kwargs)
+        def roots(c, prec):
+            tried.append(prec)
+            return None if len(tried) <= failures else real(c, prec)
 
-        monkeypatch.setattr(polyalg.mpmath, "polyroots", polyroots)
+        monkeypatch.setattr(polyalg, "_roots", roots)
         return tried
 
     def test_failed_root_solve_escalates_precision(self, monkeypatch,
                                                    fresh_mahler_caches):
-        tried = self._failing_polyroots(monkeypatch, 1)
+        tried = self._failing_roots(monkeypatch, 1)
         assert float(polyalg._enclosure(ZPoly([-1, -1, 1]), 1e-10)) == pytest.approx(
             GOLDEN, abs=1e-10)
         assert tried == [64, 128]
 
     def test_root_solve_that_never_converges_raises(self, monkeypatch,
                                                     fresh_mahler_caches):
-        tried = self._failing_polyroots(monkeypatch, float("inf"))
+        tried = self._failing_roots(monkeypatch, float("inf"))
         with pytest.raises(PrecisionError):
             polyalg._enclosure(ZPoly([-1, -1, 1]), 1e-10)
         assert tried == [64, 128, 256, 512, 1024, 2048, 4096]
@@ -754,17 +753,17 @@ class TestPowerSumEnumeration:
 
     @staticmethod
     def check_measure_once(monkeypatch, D, solves):
-        real_roots, real_enclosure = polyalg.mpmath.polyroots, polyalg._enclosure
+        real_roots, real_enclosure = polyalg._roots, polyalg._enclosure
         roots, measured = [], set()
 
-        def counted_roots(*args, **kwargs):
-            roots.append(args[0])
-            return real_roots(*args, **kwargs)
+        def counted_roots(c, prec):
+            roots.append(c)
+            return real_roots(c, prec)
 
         def recorded(p, tol):
             measured.add(p)
             return real_enclosure(p, tol)
-        monkeypatch.setattr(polyalg.mpmath, "polyroots", counted_roots)
+        monkeypatch.setattr(polyalg, "_roots", counted_roots)
         monkeypatch.setattr(polyalg, "_enclosure", recorded)
         witness = ZPoly([-1, -1, 0, 1]) if D < 8 else ZPoly([1, 0, 0, -1, -1, -1, 0, 0, 1])
         value, got = min_mahler_above_one(D)
@@ -905,6 +904,33 @@ def test_enclosure_contains_the_measure(p):
     assert iv.width() < 1e-10
     man, exp = sympy_measure_256(sympy, p).man_exp
     assert Fraction(man) * Fraction(2) ** exp in iv
+
+
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+
+
+def mpmath_measure(c):
+    """|lc| prod max(1, |root|) of c (constant first) from mpmath's roots at
+    256 bits."""
+    with mpmath.workprec(256):
+        roots = mpmath.polyroots(c[::-1], maxsteps=2000, extraprec=256)
+        return abs(c[-1]) * mpmath.fprod(max(1, abs(r)) for r in roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(
+    st.integers(-5, 5).filter(bool), st.lists(st.integers(-5, 5), min_size=d - 1,
+                                              max_size=d - 1),
+    st.integers(-3, 3).filter(bool))))
+@example((1, list(LEHMER[1:-1]), 1))
+def test_roots_and_smith_disks_enclose_the_measure(parts):
+    c = (parts[0], *parts[1], parts[2])
+    assume(polyalg._squarefree_layers(c) == [c])
+    iv = escalate(lambda prec: polyalg._smith_measure(c, prec), 64, "no isolation")
+    man, exp = mpmath_measure(c).man_exp
+    value = Fraction(man) * Fraction(2) ** exp
+    slack = value / 2 ** 240
+    assert iv.lo - slack <= value <= iv.hi + slack
 
 
 def test_cyclotomic_polynomials_match_sympy():

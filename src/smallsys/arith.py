@@ -12,7 +12,6 @@ inversion, once, and the field and integrality readers share it.
 
 from __future__ import annotations
 
-import string
 from collections import namedtuple
 from fractions import Fraction
 
@@ -118,7 +117,7 @@ def word_to_text(word) -> str:
     out = []
     for ltr in word:
         idx = abs(ltr) - 1
-        ch = string.ascii_lowercase[idx]
+        ch = chr(ord("a") + idx)
         out.append(ch.upper() if ltr < 0 else ch)
     return "".join(out)
 

@@ -1,10 +1,11 @@
 """Diagonal quadratic forms of signature (n, 1) over k = Q(sqrt 2), exact
 isometry verification, the one-parameter corner-block subgroup with its
 rational conic parametrization, leading eigenvalues, translation lengths,
-and a search for small ones that reads its parameter off a bound on t^2.
-A leading eigenvalue alpha + sqrt(alpha^2 - 1) is a value of k or of the
-tower k(sqrt(alpha^2 - 1)), in its one form; a translation length is the log
-of its one certified enclosure, which every decision reads.
+and a search for small ones that decides its parameter exactly from a
+certified threshold on t^2, computing no length for a hit.  A leading
+eigenvalue alpha + sqrt(alpha^2 - 1) is a value of k or of the tower
+k(sqrt(alpha^2 - 1)), in its one form; a translation length is the log of its
+one certified enclosure, which every decision on a length reads.
 
 Forms are diag(c_1, ..., c_n, -sqrt 2) with positive spatial coefficients;
 matrices may have entries in k or in a quadratic tower over it.
@@ -16,8 +17,7 @@ import math
 from fractions import Fraction
 
 from .exactfield import (K_ONE, K_ZERO, KElem, RealInterval, SQRT2, TowerElem,
-                         as_kelem, embed, escalate, parse_kelem, sqrt2_interval,
-                         sqrt_k)
+                         as_kelem, embed, escalate, parse_kelem, sqrt_k)
 
 
 class WrongBranchError(ValueError):
@@ -363,64 +363,60 @@ def eigenvalue_length(lam, precision: int) -> RealInterval:
     return RealInterval(max(ell.lo, Fraction(0)), ell.hi, precision)
 
 
-def _length_below(lam, eps: Fraction, precision: int):
-    """None when undecided at this precision, else whether the length of the
-    block with leading eigenvalue lam is < eps (cosh(eps) is never built, so a
-    huge eps costs nothing)."""
-    length = eigenvalue_length(lam, precision)
-    return True if length.hi < eps else False if length.lo > eps else None
+def _least_root_above(q: KElem, eps: Fraction) -> int:
+    """The least n >= 1 with n^2 > T = q coth^2(eps/2), for q > 0 in k, decided
+    exactly: isqrt(floor T) + 1, once floor T has one isqrt at both ends of T's
+    enclosure, from 64 + the bits of 1/x bits up at x = eps/2, which keep
+    sinh(x) away from 0 (undecided at 4096 bits raises PrecisionError).  T is
+    transcendental, so escalation parts it from every square.
 
+    A huge eps costs nothing: at prec bits x is capped at prec.  coth^2 falls to
+    1 as x grows, so T at the cap is an upper end for the true T; and 1/sinh x
+    < 2^-prec at the cap, so its enclosure's lower end is q's own, below the
+    true T > q, and exact when q is an integer square.  As 1/sinh^2 prec <
+    2^(-2 prec), the cap adds less than q 2^(-2 prec) to the width of q's own
+    enclosure."""
 
-def _guesses(c: KElem, eps: Fraction):
-    """Least n with n^2 > T and least h with h^2 (1 + sqrt2)^2 > T, each right to
-    within one, where T = (c/sqrt2) coth^2(eps/2): on the valid branch alpha(t) <
-    cosh(eps) exactly when t^2 > T.  Capping eps/2 at 64 moves T by < c 2^-180."""
-    x = min(eps / 2, Fraction(64))
-    prec = 64 + max(0, x.denominator.bit_length() - x.numerator.bit_length())
-    while True:     # the starting bits keep sinh(x) away from 0
+    half = eps / 2
+
+    def decide(prec):
+        x = min(half, prec)
         inv_sinh = 1 / RealInterval(x, x, prec).sinh()
-        T = c.embed(prec) * (1 + inv_sinh * inv_sinh) / sqrt2_interval(prec)
-        if T.width() < 1:
-            return [math.isqrt(max(0, int(b.lo))) + 1
-                    for b in (T, T * (3 - 2 * sqrt2_interval(prec)))]
-        prec *= 2
+        T = q.embed(prec) * (1 + inv_sinh * inv_sinh)
+        n = math.isqrt(max(0, T.man_lo >> T.precision))
+        return n + 1 if n == math.isqrt(T.man_hi >> T.precision) else None
+    start = 64 + max(0, half.denominator.bit_length() - half.numerator.bit_length())
+    return escalate(decide, start, f"t^2 > {float(q):.6g} coth^2({float(eps):.6g}/2)"
+                                   " undecided at 4096 bits")
 
 
 def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement:
     """First block with 0 < translation length < eps_target among t = 1, 2, ...,
     height_bound, then t = u + v sqrt2 (v != 0) by height max(|u|, |v|), u and
-    then v ascending.  Nothing is scanned: the length falls strictly as t^2
-    grows, so the hits start at _guesses, the first in shell h at -h - h sqrt2,
-    and _length_below confirms each boundary on both sides from 64 bits up
-    (undecided at 4096 bits raises PrecisionError).  On exhaustion ``best`` is the
-    block at -H - H sqrt2, of least length, or None when it is not loxodromic."""
+    then v ascending.  Nothing is scanned and no length is computed for a hit:
+    on the valid branch alpha(t) < cosh(eps) exactly when t^2 > T = (c/sqrt2)
+    coth^2(eps/2), and T > c/sqrt2 puts every such t on the valid branch.  So
+    the first integer hit is the least n with n^2 > T, and the first hit in
+    shell h is its largest t^2, at -h - h sqrt2, so the first shell is the least
+    h with h^2 > T (3 - 2 sqrt2); each is decided by _least_root_above, the
+    shell only when n > height_bound.  On exhaustion ``best`` is the block at
+    -H - H sqrt2, of least length, or None when it is not loxodromic."""
     if eps_target <= 0:
         raise ValueError("eps_target must be positive")
-    c, eps, cap = as_kelem(c), Fraction(eps_target), height_bound + 1
-
-    def block(t):
-        try:
-            return param_block(c, t, 2)
-        except (WrongBranchError, DegenerateParameterError):
-            return None
-
-    def below(t):
-        g = block(t)
-        if g is None:
-            return False
-        lam = leading_eigenvalue(g)
-        return escalate(lambda prec: _length_below(lam, eps, prec), 64,
-                        f"length at t = {t.to_text()} undecided at 4096 bits")
-
-    for n, param in zip(_guesses(c, eps), (KElem, lambda h: KElem(-h, -h))):
-        n = min(n, cap)     # below is monotone: step to below(n), not below(n - 1)
-        while n < cap and not below(param(n)):
-            n += 1
-        while n > 1 and below(param(n - 1)):
-            n -= 1
-        if n < cap:
-            return block(param(n))
-    best = block(KElem(-height_bound, -height_bound))
+    c, eps = as_kelem(c), Fraction(eps_target)
+    if c.sign() <= 0:
+        raise ValueError("c must be positive")
+    q = c / SQRT2
+    n = _least_root_above(q, eps)
+    if n <= height_bound:
+        return param_block(c, KElem(n), 2)
+    h = _least_root_above(q * (3 - 2 * SQRT2), eps)
+    if h <= height_bound:
+        return param_block(c, KElem(-h, -h), 2)
+    try:
+        best = param_block(c, KElem(-height_bound, -height_bound), 2)
+    except (WrongBranchError, DegenerateParameterError):
+        best = None
     best_len = None
     if best is not None:
         lam = leading_eigenvalue(best)

@@ -1,15 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smallsys import arith, cli, combin, lorentz, polyalg
@@ -442,10 +445,11 @@ class TestInternalFailure:
     def test_import_leaves_numpy_unloaded(self):
         assert self.loaded_by_import("numpy") == "[]"
 
-    # every command starts a fresh interpreter, and these imports cost tens of
-    # milliseconds there that no command needs
+    # every command starts a fresh interpreter, and these imports cost up to
+    # tens of milliseconds there that no command needs
     def test_import_leaves_mpmath_dataclasses_and_inspect_unloaded(self):
-        assert self.loaded_by_import("mpmath", "dataclasses", "inspect") == "[]"
+        assert self.loaded_by_import("mpmath", "dataclasses", "inspect",
+                                     "string") == "[]"
 
 
 class TestBracelets:
@@ -616,3 +620,107 @@ class TestMinpolyAndBudget:
         assert code == 0
         vals = json.loads(path.read_text())["checks"][0]["numeric_values"]
         assert float(vals["epsilon"]) == pytest.approx(2 ** -40 / 40, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the command-line contract, on argv drawn from a grammar of every subcommand
+# ---------------------------------------------------------------------------
+
+def _mostly(valid, bad):
+    """valid seven times in eight, else one of the malformed texts bad."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(bad) if i == 0 else valid)
+
+
+def _ints(valid, bad=("x", "2.5", "")):
+    """Option values: the ints valid as text, or a malformed text."""
+    return _mostly(valid.map(str), bad)
+
+
+K_TEXTS = _mostly(st.sampled_from(["1", "3", "17", "1/3", "1+1*rt2", "0+4*rt2",
+                                   "4+3*rt2", "1000", "1e3", "rt2", "0", "-1",
+                                   "1-1*rt2", "-rt2"]),
+                  ["1/0", "abc", "", "nan", "inf", "1**rt2"])
+EPSILONS = _mostly(st.floats(1e-300, 1e3).map(repr) | st.sampled_from(
+    ["5e-324", "1e300", "128", "-0.25", "0", "-0.0"]), ["nan", "inf", "-inf", "abc", ""])
+
+
+@st.composite
+def command_argv(draw):
+    """argv for one smallsys command: valid, boundary and malformed values,
+    within work caps of n <= 10, D <= 8, m <= 14, length <= 20 and 512 bits;
+    --m 40 is drawn too, since it is rejected before anything is built."""
+    argv = ["--quiet"]
+    if draw(st.booleans()):
+        argv += ["--precision", draw(_ints(st.sampled_from([16, 64, 128, 512]),
+                                                 ["15", "0", "-1", "x", "1e3"]))]
+    command = draw(st.sampled_from(["verify", "search", "mahler", "bracelets",
+                                    "congruence", "minpoly", "budget", "nope"]))
+    argv.append(command)
+
+    def option(name, values, required=False):
+        if required or draw(st.integers(0, 3)):
+            argv.extend([name, draw(values)])
+    if command == "verify":
+        option("--a", K_TEXTS)
+        option("--n", _ints(st.integers(-1, 10)))
+    elif command == "search":
+        option("--c", K_TEXTS)
+        option("--epsilon", EPSILONS, required=draw(st.integers(0, 9)) > 0)
+        option("--height-bound", _ints(st.integers(-2, 10 ** 12) | st.integers(1, 30),
+                                                ["x", "1e3"]))
+    elif command == "mahler":
+        option("--D", _ints(st.integers(-1, 8)), required=draw(st.integers(0, 9)) > 0)
+    elif command == "bracelets":
+        mode = draw(st.sampled_from(["--length", "--m"] * 4 + ["both", "neither"]))
+        if mode in ("--length", "both"):
+            option("--length", _ints(st.integers(-2, 20)), required=True)
+        if mode in ("--m", "both"):
+            option("--m", _ints(st.integers(-1, 14), ["40", "21", "x"]), required=True)
+    elif command == "congruence":
+        argv.append(draw(st.sampled_from(["<g1>", "<g2>", "<garbage>", "<missing>"])))
+        option("--level", K_TEXTS, required=True)
+    elif command == "minpoly":
+        option("--trace", K_TEXTS, required=True)
+        option("--norm", K_TEXTS, required=draw(st.integers(0, 9)) > 0)
+    elif command == "budget":
+        option("--m", _ints(st.integers(-1, 14)), required=True)
+        option("--D", _ints(st.integers(-1, 8)), required=True)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def matrix_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("matrices")
+    files = {"<g1>": serialize_isometry(block_g1().to_isometry()),
+             "<g2>": serialize_isometry(block_g2().to_isometry()),
+             "<garbage>": "form: diag(1, -rt2)\nrow: 1, x\n"}
+    for name, text in files.items():
+        (root / name.strip("<>")).write_text(text)
+    return {name: str(root / name.strip("<>")) for name in [*files, "<missing>"]}
+
+
+@given(command_argv())
+@settings(max_examples=150, deadline=None)
+def test_command_line_contract(matrix_files, argv):
+    # exit 0 or 1 writes a certificate of that verdict and nothing to stderr;
+    # bad input exits 2; exit 3 is a named precision ceiling; no traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        argv = ["--json", path] + [matrix_files.get(a, a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:       # argparse's own usage errors
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err + out.getvalue(), argv
+        if code == 3:
+            assert "PrecisionError" in err, (argv, err)
+        if code in (0, 1):
+            assert err == "", (argv, err)
+            with open(path, encoding="utf-8") as fh:
+                assert json.load(fh)["verdict"] == ("PASS" if code == 0 else "FAIL")
+        else:
+            assert not os.path.exists(path), argv

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smallsys import cli, lorentz
@@ -73,6 +74,10 @@ def reference_scan(c, eps_target, height_bound):
     best = None
 
     def length_below(g):
+        # cosh(eps) > e^1000 / 2 > 2^1440 past eps = 1000, too large to write
+        # as an interval, and above every alpha < 2^1000
+        if eps > 1000 and g.alpha.embed(64).hi < 2 ** 1000:
+            return True
         prec = 64
         while prec <= 4096:
             alpha_iv = g.alpha.embed(prec)
@@ -390,6 +395,23 @@ class TestEigenvalueAndLength:
             assert b.strictly_less(a)
 
 
+def first_hits(c, eps):
+    """The least n and h that find_small_element decides for the integers
+    and for the shells."""
+    q = c / SQRT2
+    return tuple(lorentz._least_root_above(b, Fraction(eps))
+                 for b in (q, q * (3 - 2 * SQRT2)))
+
+
+def oracle_hits(c, eps):
+    """The least n with n^2 > T and h with h^2 (1 + sqrt2)^2 > T, from T at
+    4096 bits."""
+    T = threshold_oracle(c, eps, 4096)
+    with mpmath.workprec(4096):
+        return tuple(int(mpmath.floor(mpmath.sqrt(b))) + 1
+                     for b in (T, T / (1 + mpmath.sqrt(2)) ** 2))
+
+
 class TestFindSmallElement:
     def test_t1_suffices(self):
         g = find_small_element(KElem(1), 2.5, 100)
@@ -418,7 +440,7 @@ class TestFindSmallElement:
         with pytest.raises(ValueError):
             find_small_element(KElem(1), 0.0, 10)
 
-    def test_matches_linear_scan(self, monkeypatch):
+    def test_matches_linear_scan(self):
         # c = 4 rt2 is degenerate at t = 2 and c = 4 + 3 rt2 at t = -1 - rt2, so
         # H = 1 has no loxodromic parameter; c = 1000 is on the wrong branch
         # below t = 27 and h = 12
@@ -428,16 +450,10 @@ class TestFindSmallElement:
                  for eps in (3.0, 1.0, 0.5, 0.3, 0.2, 0.12, 0.05, 1e-2)
                  for height_bound in (1, 2, 3, 6)]
         cases += [(KElem(1000), 3.0, 30), (KElem(1000), 0.3, 15)]
-        guesses = lorentz._guesses
         kinds = set()
         for case in cases:
             want = search_outcome(reference_scan, *case)
-            # the guesses only seed the walk, which must end at the same place
-            # from a start a step or two off either way
-            for shift in (0, -2, -1, 1, 2):
-                monkeypatch.setattr(lorentz, "_guesses", lambda c, eps, shift=shift: [
-                    max(1, n + shift) for n in guesses(c, eps)])
-                assert search_outcome(find_small_element, *case) == want, (case, shift)
+            assert search_outcome(find_small_element, *case) == want, case
             if want[0] == "hit":
                 kinds.add("shell hit" if want[1].b else "integer hit")
             else:
@@ -451,36 +467,81 @@ class TestFindSmallElement:
         (1e-3, 25, None),
     ])
     def test_handful_of_checks(self, monkeypatch, eps, height_bound, want):
-        calls, checked = [], lorentz._length_below
+        # a hit is read off the threshold alone; only pricing an exhausted
+        # search's best block computes a length
+        calls, length = [], lorentz.eigenvalue_length
 
-        def counting(g, eps, prec):
+        def counting(lam, prec):
             calls.append(prec)
-            return checked(g, eps, prec)
-        monkeypatch.setattr(lorentz, "_length_below", counting)
+            return length(lam, prec)
+        monkeypatch.setattr(lorentz, "eigenvalue_length", counting)
         outcome = search_outcome(find_small_element, KElem(1), eps, height_bound)
         if want is None:
             assert outcome[:2] == ("exhausted", KElem(-25, -25))
+            assert calls[0] == 64
         else:
             assert outcome == ("hit", parse_kelem(want))
-        assert 1 <= len(calls) <= 8
+            assert calls == []
 
     @pytest.mark.parametrize("c", [KElem(1), KElem(3), KElem(1, 1), KElem(1000)])
     @pytest.mark.parametrize("eps", [1e300, 2.5, 1e-3, 1e-6, 1e-300, 5e-324])
     def test_guesses_within_one_of_threshold(self, c, eps):
-        # no division by an interval that contains 0, and no cosh(eps) built;
-        # T reaches 2^2160 at eps = 5e-324, hence the oracle's 4096 bits
-        T = threshold_oracle(c, eps, 4096)
-        n, h = lorentz._guesses(c, Fraction(eps))
-        with mpmath.workprec(4096):
-            for guess, bound in ((n, T), (h, T / (1 + mpmath.sqrt(2)) ** 2)):
-                exact = int(mpmath.floor(mpmath.sqrt(bound))) + 1
-                assert exact - 1 <= guess <= exact
+        # the first hits equal the oracle's exactly; no division by an interval
+        # that contains 0, and no cosh(eps) built; T reaches 2^2160 at
+        # eps = 5e-324, hence the oracle's 4096 bits
+        assert first_hits(c, eps) == oracle_hits(c, eps)
 
-    def test_undecided_length_raises(self, monkeypatch):
-        # an undecided comparison at the precision ceiling is not "not below"
-        monkeypatch.setattr(lorentz, "_length_below", lambda g, eps, prec: None)
+    @given(st.sampled_from([KElem(1), KElem(3), KElem(1, 1), KElem(0, 4), KElem(1000)]),
+           st.floats(-300 * math.log(10), 3 * math.log(10)))
+    @example(KElem(0, 4), 3 * math.log(10))     # c/sqrt2 = 4, past the cap
+    @settings(max_examples=40, deadline=None)
+    def test_first_hits_match_the_oracle(self, c, log_eps):
+        eps = min(max(math.exp(log_eps), 1e-300), 1e3)
+        assert first_hits(c, eps) == oracle_hits(c, eps)
+
+    # the cap: at 64 bits T is read at eps/2 = 64, with c/sqrt2's own
+    # enclosure as its lower end past it
+    @pytest.mark.parametrize("eps", [128.0, math.nextafter(128.0, math.inf), 1e10])
+    @pytest.mark.parametrize("c", [KElem(1), KElem(3), KElem(1, 1), KElem(0, 4),
+                                   KElem(4, 3), KElem(1000)])
+    def test_cap_boundary(self, c, eps):
+        assert first_hits(c, eps) == oracle_hits(c, eps)
+        for height_bound in range(1, 7):
+            case = (c, eps, height_bound)
+            assert (search_outcome(find_small_element, *case)
+                    == search_outcome(reference_scan, *case)), case
+
+    def test_undecided_length_raises(self):
+        # c/sqrt2 = 4 - 2^-5000, and at eps = 1e300 T sits as close below 4:
+        # no enclosure up to 4096 bits parts it from 4, and undecided is not
+        # "no hit"
+        q = KElem(4 - Fraction(1, 2 ** 5000))
         with pytest.raises(PrecisionError):
-            find_small_element(KElem(1), 0.25, 10)
+            find_small_element(q * SQRT2, 1e300, 10)
+        # at eps = 128, T is 2^-182 above 4, and that decides it
+        assert find_small_element(q * SQRT2, 128.0, 10).parameter() == KElem(3)
+
+    @pytest.mark.parametrize("eps", [1000.0, 1e300])
+    def test_cap_rises_with_the_precision(self, eps):
+        # c/sqrt2 = 4 - 2^-267 keeps 4 inside T's enclosure read at eps/2 = 64;
+        # read at eps/2 = 512 from 512 bits on, it decides T < 4, as the linear
+        # scan does
+        c = KElem(4 - Fraction(1, 2 ** 267)) * SQRT2
+        assert find_small_element(c, eps, 10).parameter() == KElem(2)
+        assert search_outcome(reference_scan, c, eps, 2) == ("hit", KElem(2))
+
+    def test_integer_hit_never_decides_the_shell(self):
+        # no precision up to 4096 bits parts the shell threshold T (3 - 2 sqrt2)
+        # from 4, as above; the integer hit t = 5 needs none of it
+        c = KElem(4 - Fraction(1, 2 ** 5000)) * (3 + 2 * SQRT2) * SQRT2
+        assert find_small_element(c, 1e300, 5).parameter() == KElem(5)
+        with pytest.raises(PrecisionError):
+            find_small_element(c, 1e300, 4)
+
+    def test_nonpositive_c_is_rejected(self):
+        for c in (KElem(0), KElem(-1), KElem(1, -1)):
+            with pytest.raises(ValueError):
+                find_small_element(c, 0.25, 10)
 
 
 class TestSearchCommand:

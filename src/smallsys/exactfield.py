@@ -75,12 +75,12 @@ def _odd_recips(w: int, n: int) -> tuple:
     return tuple((1 << w) // (2 * j + 1) for j in range(n, -1, -1))
 
 
-def _odd_series(z: int, w: int, alt: bool) -> int:
-    """2^w atan(z / 2^w) (alt) or 2^w atanh(z / 2^w) for |z| < 2^w / 2, the
-    odd series summed by Horner's rule to the term below 2^-w, within 5 units.
-    The running sum s_j <= 4/3 gains at most 1 + 4/3 + 1 units a step and
-    keeps a quarter of its error, so it stays within 40/9; times z it is
-    within 40/18 + 1, and the dropped tail is below 1."""
+def _odd_series(z: int, w: int) -> int:
+    """2^w atanh(z / 2^w) for |z| < 2^w / 2, the odd series z^(2j+1) / (2j+1)
+    summed by Horner's rule to the term below 2^-w, within 5 units.  The
+    running sum s_j <= 4/3 gains at most 1 + 4/3 + 1 units a step and keeps a
+    quarter of its error, so it stays within 40/9; times z it is within
+    40/18 + 1, and the dropped tail is below 1."""
     neg, z = z < 0, abs(z)
     gap = w - z.bit_length()            # |z| < 2^-gap as a value
     if gap >= w:
@@ -88,7 +88,7 @@ def _odd_series(z: int, w: int, alt: bool) -> int:
     c = _odd_recips(w, -(-w // (2 * gap)))
     z2, acc = z * z >> w, c[0]
     for r in c[1:]:
-        acc = r - (acc * z2 >> w) if alt else r + (acc * z2 >> w)
+        acc = r + (acc * z2 >> w)
     acc = acc * z >> w
     return -acc if neg else acc
 
@@ -96,16 +96,7 @@ def _odd_series(z: int, w: int, alt: bool) -> int:
 @functools.cache
 def _ln2(w: int) -> int:
     """2^w ln 2 within 2 units: 2 atanh(1/3) at w + 4 bits."""
-    return _odd_series((1 << w + 4) // 3, w + 4, False) >> 3
-
-
-@functools.cache
-def _pi(w: int) -> int:
-    """2^w pi within 2 units: Machin's 16 atan(1/5) - 4 atan(1/239) at w + 8
-    bits."""
-    w8 = w + 8
-    return (4 * _odd_series((1 << w8) // 5, w8, True)
-            - _odd_series((1 << w8) // 239, w8, True)) >> 6
+    return _odd_series((1 << w + 4) // 3, w + 4) >> 3
 
 
 def _log_fix(man: int, prec: int):
@@ -126,7 +117,7 @@ def _log_fix(man: int, prec: int):
     for _ in range(k):
         t = math.isqrt(t << w)
     one = 1 << w
-    s = _odd_series(((t - one) << w) // (t + one), w, False)
+    s = _odd_series(((t - one) << w) // (t + one), w)
     return e * _ln2(w) + (s << k + 1), (16 << k) + 2 * abs(e), w
 
 
@@ -167,28 +158,6 @@ def _sinh_fix(man: int, prec: int):
         v = ((m << q) - ((1 << 2 * w) // m >> q)) >> 1
         err = ((((3 * n + 4) << s) + 2 * q) << q + 1) + 2
     return (-v if man < 0 else v), err, w
-
-
-def _acos_fix(man: int, prec: int):
-    """acos(man / 2^prec) for |man| <= 2^prec, as (v, err, w).  With x the
-    value and y = sqrt(1 - x^2) from isqrt (within 1 unit), acos x is
-    pi/2 - atan(x / y) when |x| <= y, else atan(y / x) for x > 0 and
-    pi + atan(y / x) for x < 0, each quotient at most 1 and within 3 units.
-    k half-angle steps atan z = 2 atan(z / (1 + sqrt(1 + z^2))) keep its
-    angle within 3 units and leave |z| < 1/2; the series adds 5, and pi 2,
-    so err = 2^(k+3) + 2 units."""
-    w = prec + 24
-    k = math.isqrt(w) >> 2
-    w += k
-    one, x = 1 << w, man << w - prec
-    y = math.isqrt((one << w) - x * x)
-    if abs(x) <= y:
-        z, base, sign = (x << w) // y, _pi(w) >> 1, -1
-    else:
-        z, base, sign = (y << w) // x, 0 if x > 0 else _pi(w), 1
-    for _ in range(k):
-        z = (z << w) // (one + math.isqrt((one << w) + z * z))
-    return base + sign * (_odd_series(z, w, True) << k), (8 << k) + 2, w
 
 
 def _outward(fixed, prec: int, upper: bool) -> int:
@@ -354,15 +323,6 @@ class RealInterval:
         p = self.precision
         return _interval(*_endpoints(_sinh_fix, self.man_lo, self.man_hi, p), p)
 
-    def acos(self) -> "RealInterval":
-        p = self.precision
-        lo = max(self.man_lo, -1 << p)
-        hi = min(self.man_hi, 1 << p)
-        if lo > hi:
-            raise ValueError("acos needs an interval meeting [-1, 1]")
-        lo, hi = _endpoints(_acos_fix, hi, lo, p)     # acos falls
-        return _interval(max(lo, 0), max(hi, 0), p)
-
 
 # the slots are written through their descriptors, past the __setattr__ guard
 _set_lo = RealInterval.man_lo.__set__
@@ -377,12 +337,6 @@ def _interval(man_lo: int, man_hi: int, precision: int) -> RealInterval:
     _set_hi(x, man_hi)
     _set_prec(x, precision)
     return x
-
-
-def sqrt2_interval(precision: int = 64) -> RealInterval:
-    _check_precision(precision)
-    s = math.isqrt(2 << 2 * precision)     # sqrt 2 is irrational: s < 2^p sqrt2 < s + 1
-    return _interval(s, s + 1, precision)
 
 
 # ---------------------------------------------------------------------------

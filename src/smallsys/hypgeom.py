@@ -1,10 +1,10 @@
 """Geodesic hyperplanes of the diagonal forms: the hyperplane {x1 = 0} and
-its images under isometries, the exact distance trichotomy between two
+its images under isometries, the exact distance between two disjoint
 hyperplanes, and the glued-length witness.
 
-A hyperplane is {B(u, .) = 0} for an exact spacelike normal u, so every
-comparison is decided in the coefficient field (k or the ambient tower);
-only the final distance or angle is a certified interval.
+A hyperplane is {B(u, .) = 0} for an exact spacelike normal u, so
+disjointness is decided in the coefficient field (k or the ambient tower);
+only the final distance is a certified interval.
 """
 
 from __future__ import annotations
@@ -58,19 +58,18 @@ class GeodesicHyperplane:
         return f"GeodesicHyperplane(n={self.form.n})"
 
 
-class HyperplaneRelation(namedtuple("HyperplaneRelation", "kind cosh_sq distance angle",
-                                    defaults=(None, None))):
-    """kind is "disjoint", "asymptotic" or "intersecting"; cosh_sq is the
-    exact B(u,u')^2 / (f(u) f(u')) in the field; distance and angle are
-    RealIntervals, or None."""
+class HyperplaneRelation(namedtuple("HyperplaneRelation", "kind cosh_sq distance")):
+    """kind is "disjoint"; cosh_sq is the exact B(u,u')^2 / (f(u) f(u')) in the
+    field, and distance is a RealInterval."""
 
     __slots__ = ()
 
 
 def dist_hyperplanes(h1: GeodesicHyperplane, h2: GeodesicHyperplane,
                      precision: int = 64) -> HyperplaneRelation:
-    """Exact trichotomy via q = B(u,u')^2 / (f(u) f(u')) compared with 1;
-    distance arccosh(sqrt q) or angle arccos(sqrt q) as certified intervals.
+    """Distance arccosh(sqrt q) between disjoint hyperplanes, as a certified
+    interval; q = B(u,u')^2 / (f(u) f(u')) > 1 exactly decides disjointness,
+    and any other pair raises GeometryError.
 
     Normals stay unnormalized so q is computed in the coefficient field
     without square roots.  The distance is log(sqrt q + sqrt(q - 1)) clamped
@@ -81,22 +80,11 @@ def dist_hyperplanes(h1: GeodesicHyperplane, h2: GeodesicHyperplane,
         raise ValueError("hyperplanes of different forms")
     b = bilinear(h1.form, h1.normal, h2.normal)
     q = (b * b) / (h1.norm * h2.norm)
-    s = (q - 1).sign()
-    root = embed(q, precision).sqrt()
-    if s > 0:
-        dist = (root + embed(q - 1, precision).sqrt()).log()
-        return HyperplaneRelation("disjoint", q, distance=RealInterval(
-            max(dist.lo, 0), dist.hi, precision))
-    if s == 0:
-        # |B| = 1 with proportional normals is the same hyperplane (angle 0),
-        # otherwise the pair is asymptotic
-        u, v = h1.normal, h2.normal
-        proportional = all(u[i] * v[j] == u[j] * v[i]
-                           for i in range(len(u)) for j in range(i + 1, len(u)))
-        if proportional:
-            return HyperplaneRelation("intersecting", q, angle=root.acos())
-        return HyperplaneRelation("asymptotic", q)
-    return HyperplaneRelation("intersecting", q, angle=root.acos())
+    if (q - 1).sign() <= 0:
+        raise GeometryError("hyperplanes are not disjoint")
+    dist = (embed(q, precision).sqrt() + embed(q - 1, precision).sqrt()).log()
+    return HyperplaneRelation("disjoint", q, RealInterval(max(dist.lo, 0), dist.hi,
+                                                          precision))
 
 
 def systole_witness(len1: float, len2: float) -> float:

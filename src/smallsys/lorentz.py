@@ -386,7 +386,8 @@ def _least_root_above(q: KElem, eps: Fraction) -> int:
         n = math.isqrt(max(0, T.man_lo >> T.precision))
         return n + 1 if n == math.isqrt(T.man_hi >> T.precision) else None
     start = 64 + max(0, half.denominator.bit_length() - half.numerator.bit_length())
-    return escalate(decide, start, f"t^2 > {float(q):.6g} coth^2({float(eps):.6g}/2)"
+    # names no float(q): it overflows when q's large coefficients cancel
+    return escalate(decide, start, f"t^2 > q coth^2(eps/2) at eps = {float(eps):.6g}"
                                    " undecided at 4096 bits")
 
 

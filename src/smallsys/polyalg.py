@@ -30,6 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .combin import _totient
 from .exactfield import (K_ONE, RealInterval, TowerElem, _tower, as_kelem,
                          embed, escalate, sqrt_k)
 from .exactfield import PrecisionError  # noqa: F401  the Mahler measure raises it
@@ -465,9 +466,8 @@ def _cyclotomic(n: int) -> tuple:
 @functools.cache
 def _cyclotomics(d: int) -> tuple:
     """Every Phi_n of degree phi(n) <= d; phi(n) >= sqrt(n/2) bounds n by
-    2 d^2."""
-    return tuple(c for c in map(_cyclotomic, range(1, 2 * d * d + 1))
-                 if len(c) <= d + 1)
+    2 d^2, and only those n are built."""
+    return tuple(_cyclotomic(n) for n in range(1, 2 * d * d + 1) if _totient(n) <= d)
 
 
 def _core(p: ZPoly) -> ZPoly:

@@ -315,6 +315,20 @@ class TestSearch:
         assert check["exact_values"]["best_t"] == "none"
         assert check["numeric_values"]["best_length"] == "nan"
 
+    @pytest.mark.parametrize("which", ["1+u", "u", "rt2(4-u)"])
+    def test_cancelling_coefficients_keep_the_contract(self, capsys, which):
+        # u = (sqrt2 - 1)^3300 has coefficients of about 4,200 bits that
+        # cancel; the search used to die of OverflowError building its message
+        u = KElem(1)
+        for _ in range(3300):
+            u = u * KElem(-1, 1)
+        c = {"1+u": 1 + u, "u": u, "rt2(4-u)": SQRT2 * (4 - u)}[which]
+        code, _, err = run(["--quiet", "search", "--c", c.to_text(),
+                            "--epsilon", "1e-3"], capsys)
+        assert code in (0, 1, 3), err
+        assert code != 3 or "PrecisionError" in err, err
+        assert "OverflowError" not in err
+
     @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
     def test_bad_epsilon(self, capsys, eps):
         code, _, err = run(["search", "--epsilon", eps], capsys)
@@ -488,6 +502,16 @@ class TestBracelets:
         assert err == (f"error: m = {m} is above 20: each of the {m} words "
                        f"would have 2^{m} letters\n")
 
+    @pytest.mark.parametrize("length", [30, 10 ** 11])
+    def test_length_above_the_limit_is_input_error(self, capsys, monkeypatch, length):
+        def allocates(length):
+            raise AssertionError("enumerate_balanced_bracelets called")
+        monkeypatch.setattr(cli, "enumerate_balanced_bracelets", allocates)
+        code, out, err = run(["bracelets", "--length", str(length)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: length = {length} is above 28: every canonical "
+                       "word of that length would be generated\n")
+
     def test_m_at_the_limit_is_generated(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "select_inequivalent",
                             lambda m: [str(i) for i in range(m)])
@@ -648,7 +672,8 @@ EPSILONS = _mostly(st.floats(1e-300, 1e3).map(repr) | st.sampled_from(
 def command_argv(draw):
     """argv for one smallsys command: valid, boundary and malformed values,
     within work caps of n <= 10, D <= 8, m <= 14, length <= 20 and 512 bits;
-    --m 40 is drawn too, since it is rejected before anything is built."""
+    --m 40 and --length 30 and 10^11 are drawn too, since they are rejected
+    before anything is built."""
     argv = ["--quiet"]
     if draw(st.booleans()):
         argv += ["--precision", draw(_ints(st.sampled_from([16, 64, 128, 512]),
@@ -673,7 +698,8 @@ def command_argv(draw):
     elif command == "bracelets":
         mode = draw(st.sampled_from(["--length", "--m"] * 4 + ["both", "neither"]))
         if mode in ("--length", "both"):
-            option("--length", _ints(st.integers(-2, 20)), required=True)
+            option("--length", _ints(st.integers(-2, 20) | st.sampled_from([30, 10 ** 11])),
+                   required=True)
         if mode in ("--m", "both"):
             option("--m", _ints(st.integers(-1, 14), ["40", "21", "x"]), required=True)
     elif command == "congruence":

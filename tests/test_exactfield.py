@@ -16,7 +16,6 @@ from smallsys.exactfield import (
     embed,
     escalate,
     parse_kelem,
-    sqrt2_interval,
     sqrt_k,
 )
 from smallsys.lorentz import ABlockElement, QuadForm, leading_eigenvalue, param_block
@@ -201,7 +200,7 @@ class TestEmbedAndHeight:
 
 class TestRealInterval:
     def test_sqrt_enclosure(self):
-        iv = sqrt2_interval(80)
+        iv = RealInterval.exact(2, 80).sqrt()
         assert iv.lo * iv.lo <= 2 <= iv.hi * iv.hi
 
     def test_log_enclosure(self):

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -55,10 +54,10 @@ class TestBilinear:
 
 class TestHyperplanes:
     def test_identical_hyperplanes_intersect_at_zero(self):
+        # q = 1 exactly: the pair is not disjoint, so no distance is returned
         h = GeodesicHyperplane.coordinate(F1)
-        rel = dist_hyperplanes(h, h)
-        assert rel.kind == "intersecting"
-        assert float(rel.angle) == pytest.approx(0.0, abs=1e-9)
+        with pytest.raises(GeometryError):
+            dist_hyperplanes(h, h)
 
     def test_g1_image_distance_equals_translation_length(self):
         h = GeodesicHyperplane.coordinate(F1)
@@ -105,11 +104,11 @@ class TestHyperplanes:
         assert float(dist) == pytest.approx(9.998769147576284e-4, rel=1e-12)
 
     def test_intersecting_pair(self):
+        # orthogonal normals: q = 0
         h1 = GeodesicHyperplane.coordinate(F1)
         h2 = GeodesicHyperplane(e(1, 2), F1)
-        rel = dist_hyperplanes(h1, h2)
-        assert rel.kind == "intersecting"
-        assert float(rel.angle) == pytest.approx(math.pi / 2, abs=1e-9)
+        with pytest.raises(GeometryError):
+            dist_hyperplanes(h1, h2)
 
     def test_norm_is_computed_once(self, monkeypatch):
         h = GeodesicHyperplane.coordinate(F2)

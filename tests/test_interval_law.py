@@ -12,10 +12,10 @@ about 2^-256 relative, is allowed for.
 that `RealInterval` replaced.  `RealInterval` keeps each endpoint as an int
 mantissa over 2^precision and rounds at the same places, so for every
 arithmetic operation, for sqrt and for `KElem.embed` it must return exactly
-the reference's endpoints, with the operands' precisions mixed.  Its log,
-sinh and acos run on its own fixed-point kernels, padded as the reference
-pads libmp's value, so each of their endpoints must lie within one ulp of
-the reference's.
+the reference's endpoints, with the operands' precisions mixed.  Its log
+and sinh run on its own fixed-point kernels, padded as the reference pads
+libmp's value, so each of their endpoints must lie within one ulp of the
+reference's.
 """
 
 import math
@@ -202,15 +202,6 @@ class ReferenceInterval:
                                  _libmp_dir(libmp.mpf_sinh, self.hi, self.precision, True),
                                  self.precision)
 
-    def acos(self) -> "ReferenceInterval":
-        lo = max(self.lo, Fraction(-1))
-        hi = min(self.hi, Fraction(1))
-        if lo > hi:
-            raise ValueError("acos needs an interval meeting [-1, 1]")
-        out_lo = max(_libmp_dir(libmp.mpf_acos, hi, self.precision, False), Fraction(0))
-        out_hi = max(_libmp_dir(libmp.mpf_acos, lo, self.precision, True), Fraction(0))
-        return ReferenceInterval(out_lo, out_hi, self.precision)
-
 
 def reference_sqrt2(precision: int) -> ReferenceInterval:
     return ReferenceInterval(_sqrt_down(Fraction(2), precision),
@@ -282,12 +273,6 @@ def test_hyperplane_distance_encloses(c, a, b, precision):
         assert_encloses(rel.distance, mpmath.acosh(alpha))
 
 
-@SETTINGS
-@given(rationals(-1, 1), rationals(-1, 1), PRECISIONS)
-def test_acos_encloses(x, y, precision):
-    check("acos", mpmath.acos, x, y, precision)
-
-
 def ulp_from(x):
     """The points one ulp above and below x at each precision k."""
     return [lambda k: x + Fraction(1, 2 ** k), lambda k: x - Fraction(1, 2 ** k)]
@@ -297,17 +282,15 @@ def point(x):
     return lambda k: Fraction(x)
 
 
-# log near 1, sinh of tiny and of large arguments, and acos at -1, 0 and 1,
-# at precisions from the least allowed to the escalation ceiling
+# log near 1 and sinh of tiny and of large arguments, at precisions from
+# the least allowed to the escalation ceiling
 @pytest.mark.parametrize("bits", [16, 64, 128, 4096])
 @pytest.mark.parametrize("method, oracle, points", [
     ("log", mpmath.log, [point(1), point(Fraction(1001, 1000))] + ulp_from(1)),
     ("sinh", mpmath.sinh, [point(Fraction(1, 2 ** 60)), point(Fraction(-1, 2 ** 61)),
                            point(Fraction(1, 2 ** 300)), point(64), point(-64),
                            point(Fraction(1001, 10))]),
-    ("acos", mpmath.acos, [point(-1), point(0), point(1)] + ulp_from(1)[1:]
-     + ulp_from(-1)[:1]),
-], ids=["log", "sinh", "acos"])
+], ids=["log", "sinh"])
 def test_kernels_at_the_edges(method, oracle, points, bits):
     """Each result encloses the oracle's values, at bits + 64, at the input's
     endpoints, and its endpoints lie within two ulps of them: 2^-bits, or
@@ -327,8 +310,7 @@ def test_kernels_at_the_edges(method, oracle, points, bits):
 # each kernel's (v, err, w): |v - 2^w f(man / 2^prec)| <= err, the bound its
 # docstring derives, against mpmath at w + 64 bits
 KERNELS = [(exactfield._log_fix, mpmath.log, lambda k: (1, 1 << k + 20)),
-           (exactfield._sinh_fix, mpmath.sinh, lambda k: (-100 << k, 100 << k)),
-           (exactfield._acos_fix, mpmath.acos, lambda k: (-1 << k, 1 << k))]
+           (exactfield._sinh_fix, mpmath.sinh, lambda k: (-100 << k, 100 << k))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -343,6 +325,17 @@ def test_kernels_stay_within_their_stated_error(kernel, bits, data):
     with mpmath.workprec(w + 64):
         want = to_fraction(oracle(mpmath.mpf(man) / 2 ** bits)) * 2 ** w
     assert abs(v - want) <= err, (man, v - want, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([16, 64, 128, 1024]), st.data())
+def test_atanh_series_within_five_units(w, data):
+    # the bound _odd_series states, for |z| < 2^w / 2, up to that bound's edge
+    top = (1 << w - 1) - 1
+    z = data.draw(st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 1, 0])))
+    with mpmath.workprec(w + 64):
+        want = to_fraction(mpmath.atanh(mpmath.mpf(z) / 2 ** w)) * 2 ** w
+    assert abs(exactfield._odd_series(z, w) - want) <= 5, z
 
 
 @SETTINGS
@@ -455,13 +448,6 @@ def test_sqrt_and_log_match_the_reference(x):
 def test_sinh_matches_the_reference(x):
     a, ra = pair(*x)
     assert_within_an_ulp(a.sinh, ra.sinh)
-
-
-@MATCH
-@given(intervals(2))
-def test_acos_matches_the_reference(x):
-    a, ra = pair(*x)
-    assert_within_an_ulp(a.acos, ra.acos)
 
 
 @MATCH

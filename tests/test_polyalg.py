@@ -941,6 +941,17 @@ def test_cyclotomic_polynomials_match_sympy():
         assert polyalg._cyclotomic(n) == want.coeffs, n
 
 
+def test_cyclotomics_build_only_the_usable_degrees():
+    # from empty caches, no Phi_n of degree above d is built; then each tuple
+    # equals the unfiltered list of every n <= 2 d^2, cut to degree <= d
+    kept = polyalg._cyclotomics(16)
+    assert polyalg._cyclotomic.cache_info().currsize == len(kept)
+    for d in range(1, 17):
+        want = tuple(c for c in map(polyalg._cyclotomic, range(1, 2 * d * d + 1))
+                     if len(c) <= d + 1)
+        assert polyalg._cyclotomics(d) == want, d
+
+
 class TestPolyBasics:
     def test_divide_exact(self):
         assert polyalg._divide_exact((-1, 0, 1), (-1, 1)) == (1, 1)

@@ -31,7 +31,7 @@ from .combin import (
     select_inequivalent,
 )
 from .congr import ZsqrtIdeal, in_principal_congruence, is_integral_matrix
-from .exactfield import KElem, embed, escalate, parse_kelem, sqrt_k
+from .exactfield import KElem, RealInterval, embed, escalate, parse_kelem, sqrt_k
 from .hypgeom import GeodesicHyperplane, dist_hyperplanes, systole_witness
 from .lorentz import (
     SearchExhaustedError,
@@ -59,15 +59,18 @@ class InputError(ValueError):
 
 def _fmt(x) -> str:
     """12 decimals; nonzero values below 1e-6 in scientific form with 13
-    significant digits, so that no epsilon budget prints as zero.  A Fraction
-    is rounded half to even from its exact value, where a float underflows."""
+    significant digits, so that no epsilon budget prints as zero.  A Fraction,
+    or a RealInterval's exact midpoint, is rounded half to even from its exact
+    value, where a float underflows or overflows."""
+    if isinstance(x, RealInterval):
+        x = Fraction(x.man_lo + x.man_hi, 2 << x.precision)
     if not isinstance(x, Fraction):     # nan, inf and -0.0 print as floats do
         v = float(x)
         return f"{v:.12e}" if 0 < abs(v) < 1e-6 else f"{v:.12f}"
     n, d = x.as_integer_ratio()
     sign, n, e = "-" * (n < 0), abs(n), 0
-    if n and n / d < 1e-6:                              # 10^e <= n/d < 10^(e+1)
-        e = math.floor(math.log10(n) - math.log10(d))
+    if n and n < d and n / d < 1e-6:        # n / d overflows past 1.8e308
+        e = math.floor(math.log10(n) - math.log10(d))   # 10^e <= n/d < 10^(e+1)
         e += (n * 10 ** (-e - 1) >= d) - (n * 10 ** -e < d)
     q, r = divmod(n * 10 ** (12 - e), d)
     q += 2 * r > d or (2 * r == d and q % 2)

@@ -1,7 +1,8 @@
 """Balanced cyclic words over {1, 2} up to dihedral symmetry, generated
 directly in lexicographic order one run 1^r 2^s at a time, Burnside
-cross-counts, glued-geodesic length accounting, and the epsilon budget for
-the incommensurable-family construction.  A word is a plain str over "12".
+cross-counts, the family's m words in closed form, glued-geodesic length
+accounting, and the epsilon budget for the incommensurable-family
+construction.  A word is a plain str over "12".
 
 A canonical word starts with its longest run of 1s and ends with a 2, so it
 is a sequence of blocks 1^r 2^s.  Ordering blocks by r descending, then s
@@ -26,9 +27,10 @@ def canonical_form(word: str) -> str:
     return min(rotations + [rot[::-1] for rot in rotations])
 
 
-def _bracelets_lex(length: int, limit: int | None = None) -> list[str]:
-    """The first `limit` (default all) canonical balanced words of an even
-    length >= 2, in lexicographic order.
+def enumerate_balanced_bracelets(length: int) -> list[str]:
+    """All canonical balanced words of an even length >= 2, in lexicographic
+    order: generated, not filtered from every balanced word.  The count
+    matches burnside_count(length).
 
     A block 1^r 2^s is stored as the pair (-r, s), so pair order is block
     order: more 1s first, then fewer 2s.  It is word order too, since 1^r 2
@@ -63,17 +65,16 @@ def _bracelets_lex(length: int, limit: int | None = None) -> list[str]:
     s_{k-1} > s_0; otherwise, past their common -r_0, it reads the pairs
     a[1:m] backwards, and one comparison decides.  Only where some later
     block has r_0 1s are all the j with r_j = r_0 scanned."""
+    if length % 2 != 0 or length < 2:
+        raise ValueError("length must be a positive even number")
     h = length // 2
     a = [0] * length            # a[2t], a[2t + 1] = -r, s of block t
     out = ["1" * h + "2" * h]   # block 0 alone, the least word
-    if limit == 1:
-        return out
 
     def extend(t, p, ones, twos, word, reps):
         """Extend `word`, the prenecklace of blocks 0..t-1, by blocks >=
         block t - p, (rp, sp); its longest Lyndon prefix has p blocks, and
-        `reps` of blocks 1..t-1 have r_0 1s.  True once `limit` words are
-        out."""
+        `reps` of blocks 1..t-1 have r_0 1s."""
         q = 2 * (t - p)
         rp, sp = -a[q], a[q + 1]
         k, m = t + 1, 2 * t + 2
@@ -93,32 +94,19 @@ def _bracelets_lex(length: int, limit: int | None = None) -> list[str]:
                 canonical = twos > s0 or a[1:m] <= a[m - 1:0:-1]
             if canonical:
                 out.append(word + "1" * ones + "2" * twos)
-                if len(out) == limit:
-                    return True
         for r in range(rp if rp < ones else ones - 1, 0, -1):
             a[m - 2], head, rep = -r, word + "1" * r, reps + (r == r0)
             for s in range(sp if r == rp else 1,
                            twos + (r - ones) // r0 - s0 + 2):
                 a[m - 1] = s
-                if extend(k, p if r == rp and s == sp else k, ones - r,
-                          twos - s, head + "2" * s, rep):
-                    return True
-        return False
+                extend(k, p if r == rp and s == sp else k, ones - r,
+                       twos - s, head + "2" * s, rep)
 
     for r0 in range(h - 1, 0, -1):
         for s0 in range(1, (h + 1 + (r0 - h) // r0) // 2 + 1):
             a[0], a[1] = -r0, s0
-            if extend(1, 1, h - r0, h - s0, "1" * r0 + "2" * s0, 0):
-                return out
+            extend(1, 1, h - r0, h - s0, "1" * r0 + "2" * s0, 0)
     return out
-
-
-def enumerate_balanced_bracelets(length: int) -> list[str]:
-    """All canonical balanced words, sorted: generated, not filtered from
-    every balanced word.  The count matches burnside_count(length)."""
-    if length % 2 != 0 or length < 2:
-        raise ValueError("length must be a positive even number")
-    return _bracelets_lex(length)
 
 
 def _totient(n: int) -> int:
@@ -138,39 +126,44 @@ def burnside_count(length: int) -> int:
     balanced words fixed by each symmetry.
 
     A rotation with g = gcd(j, L) cycles fixes C(g, g/2) balanced words when
-    g is even, and phi(L/g) rotations have g cycles.  Reflections split by
-    axis type: through two positions (two fixed letters, (L-2)/2 swaps) or
-    through none (L/2 swaps).
+    g is even, and phi(L/g) rotations have g cycles.  The L reflections fix
+    L C(2f, f) words in all, with f = floor(L/4) and h = L/2 ones.  Half of
+    the axes pass through two letters and swap h - 1 pairs; the other half
+    pass through none and swap h pairs.  A swapped pair holds two 1s or
+    none, so:
+      - h even: two fixed letters alike, C(h - 1, h/2) + C(h - 1, h/2 - 1)
+        = C(h, h/2), and h pairs, C(h, h/2); each axis fixes C(2f, f).
+      - h odd: one fixed 1, on either letter, 2 C(h - 1, (h - 1)/2)
+        = 2 C(2f, f), and h pairs, none.
     """
     if length % 2 != 0 or length < 2:
         raise ValueError("length must be a positive even number")
-    L = length
+    L, f = length, length // 4
     total = sum(_totient(L // g) * math.comb(g, g // 2)
                 for g in range(2, L + 1, 2) if L % g == 0)
-    pairs_vertex = (L - 2) // 2
-    vertex_fixed = 0
-    for ones_fixed in (0, 1, 2):
-        need = L // 2 - ones_fixed
-        if need % 2 == 0 and 0 <= need // 2 <= pairs_vertex:
-            ways = 1 if ones_fixed in (0, 2) else 2
-            vertex_fixed += ways * math.comb(pairs_vertex, need // 2)
-    total += (L // 2) * vertex_fixed
-    pairs_edge = L // 2
-    if (L // 2) % 2 == 0:
-        total += (L // 2) * math.comb(pairs_edge, L // 4)
-    return total // (2 * L)
+    return (total + L * math.comb(2 * f, f)) // (2 * L)
 
 
 def select_inequivalent(m: int) -> list[str]:
-    """The first m balanced canonical words of length 2^m in lexicographic
-    order; the generator stops after m, at depth two, so large lengths stay
-    cheap."""
+    """The first m canonical balanced words of length 2^m in lexicographic
+    order, so pairwise inequivalent: with h = 2^(m-1), 1^h 2^h, then
+    1^(h-1) 2^j 1 2^(h-j) for j = 1..m-1.
+
+    A canonical word starts with its longest run of 1s, so 1^h 2^h is the
+    least.  Next come those with a run of h - 1 and one stray 1,
+    1^(h-1) 2^j 1 2^(h-j) for 0 < j < h.  Of the rotations of such a word
+    and of its reversal, only those read from the long run start 1^(h-1) 2
+    (at h = 2 those from the stray 1 do too, and repeat them), and the
+    reversal's is 1^(h-1) 2^(h-j) 1 2^j, so the word is canonical exactly
+    when j <= h - j.  These words rise with j, as word j has a 1 where word
+    j + 1 has a 2, and a word whose leading run is shorter has a 2 among its
+    first h - 1 letters, so it sorts after them all.  As m - 1 <= 2^(m-2) =
+    h/2 for m >= 2, m words exist."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    out = _bracelets_lex(2 ** m, m)
-    if len(out) < m:
-        raise AssertionError("bracelet generation exhausted early; counting bug")
-    return out
+    h = 2 ** (m - 1)
+    return ["1" * h + "2" * h] + [
+        "1" * (h - 1) + "2" * j + "1" + "2" * (h - j) for j in range(1, m)]
 
 
 def glued_geodesic_length(word: str, len1: float, len2: float) -> float:

@@ -386,21 +386,22 @@ def _least_root_above(q: KElem, eps: Fraction) -> int:
         n = math.isqrt(max(0, T.man_lo >> T.precision))
         return n + 1 if n == math.isqrt(T.man_hi >> T.precision) else None
     start = 64 + max(0, half.denominator.bit_length() - half.numerator.bit_length())
-    # names no float(q): it overflows when q's large coefficients cancel
-    return escalate(decide, start, f"t^2 > q coth^2(eps/2) at eps = {float(eps):.6g}"
-                                   " undecided at 4096 bits")
+    # names no float(q) or float(eps): each overflows past about 1.8e308
+    return escalate(decide, start, "t^2 > q coth^2(eps/2) undecided at 4096 bits")
 
 
-def find_small_element(c, eps_target: float, height_bound: int) -> ABlockElement:
-    """First block with 0 < translation length < eps_target among t = 1, 2, ...,
-    height_bound, then t = u + v sqrt2 (v != 0) by height max(|u|, |v|), u and
-    then v ascending.  Nothing is scanned and no length is computed for a hit:
-    on the valid branch alpha(t) < cosh(eps) exactly when t^2 > T = (c/sqrt2)
-    coth^2(eps/2), and T > c/sqrt2 puts every such t on the valid branch.  So
-    the first integer hit is the least n with n^2 > T, and the first hit in
-    shell h is its largest t^2, at -h - h sqrt2, so the first shell is the least
-    h with h^2 > T (3 - 2 sqrt2); each is decided by _least_root_above, the
-    shell only when n > height_bound.  On exhaustion ``best`` is the block at
+def find_small_element(c, eps_target: float | Fraction,
+                       height_bound: int) -> ABlockElement:
+    """First block with 0 < translation length < eps_target, a float or a
+    Fraction of any size, among t = 1, 2, ..., height_bound, then t = u + v
+    sqrt2 (v != 0) by height max(|u|, |v|), u and then v ascending.  Nothing
+    is scanned and no length is computed for a hit: on the valid branch
+    alpha(t) < cosh(eps) exactly when t^2 > T = (c/sqrt2) coth^2(eps/2), and
+    T > c/sqrt2 puts every such t on the valid branch.  So the first integer
+    hit is the least n with n^2 > T, and the first hit in shell h is its
+    largest t^2, at -h - h sqrt2, so the first shell is the least h with
+    h^2 > T (3 - 2 sqrt2); each is decided by _least_root_above, the shell
+    only when n > height_bound.  On exhaustion ``best`` is the block at
     -H - H sqrt2, of least length, or None when it is not loxodromic."""
     if eps_target <= 0:
         raise ValueError("eps_target must be positive")

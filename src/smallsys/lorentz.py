@@ -14,6 +14,7 @@ matrices may have entries in k or in a quadratic tower over it.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from .exactfield import (K_ONE, K_ZERO, KElem, RealInterval, SQRT2, TowerElem,
@@ -69,10 +70,6 @@ class QuadForm:
         if n < 1:
             raise ValueError("dimension must be at least 1")
         return cls([c] + [K_ONE] * (n - 1))
-
-    @property
-    def first(self) -> KElem:
-        return self.spatial[0]
 
     def diagonal(self):
         return self.spatial + (self.temporal,)
@@ -428,6 +425,8 @@ def find_small_element(c, eps_target: float | Fraction,
             return float(ell) if ell.width() * 2 ** 40 < ell.lo else None
         best_len = escalate(
             priced, 64, f"length at height {height_bound} undecided at 4096 bits")
+    if isinstance(eps_target, Fraction):    # 6 digits of its exact value, of any size
+        eps_target = format(Decimal(eps.numerator) / eps.denominator, ".6g")
     raise SearchExhaustedError(
         f"no parameter of height <= {height_bound} reaches length < {eps_target}"
         + (f"; smallest length found {best_len:.6g}" if best_len is not None else ""),

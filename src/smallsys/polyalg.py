@@ -4,11 +4,12 @@ measure, and bounded enumeration of monic integer polynomials.
 
 A number quadratic over k has the one form exactfield gives it: a KElem, or
 a TowerElem u + v sqrt(d) with v != 0.  Minimal polynomials are exact and
-read off one rule.  A number outside k is a root of a monic f irreducible
-over k; sigma, the automorphism sqrt2 -> -sqrt2, maps f to f^sigma.  If f
-has rational coefficients it is the minimal polynomial over Q.  Otherwise
-f and f^sigma are distinct irreducibles over k that both divide the minimal
-polynomial, so that is their product, the k/Q norm of f.  The Mahler
+read off one rule.  A number is a root of a monic f irreducible over k,
+x - r for a value r of k; sigma, the automorphism sqrt2 -> -sqrt2, maps f
+to f^sigma.  If f has rational coefficients it is the minimal polynomial
+over Q.  Otherwise f and f^sigma are distinct irreducibles over k that both
+divide the minimal polynomial, so that is their product, the k/Q norm of f,
+taken on ints over the coefficients' common denominator.  The Mahler
 enumeration walks, on integers, the binomial box cut by the power-sum
 bound |s_k| <= d - 1 + mu^k, and decides each candidate there (Kronecker
 test, then Graeffe and Landau bounds against the exact cap); the measure
@@ -20,7 +21,8 @@ enclosures, never on a float, and equal measures meet as equal keys: the
 least member under x -> -x and reversal of g, where g(x^k) is the
 cyclotomic-free core (M(g(x^k)) = M(g)).  Enclosures, and min_mahler_above_one, are computed once per process;
 from degree 3 on it walks only palindromic polynomials (Smyth 1971).
-ZPoly is the QPoly that stores ints, and every product runs in one loop, _mul.
+Polynomial objects carry no arithmetic: every product runs on coefficient
+tuples in one loop, _mul, shared by the k/Q norm and the Graeffe step.
 """
 
 from __future__ import annotations
@@ -90,20 +92,6 @@ class QPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return type(self)(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return type(self)([c * other for c in self.coeffs])
-        return type(self)(_mul(self.coeffs, other.coeffs))
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
@@ -141,28 +129,28 @@ class ZPoly(QPoly):
 
 def _norm_to_Q(coeffs) -> QPoly:
     """The minimal polynomial over Q of the roots of f, monic and irreducible
-    over k, from its coefficients in k (constant first).  Writing f as
-    A + sqrt(2) B with A, B over Q, it is A when B = 0.  Otherwise f and
-    f^sigma = A - sqrt(2) B are distinct irreducibles over k that both divide
-    it, so it is their squarefree product, the norm A^2 - 2 B^2."""
-    A = QPoly([c.a for c in coeffs])
-    B = QPoly([c.b for c in coeffs])
-    return A if B.is_zero() else A * A + B * B * -2
+    over k, from its coefficients in k (constant first).  Over the common
+    denominator e of the coefficients, f = (A + sqrt(2) B)/e with A, B over Z,
+    and it is A/e when B = 0.  Otherwise f and f^sigma = (A - sqrt(2) B)/e are
+    distinct irreducibles over k that both divide it, so it is their
+    squarefree product, the norm (A^2 - 2 B^2)/e^2."""
+    e = math.lcm(*(c.d for c in coeffs))
+    A = [c.p * e // c.d for c in coeffs]
+    B = [c.q * e // c.d for c in coeffs]
+    if not any(B):
+        return QPoly([Fraction(a, e) for a in A])
+    return QPoly([Fraction(a - 2 * b, e * e) for a, b in zip(_mul(A, A), _mul(B, B))])
 
 
 def minpoly_over_Q(x) -> QPoly:
-    """Monic minimal polynomial over Q of an int, Fraction, KElem or TowerElem.
-
-    A value of k is read off directly.  A TowerElem u + v sqrt(d) has v != 0
-    and d is not a square in k, so x^2 - 2u x + (u^2 - d v^2) is irreducible
-    over k; the minimal polynomial is that quadratic when u and u^2 - d v^2
-    are rational, else its product with its conjugate under sqrt2 -> -sqrt2
-    (``_norm_to_Q``).
+    """Monic minimal polynomial over Q of an int, Fraction, KElem or TowerElem,
+    by one rule (``_norm_to_Q``).  A value r of k is the root of x - r.  A
+    TowerElem u + v sqrt(d) has v != 0 and d is not a square in k, so it is a
+    root of x^2 - 2u x + (u^2 - d v^2), irreducible over k.
     """
     if isinstance(x, TowerElem):
         return _norm_to_Q([x.tower_norm(), -2 * x.u, K_ONE])
-    r = as_kelem(x)
-    return QPoly([-r.a, 1]) if not r.q else QPoly([r.norm(), -2 * r.a, 1])
+    return _norm_to_Q([-as_kelem(x), K_ONE])
 
 
 def product(lam, mu, precision: int = 64):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smallsys import polyalg
 from smallsys.congr import ZsqrtIdeal
@@ -107,6 +109,64 @@ class TestIsSquare:
     def test_negative(self):
         ok, _ = KElem(-3, -2).is_square()
         assert not ok
+
+
+def _reference_rational_sqrt(x: Fraction):
+    """Exact square root of a rational, or None."""
+    if x < 0:
+        return None
+    p, q = x.numerator, x.denominator
+    rp, rq = math.isqrt(p), math.isqrt(q)
+    if rp * rp == p and rq * rq == q:
+        return Fraction(rp, rq)
+    return None
+
+
+def reference_is_square(x: KElem):
+    """The square test on the Fraction views a, b: an independent oracle for
+    KElem.is_square, which reads the integer triple."""
+    a, b = x.a, x.b
+    if b == 0:
+        if a < 0:
+            return False, None
+        r = _reference_rational_sqrt(a)
+        if r is not None:
+            return True, KElem(r, 0)
+        r = _reference_rational_sqrt(a / 2)
+        if r is not None:
+            return True, KElem(0, r)
+        return False, None
+    s = _reference_rational_sqrt(x.norm())
+    if s is None:
+        return False, None
+    for p_sq in ((a + s) / 2, (a - s) / 2):
+        p = _reference_rational_sqrt(p_sq)
+        if p is not None and p != 0:
+            root = KElem(p, b / (2 * p))
+            if root.sign() < 0:
+                root = -root
+            return True, root
+    return False, None
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+K_DRAWS = st.one_of(st.builds(KElem, FRACTIONS), st.builds(KElem, FRACTIONS, FRACTIONS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(K_DRAWS, K_DRAWS.map(lambda r: r * r), K_DRAWS.map(lambda r: 2 * r * r)))
+@example(KElem(3, -2))                  # (1 - sqrt2)^2: the root's sign is fixed
+@example(KElem(Fraction(1, 2)))         # 1/2 = (sqrt2 / 2)^2
+@example(KElem(Fraction(9, 4), 1))      # (1/2 + sqrt2)^2, its root from (p - m)/2d
+@example(KElem(0))
+@example(KElem(-3, -2))
+def test_is_square_matches_the_fraction_algorithm(x):
+    ok, root = x.is_square()
+    want_ok, want = reference_is_square(x)
+    assert ok == want_ok
+    assert (root is None) == (want is None)
+    if want is not None:
+        assert (root.p, root.q, root.d) == (want.p, want.q, want.d)
 
 
 class TestSqrtK:

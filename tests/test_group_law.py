@@ -41,7 +41,7 @@ def signed_permutation(draw, form):
     """A coordinate permutation with sign flips that only exchanges
     coordinates of equal coefficient; the temporal sign may flip too."""
     n = form.n
-    movable = list(range(n)) if form.first == KElem(1) else list(range(1, n))
+    movable = list(range(n)) if form.spatial[0] == KElem(1) else list(range(1, n))
     image = list(range(n + 1))
     shuffled = draw(st.permutations(movable))
     for src, dst in zip(movable, shuffled):

@@ -553,6 +553,13 @@ class TestFindSmallElement:
             T = mpmath.coth(mpmath.mpf(2) ** -1101) ** 2 / mpmath.sqrt(2)
             assert (t.a.numerator - 1) ** 2 <= T < t.a.numerator ** 2
 
+    def test_exhaustion_names_an_exact_epsilon_in_six_digits(self):
+        # 2^-1100 has a 332-digit denominator; the message keeps 6 digits
+        with pytest.raises(SearchExhaustedError) as exc:
+            find_small_element(KElem(1), Fraction(1, 2 ** 1100), 10)
+        message = str(exc.value)
+        assert len(message) < 120 and "< 7.36215e-332;" in message
+
 
 class TestSearchCommand:
     """`smallsys search` end to end, on inputs the linear scan could not reach."""

@@ -998,6 +998,15 @@ class TestPolyBasics:
         with pytest.raises(ValueError):
             root(KElem(0), KElem(1))   # x^2 + 1 has no real root
 
+    def test_products_keep_their_class(self):
+        # the polynomials carry no arithmetic; their product is _mul on the
+        # coefficients, which keeps ints ints (a ZPoly) and Fractions a QPoly
+        c = polyalg._mul(ZPoly([-1, 1]).coeffs, ZPoly([1, 1]).coeffs)
+        assert all(type(v) is int for v in c) and ZPoly(c).coeffs == (-1, 0, 1)
+        q = polyalg._mul(QPoly([1, 2]).coeffs, (Fraction(1, 3),))
+        assert QPoly(q) == QPoly([Fraction(1, 3), Fraction(2, 3)])
+        assert ZPoly(polyalg._mul(ZPoly([0]).coeffs, ZPoly([3, 1]).coeffs)) == ZPoly([0])
+
     def test_zpoly_is_the_integer_qpoly(self):
         assert isinstance(ZPoly([1, 1]), QPoly)
         assert ZPoly([1, 1]) != QPoly([1, 1])

@@ -145,24 +145,17 @@ def _admissible_a(a: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# verify: the full certificate for the standard two-form instance
+# verify: the rows of any two-block hybrid, then the worked instance's rows:
+# the 7 row, a fact of one product, and g1's congruence rows, memberships of
+# the integral block_g1 (a short block has the denominator 2t^4 - 1)
 # ---------------------------------------------------------------------------
 
-def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
-    _admissible_a(a)
-    if n < 2:
-        raise InputError("dimension n must be at least 2")
-    cert = Certificate("verify", {"a": a, "n": n, "precision": precision})
-    is_standard = (a == 3)
-
-    g1 = block_g1(n)
-    if is_standard:
-        g2 = block_g2(n)
-    else:
-        # the least t >= 1 with sqrt2 t^2 > a = p/q, i.e. 2 q^2 t^4 > p^2
-        t = math.isqrt(math.isqrt(a.numerator ** 2 // (2 * a.denominator ** 2))) + 1
-        g2 = param_block(KElem(a), KElem(t), n)
-
+def hybrid_rows(cert: Certificate, g1, g2, precision: int):
+    """Add the rows of the hybrid of g1 on diag(1, ..., 1, -rt2) and g2 on
+    diag(a, 1, ..., 1, -rt2), with a = g2.c and n read off the blocks, and
+    return g1's Isometry.  The rows hold for any two blocks, but
+    lambda1_integral holds for block_g1, not for short blocks; the 7 row is
+    decided on the instance's g2 only (c = 3, t = (3/2) sqrt2), else SKIPped."""
     iso1, iso2 = g1.to_isometry(), g2.to_isometry()
     cert.add("g1_isometry", "g1 preserves diag(1, ..., 1, -rt2) exactly",
              iso1.sheet_preserving,
@@ -170,11 +163,11 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
     cert.add("g2_isometry", "g2 preserves diag(a, 1, ..., 1, -rt2) exactly",
              iso2.sheet_preserving,
              exact={"alpha": g2.alpha.to_text(), "gamma": g2.gamma.to_text()})
+    t1, t2 = g1.parameter(), g2.parameter()
     cert.add("parameter_roundtrip",
              "gamma/(alpha - 1) recovers the conic parameter of both blocks",
-             g1.parameter() == KElem(1)
-             and param_block(g2.c, g2.parameter(), n).alpha == g2.alpha,
-             exact={"t1": g1.parameter().to_text(), "t2": g2.parameter().to_text()})
+             all(param_block(g.c, t, g.n) == g for g, t in ((g1, t1), (g2, t2))),
+             exact={"t1": t1.to_text(), "t2": t2.to_text()})
 
     lam1, lam2 = leading_eigenvalue(g1), leading_eigenvalue(g2)
     len1, len2 = (eigenvalue_length(lam, precision) for lam in (lam1, lam2))
@@ -210,7 +203,6 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
     cert.add("lambda2_nonintegral", "lambda2 is not an algebraic integer",
              not mp2.is_integral(), exact={"minpoly_lambda2": mp2.to_text()})
     prod_poly, prod_iv = product(lam1, lam2, precision)
-    dens = {c.denominator for c in prod_poly.coeffs}
     cert.add("product_nonintegral",
              "lambda1*lambda2 is not an algebraic integer",
              not prod_poly.is_integral(),
@@ -218,9 +210,10 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
              numeric={"product": prod_iv})
     cert.add("product_denominator_seven",
              "the product minimal polynomial carries a denominator divisible by 7",
-             any(d % 7 == 0 for d in dens), skip=not is_standard)
+             any(c.denominator % 7 == 0 for c in prod_poly.coeffs),
+             skip=not (g2.c == 3 and t2 == KElem(0, Fraction(3, 2))))
 
-    ambient = GroupSample([iso1, conjugate_between_forms(iso2, a)], 2)
+    ambient = GroupSample([iso1, conjugate_between_forms(iso2, g2.c.a)], 2)
     sub_fd = trace_field_sample(GroupSample([iso1], 3))
     amb_fd = trace_field_sample(ambient)
     sub_wit = sub_fd.witnesses[0] if sub_fd.witnesses else ("", "")
@@ -233,7 +226,7 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
              amb_fd.level == "K",
              exact={"level": amb_fd.level,
                     **{f"witness_{w}": t for w, t in amb_fd.witnesses}})
-    report = non_qa_certificate(a, sub_fd, amb_fd)
+    report = non_qa_certificate(g2.c.a, sub_fd, amb_fd)
     cert.add("non_quasi_arithmetic",
              "trace field k inside trace field K rules out quasi-arithmeticity",
              report.passed, exact={"failures": "; ".join(report.failures) or "none"})
@@ -242,7 +235,21 @@ def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
     cert.add("nonintegral_trace_sample",
              "the mixed sample exhibits nonintegral adjoint traces",
              bool(scan), exact={"count": len(scan)})
+    return iso1
 
+
+def cmd_verify(a: Fraction, n: int, precision: int) -> Certificate:
+    _admissible_a(a)
+    if n < 2:
+        raise InputError("dimension n must be at least 2")
+    cert = Certificate("verify", {"a": a, "n": n, "precision": precision})
+    if a == 3:
+        g2 = block_g2(n)
+    else:
+        # the least t >= 1 with sqrt2 t^2 > a = p/q, i.e. 2 q^2 t^4 > p^2
+        t = math.isqrt(math.isqrt(a.numerator ** 2 // (2 * a.denominator ** 2))) + 1
+        g2 = param_block(KElem(a), KElem(t), n)
+    iso1 = hybrid_rows(cert, block_g1(n), g2, precision)
     for level_text, expect_in in (("0+1*rt2", True), ("2", True), ("7", False)):
         ideal = ZsqrtIdeal.parse(level_text)
         got = in_principal_congruence(iso1, ideal)

@@ -726,7 +726,7 @@ class TowerElem:
         su, sv = self.u.sign(), self.v.sign()
         if su == sv or not su:
             return sv
-        cmp = (self.u * self.u - self.radicand * self.v * self.v).sign()
+        cmp = self.tower_norm().sign()
         return cmp if su > 0 else -cmp   # cmp != 0: d is not a square in k
 
     def embed(self, precision: int = 64) -> RealInterval:

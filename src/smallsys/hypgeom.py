@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactfield import KElem, RealInterval, embed
+from .exactfield import K_ONE, K_ZERO, RealInterval, embed
 from .lorentz import Isometry, QuadForm, mat_vec, sum_prod
 
 
@@ -48,8 +48,7 @@ class GeodesicHyperplane:
     @classmethod
     def coordinate(cls, form: QuadForm) -> "GeodesicHyperplane":
         """The hyperplane {x1 = 0}, normal e1."""
-        e1 = [KElem(1)] + [KElem(0)] * form.n
-        return cls(e1, form)
+        return cls([K_ONE] + [K_ZERO] * form.n, form)
 
     def image(self, iso: Isometry) -> "GeodesicHyperplane":
         return GeodesicHyperplane(mat_vec(iso.entries, self.normal), self.form)

@@ -81,7 +81,7 @@ class QuadForm:
         return hash(self.spatial)
 
     def discriminant(self) -> KElem:
-        out = KElem(1)
+        out = K_ONE
         for c in self.spatial:
             out = out * c
         return out * self.temporal
@@ -285,27 +285,18 @@ class ABlockElement:
 
     def parameter(self) -> KElem:
         """Recover the conic parameter t = gamma / (alpha - 1)."""
-        if self.alpha == KElem(1):
+        if self.alpha == K_ONE:
             raise ValueError("identity block has no finite parameter")
-        return self.gamma / (self.alpha - KElem(1))
+        return self.gamma / (self.alpha - K_ONE)
 
     def form(self) -> QuadForm:
         return QuadForm.standard(self.c, self.n)
 
     def to_entries(self):
-        size = self.n + 1
-        zero, one = KElem(0), KElem(1)
-        rows = []
-        for i in range(size):
-            row = [zero] * size
-            if i == 0:
-                row[0], row[size - 1] = self.alpha, self.top_right
-            elif i == size - 1:
-                row[0], row[size - 1] = self.gamma, self.alpha
-            else:
-                row[i] = one
-            rows.append(tuple(row))
-        return tuple(rows)
+        rows = [list(row) for row in mat_identity(self.n + 1)]
+        rows[0][0], rows[0][-1] = self.alpha, self.top_right
+        rows[-1][0], rows[-1][-1] = self.gamma, self.alpha
+        return tuple(map(tuple, rows))
 
     def to_isometry(self) -> Isometry:
         return Isometry(self.to_entries(), self.form())

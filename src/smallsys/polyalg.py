@@ -69,7 +69,8 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _strip(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", _strip(
+            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs))
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from smallsys import arith, cli, combin, lorentz, polyalg
 from smallsys.arith import GroupSample, conjugate_between_forms, integrality_scan
 from smallsys.cli import main
+from smallsys.congr import is_integral_matrix
 from smallsys.exactfield import SQRT2, KElem, RealInterval, TowerElem, sqrt_k
 from smallsys.lorentz import block_g1, block_g2
 from smallsys.polyalg import PrecisionError
@@ -213,6 +214,25 @@ class TestVerify:
         a = Fraction(10 ** 13)
         assert t2(a) == 2659148
         assert SQRT2 * 2659147 ** 2 < KElem(a) < SQRT2 * 2659148 ** 2
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
+    def test_hybrid_rows_on_short_blocks(self, eps):
+        # the shared rows on the short blocks a family would glue, t1 = 4, 17
+        # and 169: g1's entries have the denominator 2 t1^4 - 1 (511 at
+        # t1 = 4), so lambda1 is no algebraic integer, and the 7 row is the
+        # worked instance's alone; every other row holds
+        rows = [c["name"] for c in cli.cmd_verify(Fraction(3), 2, 64).checks][:-3]
+        g1 = lorentz.find_small_element(KElem(1), eps, 10 ** 6)
+        assert not is_integral_matrix(g1.to_isometry())
+        for c in (3, 17):
+            g2 = lorentz.find_small_element(KElem(c), eps, 10 ** 6)
+            cert = cli.Certificate("hybrid", {})
+            assert cli.hybrid_rows(cert, g1, g2, 64).entries == g1.to_entries()
+            status = {row["name"]: row["status"] for row in cert.checks}
+            assert list(status) == rows
+            assert status.pop("lambda1_integral") == "FAIL"
+            assert status.pop("product_denominator_seven") == "SKIP"
+            assert set(status.values()) == {"PASS"}
 
     # SHA-256 of the --json certificate; a = 12 is the FAIL case, and the
     # tower radicand 5/3 has a denominator

@@ -90,6 +90,22 @@ class TestMinpoly:
         assert minpoly_over_Q(LAM2) == QPoly(
             [1, Fraction(-44, 7), 6, Fraction(-44, 7), 1])
 
+    def test_each_coefficient_is_built_once(self, monkeypatch):
+        # the k/Q norm builds each coefficient as a Fraction and QPoly keeps
+        # it; wrapping it again in Fraction made 10 for LAM2's 5 coefficients
+        built = [0]
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                built[0] += 1
+                return super().__new__(cls, *args)
+        monkeypatch.setattr(polyalg, "Fraction", Counted)
+        for poly, size in ((lambda: minpoly_over_Q(LAM2), 5),
+                           (lambda: product(LAM1, LAM2, 64)[0], 9)):
+            built[0] = 0
+            assert len(poly().coeffs) == size
+            assert built[0] == size
+
     def test_matches_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(47)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exactfield import K_ONE, KElem, as_tower_coords, sqrt_k
+from .exactfield import Immutable, K_ONE, KElem, as_tower_coords, sqrt_k
 from .lorentz import Isometry, QuadForm, sum_prod
 from .polyalg import minpoly_over_Q
 
@@ -48,7 +48,7 @@ def conjugate_between_forms(m: Isometry, a) -> Isometry:
 # word samples
 # ---------------------------------------------------------------------------
 
-class GroupSample:
+class GroupSample(Immutable):
     """Finitely many verified isometries of one form, sampled over reduced
     words up to a fixed length, with one adjoint trace per class of words.
 
@@ -78,9 +78,6 @@ class GroupSample:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "word_length", word_length)
         object.__setattr__(self, "_traces", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GroupSample is immutable")
 
     def traces(self):
         """(word, adjoint trace) per nonempty reduced word (a tuple of signed

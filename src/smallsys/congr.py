@@ -6,7 +6,7 @@ Z[sqrt 2] has class number 1, so one generator describes every ideal.
 
 from __future__ import annotations
 
-from .exactfield import KElem, TowerElem, as_kelem, parse_kelem
+from .exactfield import Immutable, KElem, TowerElem, as_kelem, parse_kelem
 from .lorentz import Isometry
 
 
@@ -21,7 +21,7 @@ def _as_kelem(x) -> KElem:
     return as_kelem(x)
 
 
-class ZsqrtIdeal:
+class ZsqrtIdeal(Immutable):
     """The ideal (generator) of Z[sqrt 2]; generator nonzero with integer
     coordinates."""
 
@@ -34,9 +34,6 @@ class ZsqrtIdeal:
         if not _is_integral_kelem(generator):
             raise ValueError(f"generator {generator} is not in Z[sqrt 2]")
         object.__setattr__(self, "generator", generator)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ZsqrtIdeal is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "ZsqrtIdeal":

@@ -1,19 +1,20 @@
 """Exact arithmetic in Q, k = Q(sqrt 2), and quadratic towers k(sqrt d).
 
-Every value is immutable and every operation is a pure function, so all of
-this is safe to use from concurrent tasks.  Every value has one form.  An
-element of k is one integer triple (p + q sqrt2)/d with d > 0 and
+Every value is immutable, through the one guard ``Immutable`` that every
+value class of the package rests on, and every operation is a pure function,
+so all of this is safe to use from concurrent tasks.  Every value has one
+form.  An element of k is one integer triple (p + q sqrt2)/d with d > 0 and
 gcd(p, q, d) = 1, so field arithmetic and sign determination run on ints
 only, never on floating point.  A tower k(sqrt d) is entered through
-``sqrt_k``, which decides once that d is not a square in k; an element
-u + v sqrt(d) carries its radicand d, with v = 0 it is the KElem u, and a
-TowerElem always has v != 0, so equal values compare and hash alike and a
-factor from k costs two multiplies, not five.  Numerical evaluation goes
-through ``RealInterval``, whose endpoints always enclose the exact value;
-they are dyadic, stored as int mantissas over 2^precision, so interval
-arithmetic runs on ints too.  ``escalate`` is the one rule that raises a
-precision.  The distinguished real embedding sends sqrt(2) and sqrt(d) to
-their positive roots.
+``sqrt_k``, which decides once that d is not a square in k; an element u + v
+sqrt(d) carries its radicand d, with v = 0 it is the KElem u, and a TowerElem
+always has v != 0, so equal values compare and hash alike and a factor from k
+costs two multiplies, not five.  Numerical evaluation goes through
+``RealInterval``, whose endpoints always enclose the exact value; they are
+dyadic, stored as int mantissas over 2^precision, so interval arithmetic runs
+on ints too.  ``escalate`` is the one rule that raises a precision.  The
+distinguished real embedding sends sqrt(2) and sqrt(d) to their positive
+roots.
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ class ContextMismatchError(ValueError):
 
 class PrecisionError(ArithmeticError):
     """Raised when escalating precision failed to decide a certified value."""
+
+
+class Immutable:
+    """The base of every value class: its slots are set once, when the value
+    is built, through ``object.__setattr__`` or the slot descriptors, and
+    assigning to it afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def escalate(decide, start: int, message: str):
@@ -65,9 +77,10 @@ def _isqrt_up(n: int) -> int:
 
 # Transcendental endpoints run in fixed point: an int v stands for v / 2^w at
 # a working precision w = prec + guard bits, and each kernel returns (v, err,
-# w) with |v - 2^w f(x)| <= err units (ulps at w bits).  ``_outward`` pads the
-# endpoint by err and by max(|v|, 1) / 2^(prec+8), then rounds it outward to a
-# mantissa over 2^prec.
+# w) with |v - 2^w f(x)| <= err units (ulps at w bits).  ``_outward`` pads v
+# by err and by max(|v|, 1) / 2^(prec+8), then rounds it outward to two
+# mantissas over 2^prec.  log runs its kernel at every x; sinh runs its series
+# below 1 and doubles it up to larger x (``_sinh_at``).
 
 @functools.cache
 def _odd_recips(w: int, n: int) -> tuple:
@@ -122,61 +135,60 @@ def _log_fix(man: int, prec: int):
 
 
 def _sinh_fix(man: int, prec: int):
-    """sinh(man / 2^prec) as (v, err, w); sinh is odd, so x = |man| / 2^prec.
-    For x < 1 the odd series x^(2j+1) / (2j+1)! in fixed point: each term is
-    within 3 units, so n terms are within 3n + 4 with the tail, and a tiny x
-    loses no bits.  Above, e^x = 2^q e^r with r = x - q ln 2 in [0, ln 2)
-    within 2q units.  e^(r/2^s) by n terms of the exp series is within
-    3n + 3 + 2q/2^s units, relative, and s squarings give e^r within
-    eps = 2^s (3n + 4) + 2q.  Then e^x is within eps 2^(q+1), e^-x within
-    eps + 2, and their half difference within err = eps 2^(q+1) + 2."""
-    x = abs(man)
-    if x < 1 << prec:
-        w = prec + 24
-        x <<= 24
-        x2, v, n = x * x >> w, 0, 0
-        while x:
-            v += x
-            n += 1
-            x = (x * x2 >> w) // (2 * n * (2 * n + 1))
-        err = 3 * n + 4
-    else:
-        s = 8
-        w = prec + 24 + s + (x >> prec).bit_length()
-        x <<= w - prec
-        ln2 = _ln2(w)
-        q = x // ln2
-        r = (x - q * ln2) >> s
-        term = m = 1 << w
-        n = 0
-        while term:
-            n += 1
-            term = (term * r >> w) // n
-            m += term
-        for _ in range(s):
-            m = m * m >> w
-        v = ((m << q) - ((1 << 2 * w) // m >> q)) >> 1
-        err = ((((3 * n + 4) << s) + 2 * q) << q + 1) + 2
-    return (-v if man < 0 else v), err, w
+    """sinh(man / 2^prec) for |man| < 2^prec, as (v, err, w): the odd series
+    x^(2j+1) / (2j+1)! in fixed point.  Each term is within 3 units, so n
+    terms are within 3n + 4 with the tail, and a tiny x loses no bits."""
+    w = prec + 24
+    x = abs(man) << 24
+    x2, v, n = x * x >> w, 0, 0
+    while x:
+        v += x
+        n += 1
+        x = (x * x2 >> w) // (2 * n * (2 * n + 1))
+    return (-v if man < 0 else v), 3 * n + 4, w
 
 
-def _outward(fixed, prec: int, upper: bool) -> int:
-    """A kernel's (v, err, w) rounded outward to a mantissa over 2^prec, past
-    err and a pad of max(|v|, 1) / 2^(prec+8)."""
+def _outward(fixed, prec: int):
+    """A kernel's (v, err, w) rounded outward to mantissas (lo, hi) over
+    2^prec, past err and a pad of max(|v|, 1) / 2^(prec+8)."""
     v, err, w = fixed
     pad = err + (max(abs(v), 1 << w) >> prec + 8) + 1
-    return _ceil_shift(v + pad, w - prec) if upper else (v - pad) >> w - prec
+    return (v - pad) >> w - prec, _ceil_shift(v + pad, w - prec)
 
 
-def _endpoints(fix, low: int, high: int, prec: int):
-    """The mantissas of fix(low) rounded down and fix(high) rounded up; a
-    point runs the kernel once."""
-    a = fix(low, prec)
-    b = a if high == low else fix(high, prec)
-    return _outward(a, prec, False), _outward(b, prec, True)
+def _log_at(man: int, prec: int):
+    return _outward(_log_fix(man, prec), prec)
 
 
-class RealInterval:
+def _sinh_at(man: int, prec: int):
+    """Mantissas (lo, hi) over 2^prec enclosing sinh(man / 2^prec).  Below 1
+    the series kernel runs at once.  From x = |man| / 2^prec >= 1 on, with
+    s = bitlen(floor x), it runs at y = x / 2^s < 1, a shift of the mantissa,
+    with s + 8 guard bits, and s doublings sinh 2y = 2 sinh y sqrt(1 +
+    sinh^2 y) on RealIntervals, which round outward, take it back to x; a
+    doubling at most doubles the relative error, which the guard bits absorb.
+    sinh is odd."""
+    x = abs(man)
+    if x < 1 << prec:
+        return _outward(_sinh_fix(man, prec), prec)
+    s = (x >> prec).bit_length()
+    w = prec + s + 8
+    z = _interval(*_outward(_sinh_fix(x << 8, w), w), w)
+    one = _interval(1 << w, 1 << w, w)
+    for _ in range(s):
+        z = (z + z) * (one + z * z).sqrt()
+    lo, hi = z._at(prec)
+    return (-hi, -lo) if man < 0 else (lo, hi)
+
+
+def _endpoints(at, low: int, high: int, prec: int):
+    """The lower mantissa of at(low) and the upper one of at(high), each an
+    enclosure (lo, hi) over 2^prec; a point runs ``at`` once."""
+    a = at(low, prec)
+    return a[0], (a if high == low else at(high, prec))[1]
+
+
+class RealInterval(Immutable):
     """A closed interval [lo, hi] with dyadic endpoints containing a real value.
 
     The endpoints are stored as two int mantissas over 2^precision,
@@ -197,9 +209,6 @@ class RealInterval:
         _set_lo(self, (lo.numerator << precision) // lo.denominator)
         _set_hi(self, -((-hi.numerator << precision) // hi.denominator))
         _set_prec(self, precision)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RealInterval is immutable")
 
     @classmethod
     def exact(cls, x, precision: int = 64) -> "RealInterval":
@@ -317,11 +326,11 @@ class RealInterval:
         if self.man_lo <= 0:
             raise ValueError("log needs a positive interval")
         p = self.precision
-        return _interval(*_endpoints(_log_fix, self.man_lo, self.man_hi, p), p)
+        return _interval(*_endpoints(_log_at, self.man_lo, self.man_hi, p), p)
 
     def sinh(self) -> "RealInterval":
         p = self.precision
-        return _interval(*_endpoints(_sinh_fix, self.man_lo, self.man_hi, p), p)
+        return _interval(*_endpoints(_sinh_at, self.man_lo, self.man_hi, p), p)
 
 
 # the slots are written through their descriptors, past the __setattr__ guard
@@ -352,7 +361,7 @@ def _exact_isqrt(n: int):
     return None
 
 
-class KElem:
+class KElem(Immutable):
     """An element a + b*sqrt(2) of Q(sqrt 2).
 
     It is stored as one integer triple, (p + q*sqrt(2))/d with d > 0 and
@@ -373,9 +382,6 @@ class KElem:
         _set_p(self, p)
         _set_q(self, q)
         _set_d(self, d)
-
-    def __setattr__(self, *_):
-        raise AttributeError("KElem is immutable")
 
     @property
     def a(self) -> Fraction:
@@ -636,7 +642,7 @@ def parse_kelem(text: str) -> KElem:
 _SCALARS = (int, Fraction, KElem)
 
 
-class TowerElem:
+class TowerElem(Immutable):
     """An element u + v*sqrt(d) of the tower k(sqrt d) with v != 0; d, a
     positive non-square of k, is its ``radicand``.
 
@@ -649,9 +655,6 @@ class TowerElem:
     """
 
     __slots__ = ("u", "v", "radicand")
-
-    def __setattr__(self, *_):
-        raise AttributeError("TowerElem is immutable")
 
     def _check(self, o: "TowerElem"):
         if o.radicand is not self.radicand and o.radicand != self.radicand:

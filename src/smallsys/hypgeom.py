@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactfield import K_ONE, K_ZERO, RealInterval, embed
+from .exactfield import Immutable, K_ONE, K_ZERO, RealInterval, embed
 from .lorentz import Isometry, QuadForm, mat_vec, sum_prod
 
 
@@ -26,7 +26,7 @@ def bilinear(form: QuadForm, x, y):
     return sum_prod([a * c for a, c in zip(x, form.diagonal())], y)
 
 
-class GeodesicHyperplane:
+class GeodesicHyperplane(Immutable):
     """{B(u, .) = 0} for an exact spacelike normal u; norm holds f(u) > 0."""
 
     __slots__ = ("normal", "form", "norm")
@@ -41,9 +41,6 @@ class GeodesicHyperplane:
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "norm", norm)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GeodesicHyperplane is immutable")
 
     @classmethod
     def coordinate(cls, form: QuadForm) -> "GeodesicHyperplane":

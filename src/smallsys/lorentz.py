@@ -17,8 +17,8 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-from .exactfield import (K_ONE, K_ZERO, KElem, RealInterval, SQRT2, TowerElem,
-                         as_kelem, embed, escalate, parse_kelem, sqrt_k)
+from .exactfield import (Immutable, K_ONE, K_ZERO, KElem, RealInterval, SQRT2,
+                         TowerElem, as_kelem, embed, escalate, parse_kelem, sqrt_k)
 
 
 class WrongBranchError(ValueError):
@@ -45,7 +45,7 @@ def _sign_of(x) -> int:
     return (x > 0) - (x < 0)
 
 
-class QuadForm:
+class QuadForm(Immutable):
     """diag(spatial..., -sqrt 2) acting on n+1 variables."""
 
     __slots__ = ("n", "spatial", "temporal")
@@ -60,9 +60,6 @@ class QuadForm:
         object.__setattr__(self, "n", len(spatial))
         object.__setattr__(self, "spatial", spatial)
         object.__setattr__(self, "temporal", -SQRT2)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuadForm is immutable")
 
     @classmethod
     def standard(cls, c, n: int) -> "QuadForm":
@@ -176,35 +173,33 @@ def in_O_prime(entries, form: QuadForm) -> bool:
     return Isometry(entries, form).sheet_preserving
 
 
-class Isometry:
+class Isometry(Immutable):
     """A form-preserving matrix.  Construction from entries checks
     M^T F M = F exactly; products and inverses are closed under the group
     law, (AB)^T F (AB) = B^T (A^T F A) B = F and (F^{-1} M^T F) M = I, so
     they are built without checking again."""
 
-    __slots__ = ("entries", "form", "sheet_preserving")
+    __slots__ = ("entries", "form")
 
     def __init__(self, entries, form: QuadForm):
         entries = tuple(tuple(row) for row in entries)
         if not is_isometry(entries, form):
             raise ValueError("matrix does not preserve the form")
-        self._fill(entries, form)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "form", form)
 
     @classmethod
     def _closed(cls, entries, form: QuadForm) -> "Isometry":
         """An isometry derived from verified ones by the group law."""
         out = object.__new__(cls)
-        out._fill(entries, form)
+        object.__setattr__(out, "entries", entries)
+        object.__setattr__(out, "form", form)
         return out
 
-    def _fill(self, entries, form):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "sheet_preserving",
-                           _sign_of(entries[form.n][form.n]) == 1)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Isometry is immutable")
+    @property
+    def sheet_preserving(self) -> bool:
+        """Whether the upper hyperboloid sheet is kept: the corner is > 0."""
+        return _sign_of(self.entries[self.form.n][self.form.n]) == 1
 
     @classmethod
     def identity(cls, form: QuadForm) -> "Isometry":
@@ -255,7 +250,7 @@ def parse_isometry(text: str) -> Isometry:
 # the corner-block one-parameter subgroup
 # ---------------------------------------------------------------------------
 
-class ABlockElement:
+class ABlockElement(Immutable):
     """An element of the identity component of the corner-block subgroup:
     corners alpha / gamma acting on coordinates (1, n+1), identity between.
 
@@ -275,9 +270,6 @@ class ABlockElement:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ABlockElement is immutable")
 
     @property
     def top_right(self) -> KElem:

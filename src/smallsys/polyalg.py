@@ -33,8 +33,8 @@ import math
 from fractions import Fraction
 
 from .combin import _totient
-from .exactfield import (K_ONE, RealInterval, TowerElem, _tower, as_kelem,
-                         embed, escalate, sqrt_k)
+from .exactfield import (Immutable, K_ONE, RealInterval, TowerElem, _tower,
+                         as_kelem, embed, escalate, sqrt_k)
 from .exactfield import PrecisionError  # noqa: F401  the Mahler measure raises it
 
 GRAEFFE_STEPS = 6       # iterates tried before the certified measure decides
@@ -63,7 +63,7 @@ def _mul(a, b):
     return out
 
 
-class QPoly:
+class QPoly(Immutable):
     """A polynomial over Q, coefficients constant-first."""
 
     __slots__ = ("coeffs",)
@@ -71,9 +71,6 @@ class QPoly:
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _strip(
             c if isinstance(c, Fraction) else Fraction(c) for c in coeffs))
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
@@ -186,14 +183,10 @@ def product(lam, mu, precision: int = 64):
     return minpoly_over_Q(lam * mu), iv
 
 
-def is_algebraic_integer(obj) -> bool:
-    """True iff the monic minimal polynomial has integer coefficients; obj is
-    that polynomial (a QPoly) or a value of k or of a tower over it."""
-    if isinstance(obj, QPoly):
-        if not obj.is_monic():
-            raise ValueError("expected a monic minimal polynomial")
-        return obj.is_integral()
-    return minpoly_over_Q(obj).is_integral()
+def is_algebraic_integer(x) -> bool:
+    """True iff the monic minimal polynomial over Q of x, a value of k or of
+    a tower over it, has integer coefficients."""
+    return minpoly_over_Q(x).is_integral()
 
 
 # ---------------------------------------------------------------------------

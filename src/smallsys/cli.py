@@ -31,7 +31,8 @@ from .combin import (
     select_inequivalent,
 )
 from .congr import ZsqrtIdeal, in_principal_congruence, is_integral_matrix
-from .exactfield import KElem, RealInterval, embed, escalate, parse_kelem, sqrt_k
+from .exactfield import (MAX_PRECISION, KElem, RealInterval, embed, escalate,
+                         parse_kelem, sqrt_k)
 from .hypgeom import GeodesicHyperplane, dist_hyperplanes, systole_witness
 from .lorentz import (
     SearchExhaustedError,
@@ -48,13 +49,23 @@ from .polyalg import epsilon_gap, min_mahler_above_one, minpoly_over_Q, product
 
 # bracelets --m writes m words of 2^m letters each: 21 MB at m = 20
 MAX_BRACELET_M = 20
-# bracelets --length generates every canonical word: 3 s and 77 MB at 28 on
-# a 2-core x86 host, and each step of 2 multiplies the count by about 3.6
+# bracelets --length generates every canonical word: 1.8 s (median of 5 fresh
+# runs) and 77 MB at 28 on a 2-core x86 host, and each step of 2 multiplies
+# the count by about 3.6
 MAX_BRACELET_LENGTH = 28
+# mahler --D and budget --D search every degree up to D for the least Mahler
+# measure above 1: 1.4 s at 12 and 7.8 s at 14 on a 2-core x86 host, fresh
+MAX_MAHLER_D = 14
 
 
 class InputError(ValueError):
     """Bad command-line input; maps to exit code 2."""
+
+
+def _within_mahler_reach(D: int):
+    if D > MAX_MAHLER_D:
+        raise InputError(f"D = {D} is above {MAX_MAHLER_D}: the Mahler measure "
+                         "search would run past its measured reach")
 
 
 def _fmt(x) -> str:
@@ -290,7 +301,7 @@ def cmd_search(c_text: str, eps: float, height_bound: int, precision: int) -> Ce
         ell = eigenvalue_length(lam, bits)
         return None if eps in ell else (ell, bits)
     ell, precision = escalate(decided, precision,
-                              "translation length undecided at 4096 bits")
+                              f"translation length undecided at {MAX_PRECISION} bits")
     cert.add("small_element",
              f"the block at t = {g.parameter().to_text()} has translation "
              f"length below {eps}",
@@ -303,6 +314,7 @@ def cmd_search(c_text: str, eps: float, height_bound: int, precision: int) -> Ce
 def cmd_mahler(D: int) -> Certificate:
     if D < 1:
         raise InputError("degree bound D must be at least 1")
+    _within_mahler_reach(D)
     cert = Certificate("mahler", {"D": D})
     value, wit = min_mahler_above_one(D)
     cert.add("minimum_above_one",
@@ -401,6 +413,7 @@ def cmd_budget(m: int, D: int) -> Certificate:
         raise InputError("m must be at least 1")
     if D < 1:
         raise InputError("D must be at least 1")
+    _within_mahler_reach(D)
     cert = Certificate("budget", {"m": m, "D": D})
     gap = epsilon_gap(D)
     eps = epsilon_budget(m, gap)

@@ -7,11 +7,15 @@ construction.  A word is a plain str over "12".
 A canonical word starts with its longest run of 1s and ends with a 2, so it
 is a sequence of blocks 1^r 2^s.  Ordering blocks by r descending, then s
 ascending, makes block order word order, and the generator recurses once
-per block rather than once per letter.  Its first block (r_0, s_0) bounds
-the rest twice over: the reversal read from block 0 starts (r_0, s_{k-1}),
-so every choice must leave the last block at least s_0 2s, and where no
-later block has r_0 1s that reading is the only rotation of the reversal
-to compare with, so one comparison settles the word without a scan.
+per block rather than once per letter.  Each level's loop decides, for
+every block it chooses, the word whose next block takes the letters left,
+on the word string itself.  The first block (r_0, s_0) bounds the rest
+twice over: the reversal read from block 0 starts (r_0, s_{k-1}), so every
+choice must leave the last block at least s_0 2s; and where no later block
+has r_0 1s that reading is the only rotation of the reversal to compare
+with, so one slice comparison settles the word.  Elsewhere str.find meets
+each run of r_0 1s in the doubled reversal, and the rotation there is one
+slice to compare.
 """
 
 from __future__ import annotations
@@ -32,21 +36,18 @@ def enumerate_balanced_bracelets(length: int) -> list[str]:
     order: generated, not filtered from every balanced word.  The count
     matches burnside_count(length).
 
-    A block 1^r 2^s is stored as the pair (-r, s), so pair order is block
-    order: more 1s first, then fewer 2s.  It is word order too, since 1^r 2
-    < 1^r' 2 for r > r' and 1^r 2^s 1 < 1^r 2^s 2.  A rotation that starts
-    at a 2 or inside a run of 1s is above one that starts a block, so a word
-    is a necklace iff its block sequence is one, and Sawada's prenecklace
-    recursion (TCS 2003) runs on blocks: one level per block, with the
-    p-rule and the leaf test "k blocks, k % p == 0" as for letters, and the
-    last block taking the letters left.  Block 0 = (r_0, s_0) is chosen in
-    the outer loops; the word of block 0 alone, 1^h 2^h, is the least word.
-
-    A necklace is canonical iff it is <= every rotation of its reversal
-    (Sawada, SIAM J. Comput. 2001).  Read from block j the reversal is
-    (r_j, s_{j-1}), (r_{j-1}, s_{j-2}), ..., so it can be below the word
-    only for the j with r_j = r_0, and for j = 0 it starts (r_0, s_{k-1}):
-    a canonical word's last block has at least s_0 2s.
+    Blocks are ordered by more 1s first, then fewer 2s.  That is word order
+    too, since 1^r 2 < 1^r' 2 for r > r' and 1^r 2^s 1 < 1^r 2^s 2.  A
+    rotation that starts at a 2 or inside a run of 1s is above one that
+    starts a block, so a word is a necklace iff its block sequence is one,
+    and Sawada's prenecklace recursion (TCS 2003) runs on blocks.  Level t
+    chooses block t >= block t - p by the p-rule, as for letters: p stays
+    where the two are equal and becomes t + 1 otherwise.  Level 0 chooses
+    block 0 = (r_0, s_0); a sentinel block (h, 0), below every block, stands
+    before it.  For each choice the loop decides the leaf itself, with no
+    call: the word whose block t + 1 takes the letters left is a necklace
+    iff that block is >= block t + 1 - p, and where it is equal p divides
+    the t + 2 blocks.  The word of block 0 alone, 1^h 2^h, is the least.
 
     *The bound on 2s.*  Every block is chosen so that the last block can
     still have s_0 2s.  With R1 1s and R2 2s left after a block, at least
@@ -56,56 +57,65 @@ def enumerate_balanced_bracelets(length: int) -> list[str]:
         and R2 - s: s <= R2 - ceil((R1 - r) / r_0) - (s_0 - 1).
       - Block 0 = (r, s) leaves h - r and h - s with r_0 = r, s_0 = s:
         h - s >= ceil((h - r) / r) + s - 1, so 2s <= h - ceil((h - r) / r) + 1.
-    A subtree cut this way holds no word whose last block has s_0 2s, so
-    no canonical word is lost.
+    A subtree cut this way holds no word whose last block has s_0 2s, so no
+    canonical word is lost.  As R1 - r >= 1, every leaf's last block has at
+    least s_0 2s.  After a block that leaves o 1s and w 2s, the next block
+    has fewer than o 1s, so the bound gives it at most w - s_0 2s: the level
+    recurses only where o > 1 and w > s_0.
 
-    *The reversal test.*  `reps` counts the blocks after block 0 with r_0
-    1s.  If there are none and the last block has fewer than r_0 1s, j = 0
-    is the only rotation that competes.  It is above the word at once if
-    s_{k-1} > s_0; otherwise, past their common -r_0, it reads the pairs
-    a[1:m] backwards, and one comparison decides.  Only where some later
-    block has r_0 1s are all the j with r_j = r_0 scanned."""
+    *The reversal test.*  A necklace is canonical iff it is <= every
+    rotation of its reversal (Sawada, SIAM J. Comput. 2001).  The word
+    starts 1^r_0 2, and r_0 is its longest run of 1s, so only the rotations
+    that start a run of r_0 1s can be below it.  The reversal starts with a
+    2, so in the reversal doubled each run of r_0 1s that str.find meets is
+    whole, and the rotation there is the slice of length L from it.  Read
+    from block j the reversal is (r_j, s_{j-1}), (r_{j-1}, s_{j-2}), ...,
+    and these runs come in the order j = k - 1, ..., 1, 0.  `reps` counts
+    the blocks with r_0 1s, block 0 among them, and only where a later
+    block has r_0 1s is the reversal built and scanned, up to the run of
+    block 0 at L - r_0.  The reading from block 0 is 1^r_0, then
+    word[:r_0 - 1:-1].  It is above the word at once if the last block has
+    more than s_0 2s, and otherwise one slice comparison decides."""
     if length % 2 != 0 or length < 2:
         raise ValueError("length must be a positive even number")
     h = length // 2
-    a = [0] * length            # a[2t], a[2t + 1] = -r, s of block t
-    out = ["1" * h + "2" * h]   # block 0 alone, the least word
+    blocks = [["1" * r + "2" * s for s in range(h + 1)] for r in range(h + 1)]
+    # a[2t], a[2t + 1] = r, s of block t; a[-2:] = (h, 0), the sentinel before block 0
+    a = [0] * length + [h, 0]
+    # run = 1^r_0; block 0's run starts at b0 = L - r_0 in the reversal
+    out, r0, s0, run, b0 = [blocks[h][h]], 0, 0, "", 0
 
-    def extend(t, p, ones, twos, word, reps):
-        """Extend `word`, the prenecklace of blocks 0..t-1, by blocks >=
-        block t - p, (rp, sp); its longest Lyndon prefix has p blocks, and
-        `reps` of blocks 1..t-1 have r_0 1s."""
+    def extend(t, p, ones, twos, head, reps):
+        """Choose block t >= block t - p = (rp, sp) after `head`, with `ones`
+        1s and `twos` 2s left; `reps` blocks of `head` have r_0 1s."""
+        nonlocal r0, s0, run, b0
         q = 2 * (t - p)
-        rp, sp = -a[q], a[q + 1]
-        k, m = t + 1, 2 * t + 2
-        if twos >= s0 and (ones < rp or ones == rp and (
-                twos > sp or twos == sp and k % p == 0)):
-            a[m - 2], a[m - 1] = -ones, twos
-            if reps or ones == r0:
-                # the reversal read from block j starts at -r_j in the
-                # reversed pairs; their second copy ends the search
-                pairs, rev = a[:m], a[m - 1::-1] * 2
-                i = rev.index(-r0)
-                while i < m and pairs <= rev[i:i + m]:
-                    i = rev.index(-r0, i + 2)
-                canonical = i >= m
-            else:
-                # only j = 0 competes: after -r_0 it reads a[1:m] backwards
-                canonical = twos > s0 or a[1:m] <= a[m - 1:0:-1]
-            if canonical:
-                out.append(word + "1" * ones + "2" * twos)
+        rp, sp = a[q], a[q + 1]
         for r in range(rp if rp < ones else ones - 1, 0, -1):
-            a[m - 2], head, rep = -r, word + "1" * r, reps + (r == r0)
-            for s in range(sp if r == rp else 1,
-                           twos + (r - ones) // r0 - s0 + 2):
-                a[m - 1] = s
-                extend(k, p if r == rp and s == sp else k, ones - r,
-                       twos - s, head + "2" * s, rep)
+            if not t:
+                r0, run, b0 = r, "1" * r, length - r
+            a[2 * t], o, rep = r, ones - r, reps + (r == r0)
+            c = twos + (r - ones) // r0 + 1
+            for s in range(sp if r == rp else 1, (c - s0 if t else c // 2) + 1):
+                if not t:
+                    s0 = s
+                a[2 * t + 1], w, pre = s, twos - s, head + blocks[r][s]
+                p1, r1, s1 = t + 1, r0, s0
+                if r == rp and s == sp:
+                    p1, r1, s1 = p, a[q + 2], a[q + 3]
+                if o < r1 or o == r1 and (w > s1 or w == s1 and (t + 2) % p1 == 0):
+                    word, i = pre + blocks[o][w], b0
+                    if rep > 1 or o == r0:
+                        rev = word[::-1] * 2
+                        i = rev.find(run)
+                        while i < b0 and word <= rev[i:i + length]:
+                            i = rev.find(run, i + r0)
+                    if i >= b0 and (w > s0 or word[r0:] <= word[:r0 - 1:-1]):
+                        out.append(word)
+                if o > 1 and w > s0:
+                    extend(t + 1, p1, o, w, pre, rep)
 
-    for r0 in range(h - 1, 0, -1):
-        for s0 in range(1, (h + 1 + (r0 - h) // r0) // 2 + 1):
-            a[0], a[1] = -r0, s0
-            extend(1, 1, h - r0, h - s0, "1" * r0 + "2" * s0, 0)
+    extend(0, 1, h, h, "", 0)
     return out
 
 

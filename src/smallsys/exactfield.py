@@ -44,14 +44,19 @@ class Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+# the highest precision escalate tries, in bits
+MAX_PRECISION = 4096
+
+
 def escalate(decide, start: int, message: str):
     """The first result of decide(prec) that is not None (False counts as
     decided) for prec = start, 2 start, 4 start, ...  The first call always
-    happens; PrecisionError(message) is raised once prec would pass 4096 bits."""
+    happens; PrecisionError(message) is raised once prec would pass
+    MAX_PRECISION bits."""
     prec = start
     while (out := decide(prec)) is None:
         prec *= 2
-        if prec > 4096:
+        if prec > MAX_PRECISION:
             raise PrecisionError(message)
     return out
 

@@ -17,8 +17,9 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-from .exactfield import (Immutable, K_ONE, K_ZERO, KElem, RealInterval, SQRT2,
-                         TowerElem, as_kelem, embed, escalate, parse_kelem, sqrt_k)
+from .exactfield import (MAX_PRECISION, Immutable, K_ONE, K_ZERO, KElem, RealInterval,
+                         SQRT2, TowerElem, as_kelem, embed, escalate, parse_kelem,
+                         sqrt_k)
 
 
 class WrongBranchError(ValueError):
@@ -347,8 +348,9 @@ def _least_root_above(q: KElem, eps: Fraction) -> int:
     """The least n >= 1 with n^2 > T = q coth^2(eps/2), for q > 0 in k, decided
     exactly: isqrt(floor T) + 1, once floor T has one isqrt at both ends of T's
     enclosure, from 64 + the bits of 1/x bits up at x = eps/2, which keep
-    sinh(x) away from 0 (undecided at 4096 bits raises PrecisionError).  T is
-    transcendental, so escalation parts it from every square.
+    sinh(x) away from 0 (undecided at MAX_PRECISION bits raises
+    PrecisionError).  T is transcendental, so escalation parts it from every
+    square.
 
     A huge eps costs nothing: at prec bits x is capped at prec.  coth^2 falls to
     1 as x grows, so T at the cap is an upper end for the true T; and 1/sinh x
@@ -367,7 +369,8 @@ def _least_root_above(q: KElem, eps: Fraction) -> int:
         return n + 1 if n == math.isqrt(T.man_hi >> T.precision) else None
     start = 64 + max(0, half.denominator.bit_length() - half.numerator.bit_length())
     # names no float(q) or float(eps): each overflows past about 1.8e308
-    return escalate(decide, start, "t^2 > q coth^2(eps/2) undecided at 4096 bits")
+    return escalate(decide, start,
+                    f"t^2 > q coth^2(eps/2) undecided at {MAX_PRECISION} bits")
 
 
 def find_small_element(c, eps_target: float | Fraction,
@@ -406,8 +409,8 @@ def find_small_element(c, eps_target: float | Fraction,
         def priced(prec):   # the midpoint, once 2^-40 wide relative to the length
             ell = eigenvalue_length(lam, prec)
             return float(ell) if ell.width() * 2 ** 40 < ell.lo else None
-        best_len = escalate(
-            priced, 64, f"length at height {height_bound} undecided at 4096 bits")
+        best_len = escalate(priced, 64, f"length at height {height_bound} "
+                                        f"undecided at {MAX_PRECISION} bits")
     if isinstance(eps_target, Fraction):    # 6 digits of its exact value, of any size
         eps_target = format(Decimal(eps.numerator) / eps.denominator, ".6g")
     raise SearchExhaustedError(

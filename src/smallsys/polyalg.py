@@ -479,7 +479,7 @@ def _at_most(key: ZPoly, bound) -> bool:
     """M(key) <= bound, a Fraction cap or another key: equal keys tie, else the
     enclosures to 2^-34, 2^-68, ... decide once they separate.  Distinct keys
     of one measure, or a cap equal to a measure with irrational roots, raise
-    PrecisionError past 4096 bits."""
+    PrecisionError past MAX_PRECISION bits."""
     if key == bound:
         return True
 

@@ -414,6 +414,21 @@ class TestMahler:
         code, _, _ = run(["mahler", "--D", "0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["mahler", "--D", str(cli.MAX_MAHLER_D + 1)],
+        ["mahler", "--D", str(10 ** 11)],
+        ["budget", "--m", "3", "--D", "20"],
+    ], ids=["mahler-above", "mahler-huge", "budget-20"])
+    def test_degree_above_the_limit_is_input_error(self, capsys, monkeypatch, argv):
+        def enumerates(D):
+            raise AssertionError("the Mahler measure search ran")
+        monkeypatch.setattr(cli, "min_mahler_above_one", enumerates)
+        monkeypatch.setattr(cli, "epsilon_gap", enumerates)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: D = {argv[-1]} is above {cli.MAX_MAHLER_D}: the "
+                       "Mahler measure search would run past its measured reach\n")
+
     # SHA-256 of the --json certificate: every printed digit of the minimum
     # measure and the systole gap, not only a prefix
     @pytest.mark.parametrize("argv, digest", [
@@ -730,13 +745,15 @@ K_TEXTS = _mostly(st.sampled_from(["1", "3", "17", "1/3", "1+1*rt2", "0+4*rt2",
 EPSILONS = _mostly(st.floats(1e-300, 1e3).map(repr) | st.sampled_from(
     ["5e-324", "1e300", "128", "-0.25", "0", "-0.0"]), ["nan", "inf", "-inf", "abc", ""])
 
+DEGREES = _ints(st.integers(-1, 8) | st.sampled_from([cli.MAX_MAHLER_D + 1, 10 ** 11]))
+
 
 @st.composite
 def command_argv(draw):
     """argv for one smallsys command: valid, boundary and malformed values,
     within work caps of n <= 10, D <= 8, m <= 14, length <= 20 and 512 bits;
-    --m 40 and --length 30 and 10^11 are drawn too, since they are rejected
-    before anything is built."""
+    --m 40, --length 30 and 10^11, and --D just above its limit and 10^11 are
+    drawn too, since they are rejected before anything is built."""
     argv = ["--quiet"]
     if draw(st.booleans()):
         argv += ["--precision", draw(_ints(st.sampled_from([16, 64, 128, 512]),
@@ -757,7 +774,7 @@ def command_argv(draw):
         option("--height-bound", _ints(st.integers(-2, 10 ** 12) | st.integers(1, 30),
                                                 ["x", "1e3"]))
     elif command == "mahler":
-        option("--D", _ints(st.integers(-1, 8)), required=draw(st.integers(0, 9)) > 0)
+        option("--D", DEGREES, required=draw(st.integers(0, 9)) > 0)
     elif command == "bracelets":
         mode = draw(st.sampled_from(["--length", "--m"] * 4 + ["both", "neither"]))
         if mode in ("--length", "both"):
@@ -773,7 +790,7 @@ def command_argv(draw):
         option("--norm", K_TEXTS, required=draw(st.integers(0, 9)) > 0)
     elif command == "budget":
         option("--m", _ints(st.integers(-1, 14)), required=True)
-        option("--D", _ints(st.integers(-1, 8)), required=True)
+        option("--D", DEGREES, required=True)
     return argv
 
 

@@ -1,3 +1,5 @@
+import bisect
+import functools
 import hashlib
 import itertools
 import math
@@ -94,6 +96,12 @@ def reference_burnside_count(L):
     return total // (2 * L)
 
 
+@functools.cache
+def generated_bracelets(length):
+    """The generator's word list, made once per length."""
+    return enumerate_balanced_bracelets(length)
+
+
 def is_balanced_word(word, length):
     return (type(word) is str and len(word) == length and not word.strip("12")
             and word.count("1") == length // 2)
@@ -159,6 +167,19 @@ class TestEnumeration:
         words = enumerate_balanced_bracelets(len(word))
         assert canonical_form(word) in words
         assert all(canonical_form(w) == w for w in words)
+        assert all(u < w for u, w in zip(words, words[1:]))
+
+    # past the filtering reference's reach the orbit is looked up by bisection
+    # in a list made once per length
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(10, 13).flatmap(
+        lambda half: st.permutations("1" * half + "2" * half)))
+    def test_orbit_of_a_long_random_word_is_enumerated(self, letters):
+        word = "".join(letters)
+        words = generated_bracelets(len(word))
+        canon = canonical_form(word)
+        i = bisect.bisect_left(words, canon)
+        assert i < len(words) and words[i] == canon
         assert all(u < w for u, w in zip(words, words[1:]))
 
     @pytest.mark.parametrize("length", [22, 24, 26])

@@ -31,8 +31,8 @@ from .combin import (
     select_inequivalent,
 )
 from .congr import ZsqrtIdeal, in_principal_congruence, is_integral_matrix
-from .exactfield import (MAX_PRECISION, KElem, RealInterval, embed, escalate,
-                         parse_kelem, sqrt_k)
+from .exactfield import (MAX_PRECISION, MIN_PRECISION, KElem, RealInterval, embed,
+                         escalate, parse_kelem, sqrt_k)
 from .hypgeom import GeodesicHyperplane, dist_hyperplanes, systole_witness
 from .lorentz import (
     SearchExhaustedError,
@@ -54,7 +54,8 @@ MAX_BRACELET_M = 20
 # the count by about 3.6
 MAX_BRACELET_LENGTH = 28
 # mahler --D and budget --D search every degree up to D for the least Mahler
-# measure above 1: 1.4 s at 12 and 7.8 s at 14 on a 2-core x86 host, fresh
+# measure above 1: 0.71 s at 12 and 5.7 s at 14 on a 2-core x86 host (best of
+# 5 fresh runs)
 MAX_MAHLER_D = 14
 
 
@@ -166,7 +167,7 @@ def hybrid_rows(cert: Certificate, g1, g2, precision: int):
     diag(a, 1, ..., 1, -rt2), with a = g2.c and n read off the blocks, and
     return g1's Isometry.  The rows hold for any two blocks, but
     lambda1_integral holds for block_g1, not for short blocks; the 7 row is
-    decided on the instance's g2 only (c = 3, t = (3/2) sqrt2), else SKIPped."""
+    decided on the instance's g2 = block_g2 only, else SKIPped."""
     iso1, iso2 = g1.to_isometry(), g2.to_isometry()
     cert.add("g1_isometry", "g1 preserves diag(1, ..., 1, -rt2) exactly",
              iso1.sheet_preserving,
@@ -222,7 +223,7 @@ def hybrid_rows(cert: Certificate, g1, g2, precision: int):
     cert.add("product_denominator_seven",
              "the product minimal polynomial carries a denominator divisible by 7",
              any(c.denominator % 7 == 0 for c in prod_poly.coeffs),
-             skip=not (g2.c == 3 and t2 == KElem(0, Fraction(3, 2))))
+             skip=g2 != block_g2(g2.n))
 
     ambient = GroupSample([iso1, conjugate_between_forms(iso2, g2.c.a)], 2)
     sub_fd = trace_field_sample(GroupSample([iso1], 3))
@@ -322,7 +323,7 @@ def cmd_mahler(D: int) -> Certificate:
              f"is attained by {wit.to_text()}",
              value > 1,
              exact={"witness": wit.to_text()},
-             numeric={"measure": value, "systole_gap": math.log(value)})
+             numeric={"measure": value, "systole_gap": epsilon_gap(D)})
     return cert
 
 
@@ -482,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.precision < 16:
-        print("error: precision must be at least 16 bits", file=sys.stderr)
+    if args.precision < MIN_PRECISION:
+        print(f"error: precision must be at least {MIN_PRECISION} bits", file=sys.stderr)
         return 2
     try:
         cert = args.run(args)

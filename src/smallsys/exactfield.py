@@ -44,7 +44,8 @@ class Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-# the highest precision escalate tries, in bits
+# the lowest precision an interval takes, and the highest escalate tries, in bits
+MIN_PRECISION = 16
 MAX_PRECISION = 4096
 
 
@@ -66,8 +67,8 @@ def escalate(decide, start: int, message: str):
 # ---------------------------------------------------------------------------
 
 def _check_precision(precision: int):
-    if precision < 16:
-        raise ValueError("precision must be at least 16 bits")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
 
 
 def _ceil_shift(n: int, k: int) -> int:
@@ -247,16 +248,6 @@ class RealInterval(Immutable):
         p, q = self.precision, other.precision
         return self.man_lo << q <= other.man_hi << p and other.man_lo << p <= self.man_hi << q
 
-    def sign(self):
-        """+1/-1 when the interval excludes 0, 0 for [0,0], else None."""
-        if self.man_lo > 0:
-            return 1
-        if self.man_hi < 0:
-            return -1
-        if self.man_lo == 0 and self.man_hi == 0:
-            return 0
-        return None
-
     def strictly_less(self, other: "RealInterval") -> bool:
         return self.man_hi << other.precision < other.man_lo << self.precision
 
@@ -285,18 +276,6 @@ class RealInterval(Immutable):
         return _interval(a + c, b + d, p)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _interval(-self.man_hi, -self.man_lo, self.precision)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        p = min(self.precision, o.precision)
-        (a, b), (c, d) = self._at(p), o._at(p)
-        return _interval(a - d, b - c, p)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -441,9 +420,6 @@ class KElem(Immutable):
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "KElem":
-        return 1 / self
-
     def __truediv__(self, other):
         o = other if type(other) is KElem else self._lift(other)
         if o is NotImplemented:
@@ -453,10 +429,6 @@ class KElem(Immutable):
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 2)")
         return _canon(e * (p * r - 2 * q * s), e * (q * r - p * s), self.d * n)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else o / self
 
     def __eq__(self, other):
         o = other if type(other) is KElem else self._lift(other)
@@ -483,27 +455,6 @@ class KElem(Immutable):
         if not sp:
             return sq
         return sp if p * p > 2 * q * q else sq   # never equal: sqrt 2 irrational
-
-    def _cmp(self, other):
-        """The sign of self - other, or NotImplemented for a foreign type."""
-        o = self._lift(other)
-        return o if o is NotImplemented else (self - o).sign()
-
-    def __lt__(self, other):
-        s = self._cmp(other)
-        return s if s is NotImplemented else s < 0
-
-    def __le__(self, other):
-        s = self._cmp(other)
-        return s if s is NotImplemented else s <= 0
-
-    def __gt__(self, other):
-        s = self._cmp(other)
-        return s if s is NotImplemented else s > 0
-
-    def __ge__(self, other):
-        s = self._cmp(other)
-        return s if s is NotImplemented else s >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -562,9 +513,6 @@ class KElem(Immutable):
             else:   # b_hi <= 0 too
                 lo, hi = lo + (b_lo * (s + 1) >> k), hi + _ceil_shift(b_hi * s, k)
         return _interval(lo, hi, k)
-
-    def __float__(self):
-        return float(self.embed(64))
 
     # -- text form ---------------------------------------------------------
 
@@ -684,9 +632,6 @@ class TowerElem(Immutable):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return _tower(self.u * other, self.v * other, self.radicand)
@@ -740,9 +685,6 @@ class TowerElem(Immutable):
     def embed(self, precision: int = 64) -> RealInterval:
         root = _sqrt_embed(self.radicand, precision)
         return self.u.embed(precision) + self.v.embed(precision) * root
-
-    def __float__(self):
-        return float(self.embed(64))
 
     def to_text(self) -> str:
         return f"({self.u.to_text()})+({self.v.to_text()})*rtA"

@@ -505,19 +505,6 @@ def _accepted(d: int, mu: Fraction, reciprocal: bool = False):
             yield poly, one, key
 
 
-def _bounded_verdicts(D: int, mu: float):
-    """enumerate_bounded's polynomials mapped to whether their measure is one."""
-    if D < 1 or mu < 1:
-        raise ValueError("D and mu must be at least 1")
-    out = {ZPoly([0] * j + [1]): True for j in range(1, D + 1)}
-    for d in range(1, D + 1):
-        for poly, one, _ in _accepted(d, Fraction(mu)):
-            for j in range(D - d + 1):      # x^j p has the measure of p
-                shifted = ZPoly([0] * j + list(poly.coeffs))
-                out[shifted] = out[_mirror(shifted)] = one
-    return out
-
-
 def enumerate_bounded(D: int, mu: float):
     """All monic integer polynomials of degree 1..D with Mahler measure
     <= mu.  The walk covers one of each mirror pair with p(0) != 0 in the box
@@ -526,7 +513,15 @@ def enumerate_bounded(D: int, mu: float):
     decided on integers (Kronecker test, then Graeffe and Landau bounds
     against the exact rational mu) unless GRAEFFE_STEPS iterates leave it to
     the certified measure of its class key (``_at_most``)."""
-    return sorted(_bounded_verdicts(D, mu))
+    if D < 1 or mu < 1:
+        raise ValueError("D and mu must be at least 1")
+    out = {ZPoly([0] * j + [1]) for j in range(1, D + 1)}
+    for d in range(1, D + 1):
+        for poly, _, _ in _accepted(d, Fraction(mu)):
+            for j in range(D - d + 1):      # x^j p has the measure of p
+                shifted = ZPoly([0] * j + list(poly.coeffs))
+                out.update((shifted, _mirror(shifted)))
+    return sorted(out)
 
 
 @functools.cache

@@ -82,6 +82,15 @@ class TestVerify:
         assert code == 2
         assert "square in k" in err
 
+    def test_precision_below_the_floor_is_input_error(self, capsys, monkeypatch):
+        # the floor is checked before any command runs
+        def unreached(*args):
+            raise AssertionError("verify ran below the precision floor")
+        monkeypatch.setattr(cli, "cmd_verify", unreached)
+        code, out, err = run(["--precision", "15", "verify"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: precision must be at least 16 bits\n"
+
     def test_higher_dimension_passes(self, capsys):
         code, out, _ = run(["--quiet", "verify", "--n", "5"], capsys)
         assert code == 0
@@ -211,7 +220,7 @@ class TestVerify:
         # g2's parameter for a != 3 is the least t >= 1 with sqrt2 t^2 > a
         def walk(a):
             t = 1
-            while SQRT2 * t * t <= KElem(a):
+            while (SQRT2 * t * t - KElem(a)).sign() <= 0:
                 t += 1
             return t
 
@@ -225,7 +234,8 @@ class TestVerify:
                     assert t2(a) == walk(a), a
         a = Fraction(10 ** 13)
         assert t2(a) == 2659148
-        assert SQRT2 * 2659147 ** 2 < KElem(a) < SQRT2 * 2659148 ** 2
+        assert (KElem(a) - SQRT2 * 2659147 ** 2).sign() == 1
+        assert (SQRT2 * 2659148 ** 2 - KElem(a)).sign() == 1
 
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
     def test_hybrid_rows_on_short_blocks(self, eps):

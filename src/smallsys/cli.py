@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .arith import (
     GroupSample,
@@ -75,11 +75,12 @@ def _fmt(x) -> str:
     or a RealInterval's exact midpoint, is rounded half to even from its exact
     value, where a float underflows or overflows."""
     if isinstance(x, RealInterval):
-        x = Fraction(x.man_lo + x.man_hi, 2 << x.precision)
-    if not isinstance(x, Fraction):     # nan, inf and -0.0 print as floats do
+        n, d = x.man_lo + x.man_hi, 2 << x.precision
+    elif isinstance(x, Fraction):
+        n, d = x.as_integer_ratio()
+    else:                               # nan, inf and -0.0 print as floats do
         v = float(x)
         return f"{v:.12e}" if 0 < abs(v) < 1e-6 else f"{v:.12f}"
-    n, d = x.as_integer_ratio()
     sign, n, e = "-" * (n < 0), abs(n), 0
     if n and n < d and n / d < 1e-6:        # n / d overflows past 1.8e308
         e = math.floor(math.log10(n) - math.log10(d))   # 10^e <= n/d < 10^(e+1)
@@ -115,17 +116,26 @@ class Certificate:
     def verdict(self) -> str:
         return "FAIL" if any(c["status"] == "FAIL" for c in self.checks) else "PASS"
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "command": self.command,
-            "inputs": {k: str(v) for k, v in self.inputs.items()},
-            "checks": self.checks,
-            "verdict": self.verdict,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """The bytes that json.dumps(..., indent=2, sort_keys=True) + "\n"
+        writes, laid out here for the one certificate format: every leaf is
+        a str but schema, quoted by json's C encoder."""
+        def obj(d: dict, pad: str) -> str:
+            if not d:
+                return "{}"
+            rows = ",\n".join(f"{pad}  {_quote(k)}: {_quote(v)}" for k, v in sorted(d.items()))
+            return f"{{\n{rows}\n{pad}}}"
+        checks = ",\n".join(
+            f'    {{\n      "claim": {_quote(c["claim"])},\n'
+            f'      "exact_values": {obj(c["exact_values"], "      ")},\n'
+            f'      "name": {_quote(c["name"])},\n'
+            f'      "numeric_values": {obj(c["numeric_values"], "      ")},\n'
+            f'      "status": {_quote(c["status"])}\n    }}' for c in self.checks)
+        checks = f"[\n{checks}\n  ]" if checks else "[]"
+        inputs = obj({k: str(v) for k, v in self.inputs.items()}, "  ")
+        return (f'{{\n  "checks": {checks},\n'
+                f'  "command": {_quote(self.command)},\n  "inputs": {inputs},\n'
+                f'  "schema": 1,\n  "verdict": {_quote(self.verdict)}\n}}\n')
 
     def render(self) -> str:
         lines = [f"== {self.command} =="]
@@ -182,7 +192,8 @@ def hybrid_rows(cert: Certificate, g1, g2, precision: int):
              exact={"t1": t1.to_text(), "t2": t2.to_text()})
 
     lam1, lam2 = leading_eigenvalue(g1), leading_eigenvalue(g2)
-    len1, len2 = (eigenvalue_length(lam, precision) for lam in (lam1, lam2))
+    iv1, iv2 = embed(lam1, precision), embed(lam2, precision)
+    len1, len2 = eigenvalue_length(iv1), eigenvalue_length(iv2)
     # alpha^2 - 1 = 4 c sqrt2 t^2 / (sqrt2 t^2 - c)^2 is never a square in k,
     # so each lambda = alpha + sqrt(alpha^2 - 1) is a TowerElem with u = alpha
     cert.add("eigenvalues", "leading eigenvalues solve x^2 - 2 alpha x + 1",
@@ -190,8 +201,7 @@ def hybrid_rows(cert: Certificate, g1, g2, precision: int):
                  for g, lam in ((g1, lam1), (g2, lam2))),
              exact={"trace1": (2 * lam1.u).to_text(),
                     "trace2": (2 * lam2.u).to_text()},
-             numeric={"lambda1": embed(lam1, precision),
-                      "lambda2": embed(lam2, precision),
+             numeric={"lambda1": iv1, "lambda2": iv2,
                       "length1": len1, "length2": len2})
 
     h1 = GeodesicHyperplane.coordinate(iso1.form)
@@ -299,16 +309,17 @@ def cmd_search(c_text: str, eps: float, height_bound: int, precision: int) -> Ce
     lam = leading_eigenvalue(g)
 
     def decided(bits):      # a length near 0 needs more bits
-        ell = eigenvalue_length(lam, bits)
-        return None if eps in ell else (ell, bits)
-    ell, precision = escalate(decided, precision,
-                              f"translation length undecided at {MAX_PRECISION} bits")
+        lam_iv = embed(lam, bits)
+        ell = eigenvalue_length(lam_iv)
+        return None if eps in ell else (lam_iv, ell)
+    lam_iv, ell = escalate(decided, precision,
+                           f"translation length undecided at {MAX_PRECISION} bits")
     cert.add("small_element",
              f"the block at t = {g.parameter().to_text()} has translation "
              f"length below {eps}",
              ell.hi < Fraction(eps),
              exact={"t": g.parameter().to_text(), "alpha": g.alpha.to_text()},
-             numeric={"lambda": embed(lam, precision), "length": ell})
+             numeric={"lambda": lam_iv, "length": ell})
     return cert
 
 

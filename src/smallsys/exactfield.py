@@ -207,13 +207,13 @@ class RealInterval(Immutable):
     __slots__ = ("man_lo", "man_hi", "precision")
 
     def __init__(self, lo, hi, precision: int = 64):
+        """[lo, hi] for ints, floats or Fractions, rounded outward."""
         _check_precision(precision)
-        lo = Fraction(lo)
-        hi = Fraction(hi)
-        if lo > hi:
+        (n, d), (m, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if n * e > m * d:
             raise ValueError("empty interval")
-        _set_lo(self, (lo.numerator << precision) // lo.denominator)
-        _set_hi(self, -((-hi.numerator << precision) // hi.denominator))
+        _set_lo(self, (n << precision) // d)
+        _set_hi(self, -((-m << precision) // e))
         _set_prec(self, precision)
 
     @classmethod
@@ -237,9 +237,14 @@ class RealInterval(Immutable):
         return (self.man_lo + self.man_hi) / (2 << self.precision)
 
     def __contains__(self, x) -> bool:
-        x = Fraction(x)
-        n, d = x.numerator << self.precision, x.denominator
-        return self.man_lo * d <= n <= self.man_hi * d
+        n, d = x.as_integer_ratio()
+        return self.man_lo * d <= n << self.precision <= self.man_hi * d
+
+    def clamped(self) -> "RealInterval":
+        """The part at or above 0, for a value known to be >= 0."""
+        if self.man_hi < 0:
+            raise ValueError("empty interval")
+        return _interval(max(self.man_lo, 0), self.man_hi, self.precision)
 
     def contains_zero(self) -> bool:
         return self.man_lo <= 0 <= self.man_hi
@@ -517,10 +522,10 @@ class KElem(Immutable):
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.q:
-            return str(self.a)
-        sign = "+" if self.q > 0 else "-"
-        return f"{self.a}{sign}{abs(self.b)}*rt2"
+        a, q = _ratio_text(self.p, self.d), self.q
+        if not q:
+            return a
+        return f"{a}{'+' if q > 0 else '-'}{_ratio_text(abs(q), self.d)}*rt2"
 
     def __repr__(self):
         return f"KElem({self.a!r}, {self.b!r})"
@@ -548,6 +553,12 @@ def _canon(p: int, q: int, d: int) -> KElem:
     return x
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms as str(Fraction(n, d)) prints it, for d > 0."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def as_kelem(x) -> KElem:
     """x as a KElem: the converter of every constructor that takes values of
     k.  An int, Fraction or KElem is accepted; anything else raises TypeError
@@ -563,7 +574,8 @@ K_ONE = KElem(1)
 K_ZERO = KElem(0)
 
 
-_TERM_RE = re.compile(r"^(?P<coef>[+-]?\d+(?:/\d*[1-9]\d*)?)(?:\*(?P<rad>rt2))?$|^(?P<sign>[+-]?)rt2$")
+_TERM_RE = re.compile(r"^(?P<num>[+-]?\d+)(?:/(?P<den>\d*[1-9]\d*))?(?:\*(?P<rad>rt2))?$"
+                      r"|^(?P<sign>[+-]?)rt2$")
 
 
 def parse_kelem(text: str) -> KElem:
@@ -574,18 +586,18 @@ def parse_kelem(text: str) -> KElem:
     chunks = re.findall(r"[+-]?[^+-]+", s)
     if "".join(chunks) != s:
         raise ValueError(f"cannot parse field element: {text!r}")
-    a = b = Fraction(0)
+    p, q, d = 0, 0, 1       # the sum so far, (p + q sqrt2)/d
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
-        if m.group("coef") is None:
-            b += -1 if m.group("sign") == "-" else 1
-        elif m.group("rad"):
-            b += Fraction(m.group("coef"))
+        n, e = int(m["num"] or m["sign"] + "1"), int(m["den"] or 1)
+        if m["num"] and not m["rad"]:
+            p, q = p * e + n * d, q * e
         else:
-            a += Fraction(m.group("coef"))
-    return KElem(a, b)
+            p, q = p * e, q * e + n * d
+        d *= e
+    return _canon(p, q, d)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactfield import Immutable, K_ONE, K_ZERO, RealInterval, embed
+from .exactfield import Immutable, K_ONE, K_ZERO, embed
 from .lorentz import Isometry, QuadForm, mat_vec, sum_prod
 
 
@@ -79,8 +79,7 @@ def dist_hyperplanes(h1: GeodesicHyperplane, h2: GeodesicHyperplane,
     if (q - 1).sign() <= 0:
         raise GeometryError("hyperplanes are not disjoint")
     dist = (embed(q, precision).sqrt() + embed(q - 1, precision).sqrt()).log()
-    return HyperplaneRelation("disjoint", q, RealInterval(max(dist.lo, 0), dist.hi,
-                                                          precision))
+    return HyperplaneRelation("disjoint", q, dist.clamped())
 
 
 def systole_witness(len1: float, len2: float) -> float:

@@ -334,14 +334,14 @@ def translation_length(g: ABlockElement, precision: int = 64) -> RealInterval:
     0: lambda's radicand alpha^2 - 1 is exact in k, so near alpha = 1 no bits are
     lost to cancellation in alpha^2 - 1, as they are in arccosh of alpha's
     interval."""
-    return eigenvalue_length(leading_eigenvalue(g), precision)
+    return eigenvalue_length(embed(leading_eigenvalue(g), precision))
 
 
-def eigenvalue_length(lam, precision: int) -> RealInterval:
-    """translation_length of the block whose leading eigenvalue is lam, so that
-    a caller trying several precisions finds lam once."""
-    ell = embed(lam, precision).log()
-    return RealInterval(max(ell.lo, Fraction(0)), ell.hi, precision)
+def eigenvalue_length(lam_iv: RealInterval) -> RealInterval:
+    """translation_length of the block whose leading eigenvalue has the
+    enclosure lam_iv, at its precision, so that a caller finds lambda once and
+    embeds it once per precision, for the length and for printing lambda."""
+    return lam_iv.log().clamped()
 
 
 def _least_root_above(q: KElem, eps: Fraction) -> int:
@@ -407,7 +407,7 @@ def find_small_element(c, eps_target: float | Fraction,
         lam = leading_eigenvalue(best)
 
         def priced(prec):   # the midpoint, once 2^-40 wide relative to the length
-            ell = eigenvalue_length(lam, prec)
+            ell = eigenvalue_length(embed(lam, prec))
             return float(ell) if ell.width() * 2 ** 40 < ell.lo else None
         best_len = escalate(priced, 64, f"length at height {height_bound} "
                                         f"undecided at {MAX_PRECISION} bits")

@@ -511,6 +511,75 @@ def test_intervals_print_from_their_exact_midpoint():
         == "2.000000000000e-400"
 
 
+@given(st.integers(-10 ** 400, 10 ** 400), st.integers(-10 ** 400, 10 ** 400),
+       st.integers(16, 2048))
+@example(1, 2, 64)
+@example(-3, 0, 64)
+@example(0, 0, 16)
+def test_interval_midpoint_prints_as_its_fraction(m, n, precision):
+    iv = RealInterval(Fraction(min(m, n), 1 << precision),
+                      Fraction(max(m, n), 1 << precision), precision)
+    assert cli._fmt(iv) == cli._fmt(Fraction(iv.man_lo + iv.man_hi, 2 << iv.precision))
+
+
+# ---------------------------------------------------------------------------
+# the certificate writer writes the bytes of json.dumps(indent=2, sort_keys=True)
+# ---------------------------------------------------------------------------
+
+def written(cert):
+    """The certificate's bytes, parsed, once they are checked to be the ones
+    json.dumps writes for what they parse to and to hold cert's fields."""
+    raw = cert.to_json()
+    data = json.loads(raw)
+    assert raw == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert data == {"schema": 1, "command": cert.command,
+                    "inputs": {k: str(v) for k, v in cert.inputs.items()},
+                    "checks": cert.checks, "verdict": cert.verdict}
+    return data
+
+
+class TestWriter:
+    @pytest.mark.parametrize("build", [
+        lambda mat: cli.cmd_verify(Fraction(3), 2, 128),
+        lambda mat: cli.cmd_search("1", 1e-3, 25, 128),
+        lambda mat: cli.cmd_mahler(2),
+        lambda mat: cli.cmd_bracelets(8, None),
+        lambda mat: cli.cmd_congruence(mat, "2"),
+        lambda mat: cli.cmd_minpoly("6+4*rt2", "1", 128),
+        lambda mat: cli.cmd_budget(3, 4),
+    ], ids=["verify", "search", "mahler", "bracelets", "congruence", "minpoly",
+            "budget"])
+    def test_each_command(self, tmp_path, build):
+        mat = tmp_path / "g1.mat"
+        mat.write_text(serialize_isometry(block_g1().to_isometry()))
+        cert = build(str(mat))
+        data = written(cert)
+        assert data["checks"] and set(data) == CERT_KEYS
+        assert all(set(c) == CHECK_KEYS for c in data["checks"])
+
+    def test_no_checks(self):
+        cert = cli.Certificate("mahler", {})
+        assert written(cert)["checks"] == []
+        assert cert.to_json() == ('{\n  "checks": [],\n  "command": "mahler",\n'
+                                  '  "inputs": {},\n  "schema": 1,\n'
+                                  '  "verdict": "PASS"\n}\n')
+
+    @given(st.text(), st.dictionaries(st.text(), st.text() | st.integers() | st.fractions()),
+           st.lists(st.tuples(st.text(), st.text(), st.sampled_from([True, False, None]),
+                              st.dictionaries(st.text(), st.text() | st.booleans()),
+                              st.dictionaries(st.text(), st.floats())), max_size=3))
+    @example('"', {"\\": "\x00\x1f\x7f"}, [("", "é☃𝄞\ud800", True, {'"q"': ""}, {})])
+    @example("", {}, [("\n\t", "\\\"", None, {"": "\u2028"}, {"é": -0.0})])
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_strings(self, command, inputs, rows):
+        cert = cli.Certificate(command, inputs)
+        for name, claim, ok, exact, numeric in rows:
+            cert.add(name, claim, ok, exact=exact, numeric=numeric, skip=ok is None)
+        data = written(cert)
+        assert [(c["name"], c["claim"]) for c in data["checks"]] == \
+            [(name, claim) for name, claim, *_ in rows]
+
+
 class TestInternalFailure:
     def test_precision_error_exits_3(self, capsys, monkeypatch):
         def undecided(D):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -367,6 +368,27 @@ class TestTower:
             1 + foreign * r3
 
 
+def fraction_text(x: KElem) -> str:
+    """KElem.to_text as written on the Fraction views a and b."""
+    if not x.q:
+        return str(x.a)
+    return f"{x.a}{'+' if x.q > 0 else '-'}{abs(x.b)}*rt2"
+
+
+def fraction_parse(text: str) -> KElem:
+    """parse_kelem as a sum of Fractions, for well-formed text."""
+    a = b = Fraction(0)
+    for term in re.findall(r"[+-]?[^+-]+", text):
+        coef, _, rad = term.partition("*")
+        if coef.lstrip("+-") == "rt2":
+            b += -1 if coef[0] == "-" else 1
+        elif rad:
+            b += Fraction(coef)
+        else:
+            a += Fraction(coef)
+    return KElem(a, b)
+
+
 class TestTextFormats:
     def test_kelem_roundtrip(self):
         rng = random.Random(31)
@@ -381,6 +403,34 @@ class TestTextFormats:
         assert parse_kelem("rt2") == SQRT2
         assert parse_kelem("-rt2") == -SQRT2
         assert parse_kelem("5") == KElem(5)
+
+    @pytest.mark.parametrize("text", [
+        "3/06-2/4*rt2", "+rt2", "2*rt2+rt2", "-0", "0/5+0*rt2", "-rt2-rt2+1/3",
+        "007/0014*rt2-2"])
+    def test_noncanonical_text_parses_as_the_fraction_sum(self, text):
+        assert parse_kelem(text) == fraction_parse(text)
+
+    @given(st.lists(st.tuples(st.sampled_from("+-"), st.integers(0, 10 ** 40),
+                              st.integers(1, 10 ** 6), st.booleans(),
+                              st.sampled_from(["", "*rt2", "rt2"])), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_term_sums_parse_as_the_fraction_sum(self, terms):
+        text = "".join(sign + ("rt2" if rad == "rt2" else
+                               f"{n}/{'0' * pad}{d}{rad}" if d > 1 or pad else f"{n}{rad}")
+                       for sign, n, d, pad, rad in terms)
+        assert parse_kelem(text) == fraction_parse(text)
+
+    @given(st.integers(-10 ** 400, 10 ** 400), st.integers(-10 ** 400, 10 ** 400),
+           st.integers(1, 10 ** 400))
+    @example(0, 0, 1)
+    @example(0, -5, 3)
+    @example(7, 0, 14)
+    @example(-3, 4, 6)
+    @settings(max_examples=100, deadline=None)
+    def test_text_is_the_fraction_text(self, p, q, d):
+        x = KElem(Fraction(p, d), Fraction(q, d))
+        assert x.to_text() == fraction_text(x)
+        assert parse_kelem(x.to_text()) == x
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

@@ -99,8 +99,15 @@ def test_kelem_operations_match_sympy(x, y):
         assert same(sym(K_ONE / y) * sy, 1)
 
 
+# a value of k with a tower value, in both orders, runs on every run, not
+# only when the draw of v happens to be 0
+MIXED = [KElem(2, -1), KElem(Fraction(1, 3), 2) + KElem(-1, 1) * ROOTS[3]]
+
+
 @SETTINGS
 @given(towers(2), scalars)
+@example((ROOTS[3], MIXED), KElem(1, 1))
+@example((ROOTS[3], MIXED[::-1]), Fraction(-5, 7))
 def test_tower_operations_match_sympy(xs, s):
     _, (x, y) = xs
     sx, sy, ss = sym(x), sym(y), sym(s)

@@ -404,6 +404,28 @@ def test_queries_match_the_reference(x, y, s):
     assert a.strictly_less(b) == ra.strictly_less(rb)
 
 
+@MATCH
+@given(intervals(1000), st.one_of(reals(1000), st.integers(-1000, 1000),
+                                  st.floats(-1e3, 1e3, allow_nan=False)),
+       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), BITS)
+def test_int_float_and_fraction_operands_match_the_reference(x, s, lo, hi, bits):
+    # construction and membership read an int, a float or a Fraction exactly
+    a, ra = pair(*x)
+    assert (s in a) == (s in ra) == (a.lo <= Fraction(s) <= a.hi)
+    for t in (a.lo, float(a.lo), float(a.hi)):
+        assert (t in a) == (a.lo <= Fraction(t) <= a.hi)
+    lo, hi = min(lo, hi), max(lo, hi)
+    for ends in ((lo, hi), (int(lo), int(hi) + 1), (Fraction(lo), hi)):
+        b, rb = pair(*ends, bits)
+        assert (b.lo, b.hi) == (rb.lo, rb.hi)
+    with pytest.raises(ValueError):
+        math.nan in a
+    with pytest.raises(ValueError):
+        RealInterval(math.nan, 1)
+    with pytest.raises(ValueError):
+        RealInterval(hi + 1, lo)
+
+
 def assert_within_an_ulp(fn, reference):
     """fn's endpoints lie within one ulp of the reference's: 2^-precision,
     or precision significant bits beyond 1, since libmp rounds the

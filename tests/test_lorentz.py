@@ -471,9 +471,9 @@ class TestFindSmallElement:
         # search's best block computes a length
         calls, length = [], lorentz.eigenvalue_length
 
-        def counting(lam, prec):
-            calls.append(prec)
-            return length(lam, prec)
+        def counting(lam_iv):
+            calls.append(lam_iv.precision)
+            return length(lam_iv)
         monkeypatch.setattr(lorentz, "eigenvalue_length", counting)
         outcome = search_outcome(find_small_element, KElem(1), eps, height_bound)
         if want is None:
@@ -618,9 +618,9 @@ class TestSearchCommand:
     def test_undecided_length_raises_at_4096_bits(self, capsys, monkeypatch):
         tried = []
 
-        def undecided(lam, bits):
-            tried.append(bits)
-            return RealInterval(0, 1, bits)
+        def undecided(lam_iv):
+            tried.append(lam_iv.precision)
+            return RealInterval(0, 1, lam_iv.precision)
         monkeypatch.setattr(cli, "eigenvalue_length", undecided)
         assert cli.main(["search", "--epsilon", "0.25"]) == 3
         assert "PrecisionError" in capsys.readouterr().err
@@ -629,9 +629,9 @@ class TestSearchCommand:
     def test_precision_above_ceiling_decides_once(self, capsys, tmp_path, monkeypatch):
         tried, real = [], cli.eigenvalue_length
 
-        def counted(lam, bits):
-            tried.append(bits)
-            return real(lam, bits)
+        def counted(lam_iv):
+            tried.append(lam_iv.precision)
+            return real(lam_iv)
         monkeypatch.setattr(cli, "eigenvalue_length", counted)
         path = tmp_path / "search.json"
         assert cli.main(["--quiet", "--json", str(path), "--precision", "8192",
@@ -647,22 +647,32 @@ class TestSearchCommand:
     ], ids=["hit", "exhausted"])
     def test_one_eigenvalue_per_block(self, capsys, tmp_path, monkeypatch, argv):
         # a lambda, once found, serves every precision its length is tried
-        # at: in the search, in pricing an exhausted one and in the verdict
-        found, priced = [], []
-        real_eig, real_len = lorentz.leading_eigenvalue, lorentz.eigenvalue_length
+        # at: in the search, in pricing an exhausted one and in the verdict;
+        # it is embedded once per precision, for its length and its print
+        found, embedded, priced = [], [], []
+        real_eig, real_embed = lorentz.leading_eigenvalue, lorentz.embed
+        real_len = lorentz.eigenvalue_length
 
         def eig(g):
             found.append(g)
             return real_eig(g)
 
-        def length(lam, prec):
-            priced.append(lam)
-            return real_len(lam, prec)
+        def embed(lam, prec):
+            embedded.append(lam)
+            return real_embed(lam, prec)
+
+        def length(lam_iv):
+            priced.append(lam_iv)
+            return real_len(lam_iv)
         for module in (lorentz, cli):
             monkeypatch.setattr(module, "leading_eigenvalue", eig)
+            monkeypatch.setattr(module, "embed", embed)
             monkeypatch.setattr(module, "eigenvalue_length", length)
-        self.certificate(argv, capsys, tmp_path)
-        assert len(found) == len({id(lam) for lam in priced}) < len(priced)
+        code, raw = self.certificate(argv, capsys, tmp_path)
+        assert len(found) == len({id(lam) for lam in embedded}) < len(embedded) == len(priced)
+        if code == 0:
+            assert json.loads(raw)["checks"][0]["numeric_values"]["lambda"] == \
+                cli._fmt(real_embed(embedded[-1], priced[-1].precision))
 
     def test_exhausted_best_length_is_precise(self, capsys, tmp_path):
         # at 64 bits this length's enclosure is [0, 1.65e-10], whose midpoint

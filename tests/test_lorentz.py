@@ -672,7 +672,7 @@ class TestSearchCommand:
         assert len(found) == len({id(lam) for lam in embedded}) < len(embedded) == len(priced)
         if code == 0:
             assert json.loads(raw)["checks"][0]["numeric_values"]["lambda"] == \
-                cli._fmt(real_embed(embedded[-1], priced[-1].precision))
+                cli._fmt(priced[-1])
 
     def test_exhausted_best_length_is_precise(self, capsys, tmp_path):
         # at 64 bits this length's enclosure is [0, 1.65e-10], whose midpoint

@@ -350,6 +350,13 @@ def _exact_isqrt(n: int):
     return None
 
 
+def _floor_rt2(b: int) -> int:
+    """floor(b sqrt2), exactly: isqrt(2 b^2) for b >= 0, and -isqrt(2 b^2) - 1
+    for b < 0, where b sqrt2 is irrational."""
+    s = math.isqrt(2 * b * b)
+    return s if b >= 0 else -s - 1
+
+
 class KElem(Immutable):
     """An element a + b*sqrt(2) of Q(sqrt 2).
 
@@ -505,19 +512,15 @@ class KElem(Immutable):
         return False, None
 
     def embed(self, precision: int = 64) -> RealInterval:
-        """Certified enclosure of the value under the distinguished embedding:
-        p/d and q/d rounded outward to mantissas over 2^precision, the second
-        times sqrt2's enclosure [s, s + 1] / 2^precision, rounded outward."""
+        """Certified enclosure of x under the distinguished embedding: floor
+        and ceil of x 2^k over 2^k, k = precision.  x 2^k's numerator
+        p 2^k + q 2^k sqrt2 is n = p 2^k + floor(q 2^k sqrt2) when q = 0, else
+        lies in (n, n + 1), so the ends are n // d and ceil((n + [q != 0]) / d),
+        at most one unit apart whatever the size of p, q and d."""
         _check_precision(precision)
         p, q, d, k = self.p, self.q, self.d, precision
-        lo, hi = (p << k) // d, -((-p << k) // d)
-        if q:
-            b_lo, b_hi, s = (q << k) // d, -((-q << k) // d), math.isqrt(2 << 2 * k)
-            if b_lo >= 0:
-                lo, hi = lo + (b_lo * s >> k), hi + _ceil_shift(b_hi * (s + 1), k)
-            else:   # b_hi <= 0 too
-                lo, hi = lo + (b_lo * (s + 1) >> k), hi + _ceil_shift(b_hi * s, k)
-        return _interval(lo, hi, k)
+        n = (p << k) + _floor_rt2(q << k)
+        return _interval(n // d, -(-(n + (q != 0)) // d), k)
 
     # -- text form ---------------------------------------------------------
 
@@ -695,8 +698,8 @@ class TowerElem(Immutable):
         return cmp if su > 0 else -cmp   # cmp != 0: d is not a square in k
 
     def embed(self, precision: int = 64) -> RealInterval:
-        root = _sqrt_embed(self.radicand, precision)
-        return self.u.embed(precision) + self.v.embed(precision) * root
+        return (self.u.embed(precision)
+                + self.v.embed(precision) * _sqrt_embed(self.radicand, precision))
 
     def to_text(self) -> str:
         return f"({self.u.to_text()})+({self.v.to_text()})*rtA"
@@ -725,22 +728,13 @@ def _tower(u: KElem, v: KElem, radicand: KElem):
 
 
 def _sqrt_embed(r: KElem, precision: int) -> RealInterval:
-    """An enclosure of sqrt(r), r > 0 in k, about 2^-precision wide.  A
-    rational r = p/d has its root taken exactly at ``precision`` bits.  Else r
-    is embedded with guard bits from its size first: sqrt magnifies r's
-    rounding by 1/(2 sqrt r), and r >= 2^top / d, where p + q sqrt2 is at
-    least max(p, q) when both are >= 0, else |p^2 - 2 q^2| / (|p| + 2|q|)."""
-    p, q, d = r.p, r.q, r.d
-    if not q:
-        _check_precision(precision)
-        scaled = p << 2 * precision
-        return _interval(math.isqrt(scaled // d), _isqrt_up(-(-scaled // d)), precision)
-    if p >= 0 and q >= 0:
-        top = max(p, q).bit_length() - 1
-    else:
-        top = abs(p * p - 2 * q * q).bit_length() - 1 - (abs(p) + 2 * abs(q)).bit_length()
-    guard = max(0, (d.bit_length() - top + 1) // 2) + 2
-    return r.embed(precision + guard).sqrt()
+    """An enclosure of sqrt(r), r = (p + q sqrt2)/d > 0, at most one unit
+    wide at k = precision bits: sqrt(r) 2^k = sqrt(z) / d for z = (p + q sqrt2)
+    d 4^k, and floor(sqrt z) = isqrt(floor z), so sqrt(r) 2^k lies in [s/d,
+    (s + 1)/d] for s = isqrt(p d 4^k + floor(q d 4^k sqrt2))."""
+    d, k = r.d, 2 * precision
+    s = math.isqrt((r.p * d << k) + _floor_rt2(r.q * d << k))
+    return _interval(s // d, -(-(s + 1) // d), precision)
 
 
 def as_tower_coords(x):

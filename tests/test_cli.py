@@ -369,16 +369,21 @@ class TestSearch:
     @pytest.mark.parametrize("which", ["1+u", "u", "rt2(4-u)"])
     def test_cancelling_coefficients_keep_the_contract(self, capsys, which):
         # u = (sqrt2 - 1)^3300 has coefficients of about 4,200 bits that
-        # cancel; the search used to die of OverflowError building its message
+        # cancel; the search used to die of OverflowError building its
+        # message, then of PrecisionError, before embed rounded once
         u = KElem(1)
         for _ in range(3300):
             u = u * KElem(-1, 1)
         c = {"1+u": 1 + u, "u": u, "rt2(4-u)": SQRT2 * (4 - u)}[which]
         code, _, err = run(["--quiet", "search", "--c", c.to_text(),
                             "--epsilon", "1e-3"], capsys)
-        assert code in (0, 1, 3), err
-        assert code != 3 or "PrecisionError" in err, err
-        assert "OverflowError" not in err
+        assert (code, err) == (0, "")
+
+    def test_value_of_k_starting_with_a_minus(self, capsys):
+        # argparse reads "-1+1*rt2" after "--c" as an option; "--c=" takes it
+        code, _, err = run(["--quiet", "search", "--c=-1+1*rt2", "--epsilon", "0.1"],
+                           capsys)
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
     def test_bad_epsilon(self, capsys, eps):
@@ -748,6 +753,17 @@ class TestMinpolyAndBudget:
         # the root 10^400 - 10^-400 + ... rounds to 10^400 at 12 decimals
         value = json.loads(path.read_text())["checks"][0]["numeric_values"]["value"]
         assert value == "1" + "0" * 400 + ".000000000000"
+
+    def test_root_with_a_large_coefficient(self, capsys, tmp_path):
+        # the root t - 1/t - ... of x^2 - t x + 1, t = 10^30 sqrt2, to the 12
+        # decimals of mpmath's value at 80 digits; rounding the coefficient
+        # 10^30 apart from sqrt2 lost its 100 bits, and printed ...698078570069
+        path = tmp_path / "mp.json"
+        code, _, err = run(["--quiet", "--json", str(path), "minpoly",
+                            f"--trace={10 ** 30}*rt2", "--norm=1"], capsys)
+        assert (code, err) == (0, "")
+        value = json.loads(path.read_text())["checks"][0]["numeric_values"]["value"]
+        assert value == "1414213562373095048801688724209.698078569672"
 
     def test_minimal_polynomials_take_no_gcd(self, capsys, monkeypatch):
         # a tower value's minimal polynomial is its quadratic over k or that

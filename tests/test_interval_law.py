@@ -11,11 +11,14 @@ about 2^-256 relative, is allowed for.
 `ReferenceInterval` is the interval class with exact `Fraction` endpoints
 that `RealInterval` replaced.  `RealInterval` keeps each endpoint as an int
 mantissa over 2^precision and rounds at the same places, so for every
-arithmetic operation, for sqrt and for `KElem.embed` it must return exactly
-the reference's endpoints, with the operands' precisions mixed.  Its log
-and sinh run on its own fixed-point kernels, padded as the reference pads
-libmp's value, so each of their endpoints must lie within one ulp of the
-reference's.
+arithmetic operation and for sqrt it must return exactly the reference's
+endpoints, with the operands' precisions mixed.  Its log and sinh run on its
+own fixed-point kernels, padded as the reference pads libmp's value, so each
+of their endpoints must lie within one ulp of the reference's.
+`KElem.embed` must return exactly floor and ceil of x 2^precision, which the
+reference decides by bisection on exact integer comparisons; for values
+a + b (sqrt2 - 1)^j, whose coefficients cancel, it and the root of
+`TowerElem.embed` must be at most one unit wide and enclose sympy's value.
 """
 
 import math
@@ -23,12 +26,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
 from smallsys import exactfield
-from smallsys.exactfield import SQRT2, KElem, RealInterval
+from smallsys.exactfield import SQRT2, KElem, RealInterval, sqrt_k
 from smallsys.hypgeom import GeodesicHyperplane, dist_hyperplanes
 from smallsys.lorentz import param_block
 
@@ -184,17 +188,27 @@ class ReferenceInterval:
                                  self.precision)
 
 
-def reference_sqrt2(precision: int) -> ReferenceInterval:
-    return ReferenceInterval(_sqrt_down(Fraction(2), precision),
-                             _sqrt_up(Fraction(2), precision), precision)
+def _sign_rt2(a: int, b: int) -> int:
+    """The sign of a + b sqrt2 for ints a, b: the sign of a + b when a and b
+    do not differ in sign, else the sign of the one with the larger square,
+    a^2 against 2 b^2."""
+    if a * b >= 0:
+        return (a + b > 0) - (a + b < 0)
+    big = a if a * a > 2 * b * b else b
+    return 1 if big > 0 else -1
 
 
 def reference_embed(x: KElem, precision: int) -> ReferenceInterval:
-    """The reference's KElem.embed: a + b * sqrt2, each part an exact interval."""
-    out = ReferenceInterval.exact(x.a, precision)
-    if x.q:
-        out = out + ReferenceInterval.exact(x.b, precision) * reference_sqrt2(precision)
-    return out
+    """floor and ceil of x 2^k over 2^k, k = precision, for x = (p + q sqrt2)/d,
+    found by bisection on exact comparisons: m <= x 2^k exactly when
+    p 2^k - m d + q 2^k sqrt2 >= 0, and |x 2^k| <= B = |p 2^k| + 2 |q 2^k|."""
+    a, b, d, k = x.p << precision, x.q << precision, x.d, precision
+    lo, hi = -(abs(a) + 2 * abs(b)), abs(a) + 2 * abs(b) + 1
+    while hi - lo > 1:          # lo <= x 2^k < hi
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _sign_rt2(a - mid * d, b) >= 0 else (lo, mid)
+    up = lo + (_sign_rt2(a - lo * d, b) != 0)
+    return ReferenceInterval(Fraction(lo, 1 << k), Fraction(up, 1 << k), k)
 
 
 def rationals(lo, hi):
@@ -459,3 +473,59 @@ def test_sinh_matches_the_reference(x):
 def test_embed_matches_the_reference(a, b, bits):
     x = KElem(a, b)
     assert outcome(x.embed, bits) == outcome(reference_embed, x, bits)
+
+
+# ---------------------------------------------------------------------------
+# one rounding, however the coefficients cancel: a + b u^j for u = sqrt2 - 1
+# has coefficients of about 1.27 j bits and opposite signs
+# ---------------------------------------------------------------------------
+
+def cancelling(a, b, j):
+    """a + b u^j as a KElem, and its sympy value."""
+    x = KElem(a)
+    u = KElem(1)
+    for _ in range(j):
+        u = u * KElem(-1, 1)
+    return x + b * u, sympy.Rational(a) + sympy.Rational(b) * (sympy.sqrt(2) - 1) ** j
+
+
+def assert_encloses_sympy(iv: RealInterval, value, bits: int):
+    """iv contains sympy's value, read to bits // 3 + 40 digits."""
+    r = sympy.Rational(sympy.N(value, bits // 3 + 40))
+    v = Fraction(int(r.p), int(r.q))
+    slack = (abs(v) + 1) / 2 ** (bits + 64)
+    assert iv.lo - slack <= v <= iv.hi + slack, (iv, v)
+
+
+CANCELLING = (rationals(-1000, 1000), rationals(-1000, 1000), st.integers(0, 4000),
+              st.sampled_from([16, 64, 128, 1024]))
+
+
+@SETTINGS
+@given(*CANCELLING)
+@example(Fraction(1), Fraction(1), 3300, 128)
+@example(Fraction(4), Fraction(-1), 4000, 64)
+@example(Fraction(0), Fraction(1, 3), 4000, 1024)
+@example(Fraction(5, 3), Fraction(0), 0, 16)
+def test_embed_is_one_unit_wide(a, b, j, bits):
+    x, value = cancelling(a, b, j)
+    iv = x.embed(bits)
+    assert iv.man_hi - iv.man_lo <= 1
+    if not x.q:     # floor and ceil of the rational x 2^bits
+        scaled = x.a * 2 ** bits
+        assert (iv.man_lo, iv.man_hi) == (math.floor(scaled), math.ceil(scaled))
+    assert_encloses_sympy(iv, value, bits)
+
+
+@SETTINGS
+@given(*CANCELLING)
+@example(Fraction(1), Fraction(1), 3300, 128)
+@example(Fraction(4), Fraction(-1), 4000, 64)
+@example(Fraction(0), Fraction(1), 4000, 1024)
+@example(Fraction(3), Fraction(0), 0, 16)
+def test_tower_root_is_one_unit_wide(a, b, j, bits):
+    r, value = cancelling(a, b, j)
+    assume(r.sign() > 0)
+    iv = sqrt_k(r).embed(bits)
+    assert iv.man_hi - iv.man_lo <= 1
+    assert_encloses_sympy(iv, sympy.sqrt(value), bits)

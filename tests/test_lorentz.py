@@ -521,6 +521,15 @@ class TestFindSmallElement:
         # at eps = 128, T is 2^-182 above 4, and that decides it
         assert find_small_element(q * SQRT2, 128.0, 10).parameter() == KElem(3)
 
+    def test_cancelling_coefficients_decide(self):
+        # c/sqrt2 = 4 - (sqrt2 - 1)^3300, about 4 - 2^-4196, has coefficients
+        # of about 4,200 bits that cancel; it decides at eps = 128 as the
+        # rational 4 - 2^-5000 above does
+        u = KElem(1)
+        for _ in range(3300):
+            u = u * KElem(-1, 1)
+        assert find_small_element(SQRT2 * (4 - u), 128.0, 10).parameter() == KElem(3)
+
     @pytest.mark.parametrize("eps", [1000.0, 1e300])
     def test_cap_rises_with_the_precision(self, eps):
         # c/sqrt2 = 4 - 2^-267 keeps 4 inside T's enclosure read at eps/2 = 64;

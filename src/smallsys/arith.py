@@ -37,9 +37,14 @@ def conjugate_between_forms(m: Isometry, a) -> Isometry:
     n = m.form.n
     if m.form != QuadForm.standard(KElem(a), n):
         raise ValueError("matrix is not an isometry of diag(a, 1, ..., 1, -rt2)")
-    d = [sqrt_k(a)] + [K_ONE] * n
-    entries = tuple(tuple(d[i] * m.entries[i][j] / d[j] for j in range(n + 1))
-                    for i in range(n + 1))
+    r = sqrt_k(a)
+    r_inv = K_ONE / r       # one inverse for all of column 0; zeros are copied
+    rows = [list(row) for row in m.entries]
+    rows[0][1:] = [r * x if x else x for x in rows[0][1:]]
+    for row in rows[1:]:
+        if row[0]:
+            row[0] = row[0] * r_inv
+    entries = tuple(map(tuple, rows))
     # M preserves F2 = D F1 D, so D M D^{-1} preserves D^{-1} F2 D^{-1} = F1
     return Isometry._closed(entries, QuadForm.standard(1, n))
 

@@ -1,6 +1,14 @@
 """Command-line front end: every pipeline in the toolkit as a subcommand
 emitting a human-readable table and a machine-readable JSON certificate.
 
+The command line is `smallsys [global options] COMMAND [options]`: the
+global options (--precision, --json, --quiet) come before the command, and
+the command's own options and positionals in any order after it.  An option
+takes its value as `--opt value` or `--opt=value`, and the value is read as
+given even when it starts with "-"; a unique prefix of a long option names
+it, and -h or --help prints USAGE.  The commands are one table, COMMANDS,
+read by the standard library's getopt.
+
 Exit codes: 0 when the certificate verdict is PASS, 1 on FAIL, 2 on input
 errors, 3 on internal failures such as a precision ceiling.  Certificates
 are reproducible byte for byte: exact values are serialized in the canonical
@@ -10,8 +18,7 @@ field-element text forms and numeric values are printed at fixed precision
 
 from __future__ import annotations
 
-import argparse
-import functools
+import getopt
 import math
 import sys
 from fractions import Fraction
@@ -438,77 +445,141 @@ def cmd_budget(m: int, D: int) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# argument plumbing: one table of the commands, read by getopt
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: built on the first call, then reused,
-    since parse_args keeps no state between calls."""
-    p = argparse.ArgumentParser(
-        prog="smallsys",
-        description="exact certificates for the small-systole gluing toolkit")
-    p.add_argument("--precision", type=int, default=128,
-                   help="working precision in bits (default 128)")
-    p.add_argument("--json", metavar="PATH", help="write the certificate as JSON")
-    p.add_argument("--quiet", action="store_true", help="suppress the table")
-    sub = p.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: smallsys [--precision BITS] [--json PATH] [--quiet] COMMAND [OPTIONS]
 
-    v = sub.add_parser("verify", help="run the full standard-instance certificate")
-    v.add_argument("--a", default="3", help="tower parameter (default 3)")
-    v.add_argument("--n", type=int, default=2, help="dimension (default 2)")
-    v.set_defaults(run=lambda a: cmd_verify(_parse_rational(a.a), a.n, a.precision))
+exact certificates for the small-systole gluing toolkit
 
-    s = sub.add_parser("search", help="find a block of small translation length")
-    s.add_argument("--c", default="1", help="first spatial coefficient")
-    s.add_argument("--epsilon", type=float, required=True)
-    s.add_argument("--height-bound", type=int, default=10000)
-    s.set_defaults(run=lambda a: cmd_search(a.c, a.epsilon, a.height_bound,
-                                            a.precision))
+global options, given before the command:
+  --precision BITS     working precision in bits (default 128)
+  --json PATH          write the certificate as JSON
+  --quiet              suppress the table
+  -h, --help           print this text
 
-    mh = sub.add_parser("mahler", help="minimum Mahler measure above 1")
-    mh.add_argument("--D", type=int, required=True, help="degree bound")
-    mh.set_defaults(run=lambda a: cmd_mahler(a.D))
+commands:
+  verify [--a A] [--n N]
+      the full standard-instance certificate; tower parameter a (default 3),
+      dimension n (default 2)
+  search --epsilon EPS [--c C] [--height-bound H]
+      a block of translation length below EPS; first spatial coefficient c
+      (default 1), parameter height bound H (default 10000)
+  mahler --D D
+      the least Mahler measure above 1 at degree <= D
+  bracelets --length L | --m M
+      balanced bracelets of length L, or the first M pairwise inequivalent
+      balanced sequences of length 2^M
+  congruence MATRIX --level LEVEL
+      principal congruence membership of the isometry in file MATRIX at the
+      level generator LEVEL, e.g. "0+1*rt2"
+  minpoly --trace T --norm N
+      the minimal polynomial over Q of the + root of x^2 - T x + N
+  budget --m M --D D
+      the epsilon budget 2^(-M) min(1/M, systole gap at degree D)
 
-    b = sub.add_parser("bracelets", help="balanced bracelet enumeration")
-    b.add_argument("--length", type=int)
-    b.add_argument("--m", type=int)
-    b.set_defaults(run=lambda a: cmd_bracelets(a.length, a.m))
+An option takes its value as --opt VALUE or --opt=VALUE, the value read as
+given even when it starts with "-"; any unique prefix of a long option
+names it.
+"""
 
-    c = sub.add_parser("congruence", help="principal congruence membership")
-    c.add_argument("matrix", help="matrix file in the form-header serialization")
-    c.add_argument("--level", required=True, help='level generator, e.g. "0+1*rt2"')
-    c.set_defaults(run=lambda a: cmd_congruence(a.matrix, a.level))
+_REQUIRED = object()        # the default of a required option
 
-    mp = sub.add_parser("minpoly", help="minimal polynomial of a k-quadratic number")
-    mp.add_argument("--trace", required=True)
-    mp.add_argument("--norm", required=True)
-    mp.set_defaults(run=lambda a: cmd_minpoly(a.trace, a.norm, a.precision))
+# command -> (the name of the cmd_* it runs, its positionals, its long
+# options as {name: (type, default)}, whether it takes --precision).  The
+# cmd_* is looked up by name when it runs, so that a rebinding of it in this
+# module is what runs, and is called with the positionals, then the options
+# in table order, then the precision.
+COMMANDS = {
+    "verify": ("cmd_verify", (), {"a": (_parse_rational, Fraction(3)), "n": (int, 2)},
+               True),
+    "search": ("cmd_search", (), {"c": (str, "1"), "epsilon": (float, _REQUIRED),
+                                "height-bound": (int, 10000)}, True),
+    "mahler": ("cmd_mahler", (), {"D": (int, _REQUIRED)}, False),
+    "bracelets": ("cmd_bracelets", (), {"length": (int, None), "m": (int, None)}, False),
+    "congruence": ("cmd_congruence", ("matrix",), {"level": (str, _REQUIRED)}, False),
+    "minpoly": ("cmd_minpoly", (), {"trace": (str, _REQUIRED), "norm": (str, _REQUIRED)},
+                True),
+    "budget": ("cmd_budget", (), {"m": (int, _REQUIRED), "D": (int, _REQUIRED)}, False),
+}
+_GLOBAL_OPTIONS = ["precision=", "json=", "quiet", "help"]
+_HELP = ("-h", "--help")
 
-    bd = sub.add_parser("budget", help="epsilon budget for the m-family")
-    bd.add_argument("--m", type=int, required=True)
-    bd.add_argument("--D", type=int, required=True)
-    bd.set_defaults(run=lambda a: cmd_budget(a.m, a.D))
-    return p
+
+def _value(name: str, kind, text: str):
+    try:
+        return kind(text)
+    except InputError:
+        raise
+    except ValueError:
+        raise InputError(f"option --{name}: invalid {kind.__name__} value: "
+                         f"{text!r}") from None
+
+
+def _parse(argv):
+    """(cmd_* name, its arguments, --quiet, --json) for argv, or None when -h or
+    --help asks for the usage.  getopt reads the global options up to the
+    command, gnu_getopt the command's own anywhere after it; every error
+    raises getopt.GetoptError or InputError."""
+    opts, rest = getopt.getopt(argv, "h", _GLOBAL_OPTIONS)
+    precision, json_path, quiet = 128, None, False
+    for opt, text in opts:
+        if opt in _HELP:
+            return None
+        if opt == "--precision":
+            precision = _value("precision", int, text)
+        elif opt == "--json":
+            json_path = text
+        else:
+            quiet = True
+    if not rest:
+        raise InputError(f"no command given; the commands are {', '.join(COMMANDS)}")
+    if rest[0] not in COMMANDS:
+        raise InputError(f"unknown command {rest[0]!r}; the commands are "
+                         f"{', '.join(COMMANDS)}")
+    command, positionals, options, precise = COMMANDS[rest[0]]
+    opts, given = getopt.gnu_getopt(rest[1:], "h",
+                                    ["help", *(name + "=" for name in options)])
+    values = {name: default for name, (_, default) in options.items()}
+    for opt, text in opts:
+        if opt in _HELP:
+            return None
+        values[opt[2:]] = _value(opt[2:], options[opt[2:]][0], text)
+    missing = [f"--{name}" for name, v in values.items() if v is _REQUIRED]
+    if missing:
+        raise InputError(f"{rest[0]} needs {' and '.join(missing)}")
+    if len(given) != len(positionals):
+        raise InputError(f"{rest[0]} takes {len(positionals)} positional "
+                         f"argument(s), got {len(given)}: {given}")
+    if precision < MIN_PRECISION:
+        raise InputError(f"precision must be at least {MIN_PRECISION} bits")
+    args = (*given, *values.values()) + ((precision,) if precise else ())
+    return command, args, quiet, json_path
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.precision < MIN_PRECISION:
-        print(f"error: precision must be at least {MIN_PRECISION} bits", file=sys.stderr)
-        return 2
     try:
-        cert = args.run(args)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+    except (getopt.GetoptError, InputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        print(USAGE, end="")
+        return 0
+    command, args, quiet, json_path = parsed
+    try:
+        cert = globals()[command](*args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if not args.quiet:
+    if not quiet:
         print(cert.render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(cert.to_json())
     return 0 if cert.verdict == "PASS" else 1
 

@@ -64,13 +64,14 @@ def _mul(a, b):
 
 
 class QPoly(Immutable):
-    """A polynomial over Q, coefficients constant-first."""
+    """A polynomial over Q, coefficients constant-first: ints stay ints,
+    which print, compare and hash as the equal Fractions do."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _strip(
-            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs))
+            c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs))
 
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
@@ -131,13 +132,14 @@ def _norm_to_Q(coeffs) -> QPoly:
     denominator e of the coefficients, f = (A + sqrt(2) B)/e with A, B over Z,
     and it is A/e when B = 0.  Otherwise f and f^sigma = (A - sqrt(2) B)/e are
     distinct irreducibles over k that both divide it, so it is their
-    squarefree product, the norm (A^2 - 2 B^2)/e^2."""
+    squarefree product, the norm (A^2 - 2 B^2)/e^2.  Over e = 1 the
+    coefficients stay ints."""
     e = math.lcm(*(c.d for c in coeffs))
     A = [c.p * e // c.d for c in coeffs]
     B = [c.q * e // c.d for c in coeffs]
-    if not any(B):
-        return QPoly([Fraction(a, e) for a in A])
-    return QPoly([Fraction(a - 2 * b, e * e) for a, b in zip(_mul(A, A), _mul(B, B))])
+    if any(B):
+        A, e = [a - 2 * b for a, b in zip(_mul(A, A), _mul(B, B))], e * e
+    return QPoly(A if e == 1 else [Fraction(a, e) for a in A])
 
 
 def minpoly_over_Q(x) -> QPoly:

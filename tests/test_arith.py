@@ -225,6 +225,19 @@ class TestConjugateBetweenForms:
             u, v = as_tower_coords(tr)
             assert (u, v) == (adjoint_trace(g), KElem(0))
 
+    @pytest.mark.parametrize("a", [3, 17, Fraction(5, 3), 2])
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    def test_entries_are_d_m_d_inverse(self, a, n):
+        # each entry d_i M_ij / d_j, with d = (sqrt a, 1, ..., 1), in its one
+        # form; the block has zeros in row 0 and column 0
+        g = param_block(KElem(a), KElem(5), n).to_isometry()
+        d = [sqrt_k(a)] + [KElem(1)] * n
+        want = [[d[i] * x / d[j] for j, x in enumerate(row)]
+                for i, row in enumerate(g.entries)]
+        got = conjugate_between_forms(g, a).entries
+        assert [list(row) for row in got] == want
+        assert [type(x) for row in got for x in row] == [type(x) for row in want for x in row]
+
     def test_wrong_form_rejected(self):
         with pytest.raises(ValueError):
             conjugate_between_forms(g1_iso(), 3)

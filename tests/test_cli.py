@@ -182,14 +182,14 @@ class TestVerify:
     def test_reproducible_json(self, capsys, tmp_path):
         assert_one_format(["verify"], capsys, tmp_path)
 
-    def test_parser_is_built_once_and_keeps_no_state(self, capsys, tmp_path):
-        # main reuses one parser; an option of one call does not leak into
-        # the next, which falls back to the default n = 2
+    def test_options_of_one_call_do_not_leak(self, capsys, tmp_path):
+        # main reads every call against the one command table; an option of
+        # one call does not leak into the next, which falls back to the
+        # default n = 2
         path = tmp_path / "cert.json"
         assert run(["--quiet", "verify", "--n", "6"], capsys)[0] == 0
         assert run(["--quiet", "--json", str(path), "verify"], capsys)[0] == 0
         assert json.loads(path.read_text())["inputs"]["n"] == "2"
-        assert cli.build_parser() is cli.build_parser()
 
     def test_eigenvalue_check_is_decided_in_the_tower(self, capsys, tmp_path,
                                                        monkeypatch):
@@ -380,10 +380,10 @@ class TestSearch:
         assert (code, err) == (0, "")
 
     def test_value_of_k_starting_with_a_minus(self, capsys):
-        # argparse reads "-1+1*rt2" after "--c" as an option; "--c=" takes it
-        code, _, err = run(["--quiet", "search", "--c=-1+1*rt2", "--epsilon", "0.1"],
-                           capsys)
-        assert (code, err) == (0, "")
+        # the value after an option is read as given, "-" first or not
+        for c in (["--c=-1+1*rt2"], ["--c", "-1+1*rt2"]):
+            code, _, err = run(["--quiet", "search", *c, "--epsilon", "0.1"], capsys)
+            assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
     def test_bad_epsilon(self, capsys, eps):
@@ -843,6 +843,63 @@ EPSILONS = _mostly(st.floats(1e-300, 1e3).map(repr) | st.sampled_from(
 DEGREES = _ints(st.integers(-1, 8) | st.sampled_from([cli.MAX_MAHLER_D + 1, 10 ** 11]))
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("argv, code", [
+        (["search", "--eps", "0.25"], 0),
+        (["search", "--h", "5", "--epsilon", "0.25"], 2),   # --height-bound or --help
+    ], ids=["abbreviation", "ambiguous-prefix"])
+    def test_prefixes(self, capsys, argv, code):
+        assert run(["--quiet"] + argv, capsys)[0] == code
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["search", "-h"],
+                                      ["--quiet", "congruence", "--he"]])
+    def test_help_prints_the_usage(self, capsys, argv):
+        assert run(argv, capsys) == (0, cli.USAGE, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["nope"],
+        ["verify", "--bogus", "1"],
+        ["mahler"],
+        ["verify", "--n", "x"],
+        ["verify", "extra"],
+        ["congruence", "--level", "2"],
+        [],
+        ["verify", "--precision", "64"],
+        ["--precision", "x", "verify"],
+        ["--quiet=1", "verify"],
+        ["mahler", "--D"],
+    ], ids=["unknown-command", "unknown-option", "missing-required", "bad-int",
+            "stray-positional", "missing-positional", "no-command",
+            "global-after-command", "bad-global", "flag-with-value", "missing-value"])
+    def test_parse_errors_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "cert.json"
+        code, out, err = run(["--json", str(path)] + argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
+
+    def test_usage_names_every_command_and_option(self):
+        for name, (_, positionals, options, _) in cli.COMMANDS.items():
+            assert f"\n  {name} " in cli.USAGE
+            for opt in options:
+                assert f"--{opt} " in cli.USAGE, opt
+            for pos in positionals:
+                assert pos.upper() in cli.USAGE
+        for opt in ("--precision", "--json", "--quiet", "-h, --help"):
+            assert opt in cli.USAGE
+
+    def test_main_leaves_argparse_unloaded(self):
+        # a fresh interpreter pays for every import a command needs
+        code = ("import sys; from smallsys.cli import main; "
+                "rc = main(['--quiet', 'minpoly', '--trace=2', '--norm=-1']); "
+                "print(rc, 'argparse' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "0 False\n"
+
+
 @st.composite
 def command_argv(draw):
     """argv for one smallsys command: valid, boundary and malformed values,
@@ -910,10 +967,7 @@ def test_command_line_contract(matrix_files, argv):
         argv = ["--json", path] + [matrix_files.get(a, a) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:       # argparse's own usage errors
-                code = exc.code
+            code = main(argv)
         err = err.getvalue()
         assert code in (0, 1, 2, 3), (argv, code, err)
         assert "Traceback" not in err + out.getvalue(), argv

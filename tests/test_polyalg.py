@@ -92,7 +92,9 @@ class TestMinpoly:
 
     def test_each_coefficient_is_built_once(self, monkeypatch):
         # the k/Q norm builds each coefficient as a Fraction and QPoly keeps
-        # it; wrapping it again in Fraction made 10 for LAM2's 5 coefficients
+        # it; wrapping it again in Fraction made 10 for LAM2's 5 coefficients.
+        # Over a common denominator 1 (LAM1) the coefficients stay ints,
+        # which print, compare and hash as the Fractions did
         built = [0]
 
         class Counted(Fraction):
@@ -100,11 +102,18 @@ class TestMinpoly:
                 built[0] += 1
                 return super().__new__(cls, *args)
         monkeypatch.setattr(polyalg, "Fraction", Counted)
-        for poly, size in ((lambda: minpoly_over_Q(LAM2), 5),
-                           (lambda: product(LAM1, LAM2, 64)[0], 9)):
+        for poly, size, fractions in ((lambda: minpoly_over_Q(LAM2), 5, 5),
+                                      (lambda: product(LAM1, LAM2, 64)[0], 9, 9),
+                                      (lambda: minpoly_over_Q(LAM1), 5, 0)):
             built[0] = 0
             assert len(poly().coeffs) == size
-            assert built[0] == size
+            assert built[0] == fractions
+        ints = minpoly_over_Q(LAM1)
+        same = QPoly([Fraction(c) for c in ints.coeffs])
+        assert all(type(c) is int for c in ints.coeffs)
+        assert (ints == same, hash(ints) == hash(same), ints.to_text()) == \
+            (True, True, same.to_text())
+        assert ints.is_integral() and ints.is_monic()
 
     def test_matches_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
